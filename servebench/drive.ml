@@ -159,17 +159,6 @@ let open_loop live ~rate ~burst ~seed ~seconds ~max_events =
   done;
   { events; lines; replies; latency_ms; lag_ms; done_s }
 
-(* Events answered per second in each of [windows] equal consecutive
-   slices of the phase's events (a window runs from the previous
-   window's last reply to its own). *)
-let throughput ~windows t =
-  let n = Array.length t.done_s in
-  let windows = max 1 (min windows n) in
-  Array.init windows (fun w ->
-      let lo = w * n / windows and hi = ((w + 1) * n / windows) - 1 in
-      let start = if lo = 0 then 0. else t.done_s.(lo - 1) in
-      float_of_int (hi - lo + 1) /. (t.done_s.(hi) -. start))
-
 let timed_phase live ~(spec : Workload.t) ~seed ~seconds ~max_events =
   match spec.loop with
   | Workload.Closed -> closed_loop live ~seconds ~max_events

@@ -32,7 +32,7 @@ type t = {
   uncertified : int;  (** timed epochs with certification violations *)
   errors : int;  (** timed replies that are not outcomes: errors, sheds *)
   committed : int array;  (** committed flows after each timed event *)
-  energy_over_lb : float;  (** mean over the sampled timed epochs *)
+  energy_over_lb : float array;  (** at the sampled timed epochs *)
   offered : int;  (** flows offered in the timed phase *)
   admitted : int;  (** of which admitted *)
   shed : int;  (** committed flows shed by the admission policy *)
@@ -144,7 +144,7 @@ let run ~(spec : Workload.t) ~seed ~warm ~events ~replies ~shadow =
     uncertified = !uncertified;
     errors = !errors;
     committed;
-    energy_over_lb = Stats.mean (Array.of_list !ratios);
+    energy_over_lb = Array.of_list (List.rev !ratios);
     offered = !offered;
     admitted = !admitted;
     shed = !shed;

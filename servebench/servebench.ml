@@ -3,8 +3,9 @@
      servebench --workload NAME --seed N --seconds S --trace 0|1
                 [--dcn PATH] [--workdir DIR] [--smoke]
 
-   --trace 0 measures the end-to-end metrics: five set-ups (spawn + warm
-   phase; the median is setup_s), then the timed phase on the last one.
+   --trace 0 measures the end-to-end metrics over the workload's independent
+   segments, each a set-up (spawn + warm phase; their median is setup_s)
+   followed by an equal share of the timed phase.
    --trace 1 measures the per-layer split: the warmed store is recovered
    twice, once untraced and once under `dcn serve --trace`, and the same
    capped timed phase runs on both.  Every run ends with the offline
@@ -185,8 +186,7 @@ let max_lag_ms (w : Workload.t) =
   | Workload.Closed -> infinity
 
 (* Open loop only; a closed loop has no schedule to fall behind. *)
-let lag_p99 (timed : Drive.timed) =
-  if timed.lag_ms = [||] then 0. else Stats.percentile 99. timed.lag_ms
+let lag_p99 lag_ms = if lag_ms = [||] then 0. else Stats.percentile 99. lag_ms
 
 let check_run (w : Workload.t) (timed : Drive.timed) (replay : Replay.t) =
   (match replay.mismatch with
@@ -200,7 +200,7 @@ let check_run (w : Workload.t) (timed : Drive.timed) (replay : Replay.t) =
   and cmax = Array.fold_left max min_int replay.committed in
   if Array.length replay.committed > 0 && (cmin < lo || cmax > hi) then
     die "committed flows left the band [%d, %d]: min %d, max %d" lo hi cmin cmax;
-  let lag = lag_p99 timed in
+  let lag = lag_p99 timed.lag_ms in
   if lag > max_lag_ms w then
     die "the generator fell behind its schedule: lag p99 %.3f ms > %.3g ms" lag
       (max_lag_ms w);
@@ -229,95 +229,143 @@ let emit ~env ~info ~attempted ~failed metrics =
 
 (* ------------------------------ runs ------------------------------ *)
 
-let set_ups = 5
+(* The timed phase is split evenly over the workload's segments, each
+   on a server of its own set up from its own seed: a committed set
+   drifts slowly, so one long trajectory gives fewer independent samples
+   of the per-event cost than several short ones.  Each set-up is timed;
+   setup_s is their median. *)
 
-(* Throughput and reply percentiles are the median over this many
-   consecutive windows of the timed phase, so a stall that hits one
-   window does not move a run's figures (each window still holds well
-   over ten replies beyond its p95). *)
-let latency_windows = 3
+(* Seed of segment [i] of a run, fixed by the run's seed and distinct
+   for every (seed, segment) pair. *)
+let segment_seed (w : Workload.t) seed i = (seed * w.segments) + i
+
+(* Reply percentiles and counts per event kind, so a shift in the tail
+   can be told apart from a shift in the mix. *)
+let by_kind ~events ~latency_ms =
+  List.concat_map
+    (fun kind ->
+      let lat =
+        Array.of_list
+          (List.filteri
+             (fun i _ -> Event.kind events.(i) = kind)
+             (Array.to_list latency_ms))
+      in
+      if lat = [||] then []
+      else
+        [
+          (Printf.sprintf "events.%s" kind, float_of_int (Array.length lat), "count");
+          (Printf.sprintf "reply_ms_p50.%s" kind, Stats.median lat, "ms");
+          (Printf.sprintf "reply_ms_p95.%s" kind, Stats.percentile 95. lat, "ms");
+        ])
+    [ "arrival"; "coflow"; "cancel"; "coflow-cancel"; "advance" ]
 
 let finish_ok live =
   match Drive.finish live with Ok () -> () | Error m -> die "%s" m
 
-let end_to_end args ~dir =
+type segment = {
+  setup_s : float;
+  warm : int;
+  timed : Drive.timed;
+  rss : float;
+  replay : Replay.t;
+  cmin : int;
+  cmax : int;
+}
+
+(* Set up segment [i], run its share of the timed phase, drain its
+   server and check the delivered sequence in the offline replay. *)
+let segment args ~dir i =
   let w = args.workload in
-  (* Set-up is timed [set_ups] times; all but the last server drain
-     straight after their warm phase. *)
-  let setups = ref [] in
-  let rec go i =
-    let d = Filename.concat dir (Printf.sprintf "setup%d" i) in
-    mkdir_p d;
-    let live = Drive.setup ~dcn:args.dcn ~dir:d ~spec:w ~seed:args.seed () in
-    setups := live.setup_s :: !setups;
-    if i < set_ups then begin
-      finish_ok live;
-      rm_rf d;
-      go (i + 1)
-    end
-    else live
-  in
-  let live = go 1 in
+  let seed = segment_seed w args.seed i in
+  let d = Filename.concat dir (Printf.sprintf "segment%d" i) in
+  mkdir_p d;
+  let live = Drive.setup ~dcn:args.dcn ~dir:d ~spec:w ~seed () in
   let timed, rss =
     with_server live.server @@ fun () ->
     let timed =
-      Drive.timed_phase live ~spec:w ~seed:args.seed ~seconds:args.seconds
+      Drive.timed_phase live ~spec:w ~seed
+        ~seconds:(args.seconds /. float_of_int w.segments)
         ~max_events:max_int
     in
     let rss = Wire.peak_rss_mb live.server in
     finish_ok live;
     (timed, rss)
   in
+  rm_rf d;
   let warm = List.length live.warm_events in
   let replay =
-    Replay.run ~spec:w ~seed:args.seed ~warm
+    Replay.run ~spec:w ~seed ~warm
       ~events:(Array.append (Array.of_list live.warm_events) timed.events)
       ~replies:(Array.append (Array.of_list live.warm_replies) timed.replies)
       ~shadow:false
   in
   let cmin, cmax = check_run w timed replay in
-  let n = Array.length timed.events in
-  let failed = replay.errors + replay.uncertified in
-  let windows =
-    List.concat_map
-      (fun p ->
-        Array.to_list
-          (Array.mapi
-             (fun i v -> (Printf.sprintf "reply_ms_p%g.window%d" p (i + 1), v, "ms"))
-             (Stats.per_window ~windows:latency_windows p timed.latency_ms)))
-      [ 50.; 95. ]
+  { setup_s = live.setup_s; warm; timed; rss; replay; cmin; cmax }
+
+let end_to_end args ~dir =
+  let w = args.workload in
+  let segs = List.init w.segments (segment args ~dir) in
+  let pool f = Array.concat (List.map f segs) in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 segs in
+  let each f = Array.of_list (List.map f segs) in
+  let events = pool (fun s -> s.timed.events) in
+  let latency_ms = pool (fun s -> s.timed.latency_ms) in
+  let n = Array.length events in
+  let failed = sum (fun s -> s.replay.errors + s.replay.uncertified) in
+  let offered = sum (fun s -> s.replay.offered) in
+  (* A timed phase answers at least one event (one burst open-loop). *)
+  let span s = s.timed.done_s.(Array.length s.timed.done_s - 1) in
+  let per_segment name f unit =
+    List.mapi (fun i s -> (Printf.sprintf "%s.segment%d" name (i + 1), f s, unit)) segs
+  in
+  let seg_p p s = Stats.percentile p s.timed.latency_ms in
+  (* A closed loop pools every reply: a stall delays only the event in
+     flight.  An open loop keeps sending through a stall, which delays
+     every event due during it, so there a run's percentile is the
+     interquartile mean of its segments' percentiles, leaving out the
+     segments a stall hit (each segment holds over a thousand replies). *)
+  let reply_ms p =
+    match w.loop with
+    | Workload.Closed -> Stats.percentile p latency_ms
+    | Workload.Open _ -> Stats.interquartile_mean (each (seg_p p))
   in
   emit ~env:(env_stamp args ~dir) ~attempted:n ~failed
     ~info:
       ([
         ("failed_ratio", float_of_int failed /. float_of_int (max 1 n), "ratio");
         ("events", float_of_int n, "count");
-        ("warm_events", float_of_int warm, "count");
-        ("flows_offered", float_of_int replay.offered, "count");
-        ("flows_shed", float_of_int replay.shed, "count");
-        ("bench.committed_flows_p50", committed_p50 replay, "flows");
-        ("bench.committed_flows_min", float_of_int cmin, "flows");
-        ("bench.committed_flows_max", float_of_int cmax, "flows");
-        ("bench.generator_lag_ms_p99", lag_p99 timed, "ms");
-        ("reply_ms_p99", Stats.percentile 99. timed.latency_ms, "ms");
+        ("segments", float_of_int w.segments, "count");
+        ("warm_events", float_of_int (sum (fun s -> s.warm)), "count");
+        ("flows_offered", float_of_int offered, "count");
+        ("flows_shed", float_of_int (sum (fun s -> s.replay.shed)), "count");
+        ( "bench.committed_flows_p50",
+          Stats.median
+            (Array.map float_of_int (pool (fun s -> s.replay.committed))),
+          "flows" );
+        ( "bench.committed_flows_min",
+          float_of_int (Array.fold_left min max_int (each (fun s -> s.cmin))),
+          "flows" );
+        ( "bench.committed_flows_max",
+          float_of_int (Array.fold_left max min_int (each (fun s -> s.cmax))),
+          "flows" );
+        ( "bench.generator_lag_ms_p99",
+          lag_p99 (pool (fun s -> s.timed.lag_ms)),
+          "ms" );
+        ("reply_ms_p99", Stats.percentile 99. latency_ms, "ms");
       ]
-      @ windows)
+      @ per_segment "reply_ms_p50" (seg_p 50.) "ms"
+      @ per_segment "reply_ms_p95" (seg_p 95.) "ms"
+      @ by_kind ~events ~latency_ms)
     [
-      ( "events_per_s",
-        Stats.median (Drive.throughput ~windows:latency_windows timed),
-        "1/s" );
-      ( "reply_ms_p50",
-        Stats.windowed ~windows:latency_windows 50. timed.latency_ms,
-        "ms" );
-      ( "reply_ms_p95",
-        Stats.windowed ~windows:latency_windows 95. timed.latency_ms,
-        "ms" );
+      ("events_per_s", float_of_int n /. Stats.sum (each span), "1/s");
+      ("reply_ms_p50", reply_ms 50., "ms");
+      ("reply_ms_p95", reply_ms 95., "ms");
       ( "accept_ratio",
-        float_of_int replay.admitted /. float_of_int (max 1 replay.offered),
+        float_of_int (sum (fun s -> s.replay.admitted)) /. float_of_int (max 1 offered),
         "ratio" );
-      ("energy_over_lb", replay.energy_over_lb, "ratio");
-      ("setup_s", Stats.median (Array.of_list !setups), "s");
-      ("peak_rss_mb", rss, "MiB");
+      ("energy_over_lb", Stats.mean (pool (fun s -> s.replay.energy_over_lb)), "ratio");
+      ("setup_s", Stats.median (each (fun s -> s.setup_s)), "s");
+      ("peak_rss_mb", Stats.median (each (fun s -> s.rss)), "MiB");
     ]
 
 (* Recover the warmed store in [dir] (a fresh server on an existing
@@ -442,7 +490,7 @@ let per_layer args ~dir =
       ( "feasible.us_per_call",
         (if shadow.feasible_us = [||] then 0. else Stats.mean shadow.feasible_us),
         "us" );
-      ("bench.generator_lag_ms_p99", lag_p99 traced, "ms");
+      ("bench.generator_lag_ms_p99", lag_p99 traced.lag_ms, "ms");
       ("bench.committed_flows_p50", committed_p50 replay, "flows");
       ("trace.overhead_pct", overhead, "%");
     ]

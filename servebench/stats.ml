@@ -19,15 +19,11 @@ let mean xs =
 
 let sum xs = Array.fold_left ( +. ) 0. xs
 
-(* [percentile p] of each of [windows] equal consecutive slices of
-   [xs], in order (fewer slices when there are fewer samples). *)
-let per_window ~windows p xs =
-  let n = Array.length xs in
-  let windows = max 1 (min windows n) in
-  Array.init windows (fun w ->
-      let lo = w * n / windows and hi = (w + 1) * n / windows in
-      percentile p (Array.sub xs lo (hi - lo)))
-
-(* The median over windows of their percentile: a stall that hits one
-   window of a run does not move the run's figure. *)
-let windowed ~windows p xs = median (per_window ~windows p xs)
+(* Mean of the middle half of [xs]: a quarter of the values at each end
+   are left out. *)
+let interquartile_mean xs =
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  let n = Array.length s in
+  let cut = n / 4 in
+  mean (Array.sub s cut (n - (2 * cut)))

@@ -42,6 +42,9 @@ type t = {
   warm_events : int;
       (** events of the warm phase: a fixed count, so set-up does the
           same amount of work for every seed *)
+  segments : int;
+      (** independent set-ups the timed phase is split over; more where
+          set-up is cheap *)
   mix : step array;
       (** event kinds, taken in turn: every run sees the same proportions,
           only the flows differ *)
@@ -67,6 +70,7 @@ let tick_light =
     target = 6;
     hold = false;
     warm_events = 1000;
+    segments = 16;
     mix = Array.init 100 (fun i -> if i = 0 then Arrive else Advance);
     horizon = 2.;
     lead = 20.;
@@ -89,6 +93,7 @@ let steady_100 =
     target = 100;
     hold = true;
     warm_events = 100;
+    segments = 6;
     mix = [| Arrive; Cancel; Arrive; Cancel; Arrive; Cancel; Arrive; Advance |];
     horizon = 10.;
     lead = 140.;
@@ -111,6 +116,7 @@ let coflow_shed =
     target = 12;
     hold = false;
     warm_events = 200;
+    segments = 6;
     mix = [| Group; Arrive; Advance |];
     horizon = 15.;
     lead = 15.;
@@ -273,6 +279,7 @@ let smoke w =
     band = (0, 1000);
     target = min w.target 6;
     warm_events = 20;
+    segments = 2;
     energy_stride = 4;
     trace_events = 8;
   }
