@@ -49,4 +49,13 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Dcn_engine.Json.t
 
+val flow_to_fields : Dcn_flow.Flow.t -> (string * Dcn_engine.Json.t) list
+(** A flow's wire fields, in wire order: [id], [src], [dst], [volume],
+    [release], [deadline] (floats at full precision).  Shared by the
+    arrival and coflow shapes and by session snapshots. *)
+
+val flow_of_json : Dcn_engine.Json.t -> (Dcn_flow.Flow.t, string) result
+(** Inverse of {!flow_to_fields} (extra fields are ignored); total like
+    {!of_json}. *)
+
 val of_json : Dcn_engine.Json.t -> (t, string) result

@@ -284,14 +284,19 @@ let feasible t sched =
   (not (Float.is_finite cap))
   || Schedule.max_link_rate sched -. cap <= 1e-6 *. Float.max 1. cap
 
+(* The time span [lo, hi] covered by [flows], widened from [from]. *)
+let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
+  List.fold_left
+    (fun (lo, hi) (f : Flow.t) ->
+      (Float.min lo f.release, Float.max hi f.deadline))
+    from flows
+
 (* Absorb a committed epoch: mutate the session, account, certify. *)
 let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
     ~(rstats : Relaxation.reuse_stats) =
-  let delta = Schedule_delta.diff ~before:t.schedule ~after:sched in
+  let delta = Schedule_delta.diff ~before:t.schedule ~after:(Some sched) in
   let violations =
-    match (t.config.certify, inst, sched) with
-    | true, Some inst, Some sched -> Certify.schedule inst sched
-    | _ -> []
+    if t.config.certify then Certify.schedule inst sched else []
   in
   t.flows <- flows;
   t.paths <- paths;
@@ -308,14 +313,14 @@ let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
         in
         if live = [] then None else Some (cid, live))
       t.coflows;
-  t.relaxation <- relax;
-  t.schedule <- sched;
+  t.relaxation <- Some relax;
+  t.schedule <- Some sched;
   let s = t.stats in
   s.resolved_intervals <- s.resolved_intervals + rstats.resolved;
   s.reused_intervals <- s.reused_intervals + rstats.reused;
   s.dropped <- s.dropped + List.length dropped;
   s.retired <- s.retired + List.length retired;
-  if t.config.certify && Option.is_some sched then
+  if t.config.certify then
     if violations = [] then begin
       s.certified_epochs <- s.certified_epochs + 1;
       Dcn_obs.Registry.incr obs_certified
@@ -324,7 +329,6 @@ let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
       s.uncertified_epochs <- s.uncertified_epochs + 1;
       Dcn_obs.Registry.incr obs_uncertified
     end;
-  let energy = match sched with None -> 0. | Some sc -> Schedule.energy sc in
   let detail =
     {
       delta;
@@ -333,15 +337,14 @@ let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
       violations;
       resolved_intervals = rstats.resolved;
       reused_intervals = rstats.reused;
-      energy;
+      energy = Schedule.energy sched;
     }
   in
   if dropped = [] then Committed detail else Degraded detail
 
 (* All-or-nothing discipline for committed coflows: shedding any member
    sheds the whole group, so a partially planned coflow never survives
-   an epoch.  A victim outside every coflow sheds alone (the pre-coflow
-   behaviour, bit-identical when no coflows are committed). *)
+   an epoch.  A victim outside every coflow sheds alone. *)
 let shed_set t (victim : Flow.t) candidate =
   match
     List.find_opt (fun (_, ms) -> List.mem victim.Flow.id ms) t.coflows
@@ -350,127 +353,19 @@ let shed_set t (victim : Flow.t) candidate =
   | Some (_, ms) ->
     List.filter (fun (f : Flow.t) -> List.mem f.Flow.id ms) candidate
 
-(* Graceful admission: re-solve only the intervals overlapping the
-   change window, draw the arrival's path from the warm relaxation, and
-   while no feasible draw exists shed one flow per round under the
-   session's policy — exactly Repair's degradation loop, live. *)
-let admit t (arrival : Flow.t) =
-  let rec go candidate dropped ((wlo, whi) as window) =
-    match
-      Instance.make_result ~graph:t.graph ~power:t.power ~flows:candidate
-    with
-    | Error e -> Rejected { reason = Instance.error_to_string e }
-    | Ok inst -> (
-      let relax, rstats = resolve_relaxation t ~window inst in
-      let candidates = Random_schedule.candidate_paths relax arrival in
-      let keep =
-        List.filter
-          (fun (id, _) ->
-            List.exists (fun (f : Flow.t) -> f.id = id) candidate)
-          t.paths
-      in
-      let draw =
-        match candidates with
-        | [] -> None
-        | _ ->
-          let weights = Array.of_list (List.map snd candidates) in
-          let paths = Array.of_list (List.map fst candidates) in
-          let rngs = Pool.split_rngs (Prng.split t.rng) t.config.attempts in
-          let rec try_draw i =
-            if i >= t.config.attempts then None
-            else
-              let idx = Prng.pick_weighted rngs.(i) ~weights in
-              let assoc = (arrival.Flow.id, paths.(idx)) :: keep in
-              let sched = build_schedule t inst assoc in
-              if feasible t sched then Some (sched, assoc)
-              else try_draw (i + 1)
-          in
-          try_draw 0
-      in
-      match draw with
-      | Some (sched, assoc) ->
-        t.stats.admitted <- t.stats.admitted + 1;
-        commit t ~flows:candidate
-          ~paths:(List.sort (fun (a, _) (b, _) -> compare a b) assoc)
-          ~relax:(Some relax) ~sched:(Some sched) ~inst:(Some inst) ~dropped
-          ~retired:[] ~rstats
-      | None -> (
-        match
-          Repair.next_casualty t.policy
-            ~is_new:(fun id -> id = arrival.Flow.id)
-            candidate
-        with
-        | None ->
-          Rejected
-            { reason = "no feasible plan; the policy refuses to shed" }
-        | Some victim when victim.Flow.id = arrival.Flow.id ->
-          Rejected
-            { reason = "no feasible plan within the redraw budget" }
-        | Some victim ->
-          let shed = shed_set t victim candidate in
-          List.iter
-            (fun (f : Flow.t) ->
-              Trace.event ~fields:[ ("flow", Json.Int f.Flow.id) ] "serve.drop")
-            shed;
-          let shed_ids = List.map (fun (f : Flow.t) -> f.Flow.id) shed in
-          go
-            (List.filter
-               (fun (f : Flow.t) -> not (List.mem f.id shed_ids))
-               candidate)
-            (shed @ dropped)
-            (List.fold_left
-               (fun (lo, hi) (f : Flow.t) ->
-                 (Float.min lo f.Flow.release, Float.max hi f.Flow.deadline))
-               (wlo, whi) shed)))
-  in
-  go
-    (List.sort by_id (arrival :: t.flows))
-    []
-    (arrival.Flow.release, arrival.Flow.deadline)
-
-let on_arrival t (f : Flow.t) =
-  let n = Graph.num_nodes t.graph in
-  let tn = tiny (Float.max (Float.abs t.clock) (Float.abs f.deadline)) in
-  if f.src < 0 || f.src >= n || f.dst < 0 || f.dst >= n then
-    Rejected
-      { reason = Printf.sprintf "flow %d: endpoint outside the fabric" f.id }
-  else if f.deadline <= t.clock +. tn then
-    Rejected
-      {
-        reason =
-          Printf.sprintf "flow %d: deadline %g at or before clock %g" f.id
-            f.deadline t.clock;
-      }
-  else if List.exists (fun (g : Flow.t) -> g.id = f.id) t.flows then
-    Rejected { reason = Printf.sprintf "flow %d already committed" f.id }
-  else if Option.is_none (Paths.shortest_path t.graph ~src:f.src ~dst:f.dst)
-  then
-    Rejected
-      {
-        reason =
-          Printf.sprintf "flow %d: no path from %d to %d" f.id f.src f.dst;
-      }
-  else
-    (* A release in the past cannot be honoured: clamp to the clock. *)
-    let f =
-      if f.release < t.clock then
-        Flow.make ~id:f.id ~src:f.src ~dst:f.dst ~volume:f.volume
-          ~release:t.clock ~deadline:f.deadline
-      else f
-    in
-    admit t f
-
-(* Group admission: the coflow's members commit as one unit.  Each
-   round draws a path per member from the warm relaxation (one weighted
-   draw each, all from the round's pre-split stream); if no joint draw
-   is feasible the policy may shed previously committed flows — whole
-   coflows at a time, via [shed_set] — but never a part of the arriving
-   group: its members are all new, so a new victim rejects the whole
-   coflow.  Either every member commits or none does. *)
-let admit_coflow t ~coflow (members : Flow.t list) =
+(* Graceful admission of a group of new flows — a plain arrival is the
+   one-member group.  Each round re-solves only the intervals
+   overlapping the change window and draws a path per member from the
+   warm relaxation (one weighted draw each, all from the round's
+   pre-split stream).  While no joint draw is feasible the policy sheds
+   committed flows — whole coflows at a time, via [shed_set] — exactly
+   Repair's degradation loop, live; a new member as victim rejects the
+   group.  Either every member commits or none does.  [coflow] names
+   the group in the reject reason and enters the membership table. *)
+let admit t ?coflow (members : Flow.t list) =
   let member_ids = List.map (fun (f : Flow.t) -> f.Flow.id) members in
   let is_new id = List.mem id member_ids in
-  let rec go candidate dropped ((wlo, whi) as window) =
+  let rec go candidate dropped window =
     match
       Instance.make_result ~graph:t.graph ~power:t.power ~flows:candidate
     with
@@ -478,9 +373,7 @@ let admit_coflow t ~coflow (members : Flow.t list) =
     | Ok inst -> (
       let relax, rstats = resolve_relaxation t ~window inst in
       let member_candidates =
-        List.map
-          (fun (f : Flow.t) -> (f, Random_schedule.candidate_paths relax f))
-          members
+        List.map (Random_schedule.candidate_paths relax) members
       in
       let keep =
         List.filter
@@ -489,15 +382,15 @@ let admit_coflow t ~coflow (members : Flow.t list) =
           t.paths
       in
       let draw =
-        if List.exists (fun (_, c) -> c = []) member_candidates then None
+        if List.mem [] member_candidates then None
         else
           let prepared =
-            List.map
-              (fun ((f : Flow.t), cands) ->
-                ( f.Flow.id,
+            List.map2
+              (fun id cands ->
+                ( id,
                   Array.of_list (List.map fst cands),
                   Array.of_list (List.map snd cands) ))
-              member_candidates
+              member_ids member_candidates
           in
           let rngs = Pool.split_rngs (Prng.split t.rng) t.config.attempts in
           let rec try_draw i =
@@ -521,16 +414,18 @@ let admit_coflow t ~coflow (members : Flow.t list) =
         let outcome =
           commit t ~flows:candidate
             ~paths:(List.sort (fun (a, _) (b, _) -> compare a b) assoc)
-            ~relax:(Some relax) ~sched:(Some sched) ~inst:(Some inst) ~dropped
-            ~retired:[] ~rstats
+            ~relax ~sched ~inst ~dropped ~retired:[] ~rstats
         in
         (* [commit] pruned shed groups; the new one enters afterwards so
            a [Rejected] round never leaves a trace of it. *)
-        t.coflows <-
-          List.merge
-            (fun (a, _) (b, _) -> compare a b)
-            t.coflows
-            [ (coflow, member_ids) ];
+        Option.iter
+          (fun cid ->
+            t.coflows <-
+              List.merge
+                (fun (a, _) (b, _) -> compare a b)
+                t.coflows
+                [ (cid, member_ids) ])
+          coflow;
         outcome
       | None -> (
         match Repair.next_casualty t.policy ~is_new candidate with
@@ -541,9 +436,12 @@ let admit_coflow t ~coflow (members : Flow.t list) =
           Rejected
             {
               reason =
-                Printf.sprintf
-                  "coflow %d: no feasible joint plan within the redraw budget"
-                  coflow;
+                (match coflow with
+                | None -> "no feasible plan within the redraw budget"
+                | Some cid ->
+                  Printf.sprintf
+                    "coflow %d: no feasible joint plan within the redraw budget"
+                    cid);
             }
         | Some victim ->
           let shed = shed_set t victim candidate in
@@ -557,23 +455,11 @@ let admit_coflow t ~coflow (members : Flow.t list) =
                (fun (f : Flow.t) -> not (List.mem f.id shed_ids))
                candidate)
             (shed @ dropped)
-            (List.fold_left
-               (fun (lo, hi) (f : Flow.t) ->
-                 (Float.min lo f.Flow.release, Float.max hi f.Flow.deadline))
-               (wlo, whi) shed)))
+            (span_of ~from:window shed)))
   in
-  let window =
-    List.fold_left
-      (fun (lo, hi) (f : Flow.t) ->
-        (Float.min lo f.Flow.release, Float.max hi f.Flow.deadline))
-      (Float.infinity, Float.neg_infinity)
-      members
-  in
-  go (List.sort by_id (members @ t.flows)) [] window
+  go (List.sort by_id (members @ t.flows)) [] (span_of members)
 
-(* Per-member validation for a coflow arrival: the same clauses as
-   [on_arrival], reported with the coflow prefix, and checked for the
-   whole group before anything is admitted. *)
+(* Admission checks for one new flow, before anything is re-solved. *)
 let validate_new t (f : Flow.t) =
   let n = Graph.num_nodes t.graph in
   let tn = tiny (Float.max (Float.abs t.clock) (Float.abs f.deadline)) in
@@ -588,6 +474,18 @@ let validate_new t (f : Flow.t) =
   else if Option.is_none (Paths.shortest_path t.graph ~src:f.src ~dst:f.dst)
   then Some (Printf.sprintf "flow %d: no path from %d to %d" f.id f.src f.dst)
   else None
+
+(* A release in the past cannot be honoured: clamp it to the clock. *)
+let clamp_release t (f : Flow.t) =
+  if f.release < t.clock then
+    Flow.make ~id:f.id ~src:f.src ~dst:f.dst ~volume:f.volume ~release:t.clock
+      ~deadline:f.deadline
+  else f
+
+let on_arrival t f =
+  match validate_new t f with
+  | Some reason -> Rejected { reason }
+  | None -> admit t [ clamp_release t f ]
 
 let on_coflow_arrival t ~coflow members =
   let reject reason =
@@ -615,114 +513,82 @@ let on_coflow_arrival t ~coflow members =
       match List.filter_map (validate_new t) members with
       | reason :: _ -> reject (Printf.sprintf "coflow %d: %s" coflow reason)
       | [] -> (
-        (* Releases in the past cannot be honoured: clamp to the clock. *)
-        let members =
-          List.map
-            (fun (f : Flow.t) ->
-              if f.release < t.clock then
-                Flow.make ~id:f.id ~src:f.src ~dst:f.dst ~volume:f.volume
-                  ~release:t.clock ~deadline:f.deadline
-              else f)
-            members
-        in
-        match admit_coflow t ~coflow members with
+        let members = List.map (clamp_release t) members in
+        match admit t ~coflow members with
         | Rejected { reason } -> reject reason
         | outcome ->
           t.stats.coflows_admitted <- t.stats.coflows_admitted + 1;
           Dcn_obs.Registry.incr obs_coflow_admitted;
-          if Dcn_obs.Registry.on () then begin
-            let deadline =
-              List.fold_left
-                (fun acc (f : Flow.t) -> Float.max acc f.deadline)
-                neg_infinity members
-            in
-            Dcn_obs.Registry.observe obs_coflow_slack (deadline -. t.clock)
-          end;
+          if Dcn_obs.Registry.on () then
+            Dcn_obs.Registry.observe obs_coflow_slack
+              (snd (span_of members) -. t.clock);
           outcome))
   end
 
-let drain t ~cancelled ~retired =
-  let delta = Schedule_delta.diff ~before:t.schedule ~after:None in
-  t.flows <- [];
-  t.paths <- [];
-  t.coflows <- [];
-  t.relaxation <- None;
-  t.schedule <- None;
+(* Withdraw committed flows — [cancelled] by a client or [retired] by
+   the clock (flow ids).  Drains the session when nothing is left;
+   otherwise re-solves over the span of the removed flows and keeps
+   every other committed path. *)
+let withdraw t ~cancelled ~retired =
+  let gone, rest =
+    List.partition
+      (fun (f : Flow.t) -> List.mem f.id cancelled || List.mem f.id retired)
+      t.flows
+  in
   let s = t.stats in
-  s.cancelled <- s.cancelled + List.length cancelled;
-  s.retired <- s.retired + List.length retired;
-  Committed
-    {
-      delta;
-      dropped = [];
-      retired = List.sort compare retired;
-      violations = [];
-      resolved_intervals = 0;
-      reused_intervals = 0;
-      energy = 0.;
-    }
+  match rest with
+  | [] ->
+    let delta = Schedule_delta.diff ~before:t.schedule ~after:None in
+    t.flows <- [];
+    t.paths <- [];
+    t.coflows <- [];
+    t.relaxation <- None;
+    t.schedule <- None;
+    s.cancelled <- s.cancelled + List.length cancelled;
+    s.retired <- s.retired + List.length retired;
+    Committed
+      {
+        delta;
+        dropped = [];
+        retired = List.sort compare retired;
+        violations = [];
+        resolved_intervals = 0;
+        reused_intervals = 0;
+        energy = 0.;
+      }
+  | _ -> (
+    match Instance.make_result ~graph:t.graph ~power:t.power ~flows:rest with
+    | Error e -> Rejected { reason = Instance.error_to_string e }
+    | Ok inst ->
+      let relax, rstats = resolve_relaxation t ~window:(span_of gone) inst in
+      let paths =
+        List.filter
+          (fun (id, _) -> List.exists (fun (f : Flow.t) -> f.id = id) rest)
+          t.paths
+      in
+      let sched = build_schedule t inst paths in
+      s.cancelled <- s.cancelled + List.length cancelled;
+      commit t ~flows:rest ~paths ~relax ~sched ~inst ~dropped:[] ~retired
+        ~rstats)
 
 let on_cancel t id =
-  match List.find_opt (fun (g : Flow.t) -> g.id = id) t.flows with
-  | None -> Rejected { reason = Printf.sprintf "unknown flow %d" id }
-  | Some _
-    when List.exists (fun (_, ms) -> List.mem id ms) t.coflows ->
-    let cid, _ =
-      List.find (fun (_, ms) -> List.mem id ms) t.coflows
-    in
-    Rejected
-      {
-        reason =
-          Printf.sprintf
-            "flow %d belongs to coflow %d; cancel the coflow instead" id cid;
-      }
-  | Some f -> (
-    let rest = List.filter (fun (g : Flow.t) -> g.id <> id) t.flows in
-    match rest with
-    | [] -> drain t ~cancelled:[ id ] ~retired:[]
-    | _ -> (
-      match
-        Instance.make_result ~graph:t.graph ~power:t.power ~flows:rest
-      with
-      | Error e -> Rejected { reason = Instance.error_to_string e }
-      | Ok inst ->
-        let relax, rstats =
-          resolve_relaxation t ~window:(f.release, f.deadline) inst
-        in
-        let paths = List.filter (fun (pid, _) -> pid <> id) t.paths in
-        let sched = build_schedule t inst paths in
-        t.stats.cancelled <- t.stats.cancelled + 1;
-        commit t ~flows:rest ~paths ~relax:(Some relax) ~sched:(Some sched)
-          ~inst:(Some inst) ~dropped:[] ~retired:[] ~rstats))
+  if not (List.exists (fun (g : Flow.t) -> g.id = id) t.flows) then
+    Rejected { reason = Printf.sprintf "unknown flow %d" id }
+  else
+    match List.find_opt (fun (_, ms) -> List.mem id ms) t.coflows with
+    | Some (cid, _) ->
+      Rejected
+        {
+          reason =
+            Printf.sprintf
+              "flow %d belongs to coflow %d; cancel the coflow instead" id cid;
+        }
+    | None -> withdraw t ~cancelled:[ id ] ~retired:[]
 
 let on_coflow_cancel t coflow =
   match List.assoc_opt coflow t.coflows with
   | None -> Rejected { reason = Printf.sprintf "unknown coflow %d" coflow }
-  | Some ms -> (
-    let cancelled_flows, rest =
-      List.partition (fun (f : Flow.t) -> List.mem f.id ms) t.flows
-    in
-    match rest with
-    | [] -> drain t ~cancelled:ms ~retired:[]
-    | _ -> (
-      match
-        Instance.make_result ~graph:t.graph ~power:t.power ~flows:rest
-      with
-      | Error e -> Rejected { reason = Instance.error_to_string e }
-      | Ok inst ->
-        let window =
-          List.fold_left
-            (fun (lo, hi) (f : Flow.t) ->
-              (Float.min lo f.release, Float.max hi f.deadline))
-            (Float.infinity, Float.neg_infinity)
-            cancelled_flows
-        in
-        let relax, rstats = resolve_relaxation t ~window inst in
-        let paths = List.filter (fun (pid, _) -> not (List.mem pid ms)) t.paths in
-        let sched = build_schedule t inst paths in
-        t.stats.cancelled <- t.stats.cancelled + List.length ms;
-        commit t ~flows:rest ~paths ~relax:(Some relax) ~sched:(Some sched)
-          ~inst:(Some inst) ~dropped:[] ~retired:[] ~rstats))
+  | Some ms -> withdraw t ~cancelled:ms ~retired:[]
 
 let on_advance t to_ =
   let tn = tiny (Float.max (Float.abs t.clock) (Float.abs to_)) in
@@ -733,11 +599,14 @@ let on_advance t to_ =
           Printf.sprintf "clock cannot move backwards (%g < %g)" to_ t.clock;
       }
   else begin
-    let retired_flows, rest =
-      List.partition (fun (g : Flow.t) -> g.deadline <= to_ +. tn) t.flows
+    let retired =
+      List.filter_map
+        (fun (g : Flow.t) ->
+          if g.deadline <= to_ +. tn then Some g.id else None)
+        t.flows
     in
     t.clock <- Float.max t.clock to_;
-    match retired_flows with
+    match retired with
     | [] ->
       (* Nothing completed: the committed schedule stands unchanged. *)
       Committed
@@ -751,30 +620,7 @@ let on_advance t to_ =
           energy =
             (match t.schedule with None -> 0. | Some sc -> Schedule.energy sc);
         }
-    | _ -> (
-      let retired = List.map (fun (g : Flow.t) -> g.id) retired_flows in
-      match rest with
-      | [] -> drain t ~cancelled:[] ~retired
-      | _ -> (
-        match
-          Instance.make_result ~graph:t.graph ~power:t.power ~flows:rest
-        with
-        | Error e -> Rejected { reason = Instance.error_to_string e }
-        | Ok inst ->
-          let window =
-            List.fold_left
-              (fun (lo, hi) (g : Flow.t) ->
-                (Float.min lo g.release, Float.max hi g.deadline))
-              (Float.infinity, Float.neg_infinity)
-              retired_flows
-          in
-          let relax, rstats = resolve_relaxation t ~window inst in
-          let keep =
-            List.filter (fun (pid, _) -> not (List.mem pid retired)) t.paths
-          in
-          let sched = build_schedule t inst keep in
-          commit t ~flows:rest ~paths:keep ~relax:(Some relax)
-            ~sched:(Some sched) ~inst:(Some inst) ~dropped:[] ~retired ~rstats))
+    | _ -> withdraw t ~cancelled:[] ~retired
   end
 
 (* SLO gauges refreshed after every event; guarded so a disabled
@@ -908,17 +754,6 @@ let report t =
 
 let snapshot_version = 1
 
-let flow_to_json (f : Flow.t) =
-  Json.Obj
-    [
-      ("id", Json.Int f.id);
-      ("src", Json.Int f.src);
-      ("dst", Json.Int f.dst);
-      ("volume", Json.float f.volume);
-      ("release", Json.float f.release);
-      ("deadline", Json.float f.deadline);
-    ]
-
 let weighted_path_to_json (wp : Dcn_mcf.Decompose.weighted_path) =
   Json.Obj
     [
@@ -972,7 +807,9 @@ let snapshot t =
       ("fingerprint", fingerprint t);
       ("clock", Json.float t.clock);
       ("rng", Json.Str (Int64.to_string (Prng.state t.rng)));
-      ("flows", Json.List (List.map flow_to_json t.flows));
+      ( "flows",
+        Json.List
+          (List.map (fun f -> Json.Obj (Event.flow_to_fields f)) t.flows) );
       ( "paths",
         Json.List
           (List.map
@@ -1025,14 +862,6 @@ let snapshot t =
             ] );
     ]
 
-let flow_of_json j =
-  Flow.make ~id:(Json.to_int (Json.get "id" j))
-    ~src:(Json.to_int (Json.get "src" j))
-    ~dst:(Json.to_int (Json.get "dst" j))
-    ~volume:(Json.to_float (Json.get "volume" j))
-    ~release:(Json.to_float (Json.get "release" j))
-    ~deadline:(Json.to_float (Json.get "deadline" j))
-
 let weighted_path_of_json j : Dcn_mcf.Decompose.weighted_path =
   {
     weight = Json.to_float (Json.get "weight" j);
@@ -1083,7 +912,12 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
     | None -> failwith "rng state is not an int64");
     t.flows <-
       List.sort by_id
-        (List.map flow_of_json (Json.to_list (Json.get "flows" json)));
+        (List.map
+           (fun j ->
+             match Event.flow_of_json j with
+             | Ok f -> f
+             | Error m -> failwith m)
+           (Json.to_list (Json.get "flows" json)));
     t.paths <-
       List.map
         (fun p ->
@@ -1112,13 +946,33 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
     s.uncertified_epochs <- stat "uncertified_epochs";
     s.coflows_admitted <- stat "coflows_admitted";
     s.coflows_rejected <- stat "coflows_rejected";
-    (* Flows committed => paths committed for each, and a relaxation to
-       warm the next re-solve; a drained session has neither. *)
+    (* Flows committed => exactly one path committed for each, coflow
+       membership over live flows only, and a relaxation to warm the
+       next re-solve; a drained session has none of them. *)
+    let flow_ids = List.map (fun (f : Flow.t) -> f.id) t.flows in
+    if List.sort compare (List.map fst t.paths) <> flow_ids then
+      failwith "committed paths do not match the committed flows one to one";
+    let rec ascending = function
+      | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+      | _ -> true
+    in
+    if not (ascending t.coflows) then
+      failwith "coflow ids are not unique and ascending";
+    let members = List.concat_map snd t.coflows in
     List.iter
-      (fun (f : Flow.t) ->
-        if not (List.mem_assoc f.id t.paths) then
-          failwith (Printf.sprintf "flow %d has no committed path" f.id))
-      t.flows;
+      (fun (cid, ms) ->
+        if ms = [] then
+          failwith (Printf.sprintf "coflow %d has no members" cid);
+        List.iter
+          (fun m ->
+            if not (List.mem m flow_ids) then
+              failwith
+                (Printf.sprintf "coflow %d: member %d is not a committed flow"
+                   cid m))
+          ms)
+      t.coflows;
+    if List.length (List.sort_uniq compare members) <> List.length members then
+      failwith "a flow belongs to more than one coflow";
     (match (t.flows, Json.get "relaxation" json) with
     | [], Json.Null -> ()
     | [], _ -> failwith "snapshot has a relaxation but no flows"

@@ -7,20 +7,23 @@
     solution, the committed schedule, and a monotone clock.  Events
     ({!Event.t}) drive it through {!apply}:
 
-    - a {b flow arrival} is admitted through the typed policies of
-      {!Dcn_resilience.Repair} (shedding one flow per round under
-      [Drop_latest_deadline]/[Drop_largest_residual]; [Reject_new]
-      refuses the arrival instead of touching committed flows);
     - a {b coflow arrival} admits a whole flow group all-or-nothing:
       every member commits in one epoch (one path draw per member from
       the warm relaxation) or the whole group is rejected — a coflow
       that would miss its collective deadline is worth nothing partly
-      delivered.  Once committed the group stays atomic: the shedding
-      policy takes whole coflows (never a strict subset), and a plain
-      cancel of a member is refused in favour of {b coflow cancel},
-      which withdraws every member at once;
-    - a {b cancellation} withdraws one committed flow;
-    - a {b clock advance} retires flows whose deadline has passed.
+      delivered.  Admission runs through the typed policies of
+      {!Dcn_resilience.Repair}: [Drop_latest_deadline] and
+      [Drop_largest_residual] shed one victim per round, and shedding
+      takes whole coflows (never a strict subset); when the victim is a
+      member of the arriving group — always, under [Reject_new] — the
+      group is rejected instead of touching committed flows;
+    - a {b flow arrival} is the one-member group: the same admission
+      path, the same policies, the same draws;
+    - a {b cancellation} withdraws one committed flow, a
+      {b coflow cancel} every member of a committed coflow (a plain
+      cancel of a member is refused in its favour), and a
+      {b clock advance} retires flows whose deadline has passed — all
+      three through one withdrawal path.
 
     Each committed epoch re-solves {e only} the timeline intervals
     overlapping the changed flow's span ({!Dcn_core.Relaxation.resolve}

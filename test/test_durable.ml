@@ -256,13 +256,55 @@ let test_restore_rejects_mismatch () =
   (match Session.restore ~graph ~power ~policy:Repair.Reject_new snap with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored under a different policy");
-  match
-    Session.restore ~graph
-      ~power:(Model.make ~sigma:2. ~mu:1. ~alpha:2. ~cap:6. ())
-      ~policy snap
-  with
+  (match
+     Session.restore ~graph
+       ~power:(Model.make ~sigma:2. ~mu:1. ~alpha:2. ~cap:6. ())
+       ~policy snap
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "restored under a different power model"
+  | Ok _ -> Alcotest.fail "restored under a different power model");
+  (* Committed paths or coflow membership that disagree with the flow
+     set describe a session no event sequence can reach. *)
+  let with_field name v =
+    Json.Obj
+      (List.map
+         (fun (k, x) -> if k = name then (k, v) else (k, x))
+         (Json.to_obj snap))
+  in
+  let paths = Json.to_list (Json.get "paths" snap) in
+  let a, b =
+    match Session.active_flows s with
+    | f :: g :: _ -> (f.Dcn_flow.Flow.id, g.Dcn_flow.Flow.id)
+    | _ -> Alcotest.fail "fewer than two committed flows after 20 events"
+  in
+  let path id = Json.Obj [ ("flow", Json.Int id); ("links", Json.List []) ] in
+  let coflows cs =
+    with_field "coflows"
+      (Json.List
+         (List.map
+            (fun (cid, ms) ->
+              Json.Obj
+                [
+                  ("coflow", Json.Int cid);
+                  ("members", Json.List (List.map (fun m -> Json.Int m) ms));
+                ])
+            cs))
+  in
+  List.iter
+    (fun (what, bad) ->
+      match Session.restore ~graph ~power ~policy bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "restored a snapshot with %s" what)
+    [
+      ( "a path for an unknown flow",
+        with_field "paths" (Json.List (paths @ [ path 999 ])) );
+      ( "a flow listed twice in paths",
+        with_field "paths" (Json.List (List.hd paths :: paths)) );
+      ("a coflow member that is not committed", coflows [ (7, [ 999 ]) ]);
+      ("a coflow id listed twice", coflows [ (7, [ a ]); (7, [ b ]) ]);
+      ("a flow in two coflows", coflows [ (7, [ a ]); (8, [ a ]) ]);
+      ("a coflow with no members", coflows [ (7, []) ]);
+    ]
 
 let test_uptime_monotone_nonnegative () =
   let s = session () in

@@ -354,6 +354,115 @@ let test_drain_clears_state () =
     (Session.outcome_kind
        (Session.apply s (arrival ~id:2 ~volume:2. ~release:0. ~deadline:2. ())))
 
+(* ------------------- golden outcome streams ------------------------ *)
+
+(* Replay a corpus log and digest everything a client or a checkpoint
+   can observe: every outcome line, the final report and the snapshot. *)
+let replay_digest ~graph ~cap ~policy name =
+  let s =
+    Session.create ~graph
+      ~power:(Model.make ~sigma:1. ~mu:1. ~alpha:2. ~cap ())
+      ~policy ~seed:42 ()
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun line ->
+      match Event.of_json (Json.of_string line) with
+      | Error m -> Alcotest.failf "corpus line rejected: %s" m
+      | Ok e ->
+        Buffer.add_string b
+          (Json.to_string (Session.outcome_to_json (Session.apply s e)) ^ "\n"))
+    (corpus_lines name);
+  Buffer.add_string b (Json.to_string (Session.report s));
+  Buffer.add_string b (Json.to_string (Session.snapshot s));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned digests: any change to an outcome, a reject reason, the report
+   or the snapshot bytes under any policy shows up here.  Together the
+   six runs cover degraded and rejected arrivals, a whole-coflow shed, a
+   reject-new coflow rejection, a cancel of a shed coflow, a refused
+   member cancel and retirements. *)
+let test_golden_digests () =
+  let check ~graph ~cap name cases =
+    List.iter
+      (fun (policy, want) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s under %s" name (Repair.policy_to_string policy))
+          want
+          (replay_digest ~graph ~cap ~policy name))
+      cases
+  in
+  check ~graph:(Builders.line 5) ~cap:6. "serve-100.events"
+    [
+      (Repair.Drop_latest_deadline, "0c58c598646cb25b7d818362cf06cf9f");
+      (Repair.Drop_largest_residual, "26ce622ef90b663c798aba8801067652");
+      (Repair.Reject_new, "83063336cbc3dd68a9f4cf6e79e30f8f");
+    ];
+  check ~graph:(Builders.fat_tree 4) ~cap:2. "coflow-mix.events"
+    [
+      (Repair.Drop_latest_deadline, "b3beef59f04ff71bae68d9ae7c4ceeb4");
+      (Repair.Drop_largest_residual, "8094de81fa393ba1a8b66ebd4961af6e");
+      (Repair.Reject_new, "231b57812ddf89894a343bf05ca4a0aa");
+    ]
+
+(* A plain flow is the one-member coflow: rewriting every arrival as a
+   coflow of one (coflow id = flow id) and every cancel as a coflow
+   cancel leaves each decision, delta and energy unchanged. *)
+let test_trivial_coflow_equivalence () =
+  let events =
+    List.map
+      (fun line ->
+        match Event.of_json (Json.of_string line) with
+        | Ok e -> e
+        | Error m -> Alcotest.failf "corpus line rejected: %s" m)
+      (corpus_lines "serve-100.events")
+  in
+  let as_coflow = function
+    | Event.Flow_arrival f ->
+      Event.Coflow_arrival { coflow = f.Flow.id; flows = [ f ] }
+    | Event.Flow_cancel { flow } -> Event.Coflow_cancel { coflow = flow }
+    | e -> e
+  in
+  List.iter
+    (fun policy ->
+      let plain = session ~policy () and group = session ~policy () in
+      List.iteri
+        (fun i e ->
+          let a = Session.apply plain e in
+          let b = Session.apply group (as_coflow e) in
+          let label what = Printf.sprintf "event %d %s" i what in
+          Alcotest.(check string) (label "kind") (Session.outcome_kind a)
+            (Session.outcome_kind b);
+          match (a, b) with
+          | ( (Session.Committed da | Session.Degraded da),
+              (Session.Committed db | Session.Degraded db) ) ->
+            Alcotest.(check string) (label "delta")
+              (Json.to_string (Schedule_delta.to_json da.Session.delta))
+              (Json.to_string (Schedule_delta.to_json db.Session.delta));
+            Alcotest.(check (list int)) (label "dropped")
+              (List.map (fun (f : Flow.t) -> f.Flow.id) da.dropped)
+              (List.map (fun (f : Flow.t) -> f.Flow.id) db.dropped);
+            Alcotest.(check (list int)) (label "retired") da.retired db.retired;
+            Alcotest.(check (float 0.)) (label "energy") da.energy db.energy;
+            Alcotest.(check (pair int int)) (label "intervals")
+              (da.resolved_intervals, da.reused_intervals)
+              (db.resolved_intervals, db.reused_intervals)
+          | _ -> ())
+        events;
+      let final s =
+        Option.map
+          (fun sc -> Json.to_string (Dcn_core.Serialize.schedule_to_json sc))
+          (Session.schedule s)
+      in
+      Alcotest.(check (option string))
+        (Repair.policy_to_string policy ^ " final schedule")
+        (final plain) (final group))
+    [
+      Repair.Drop_latest_deadline;
+      Repair.Drop_largest_residual;
+      Repair.Reject_new;
+    ]
+
 let suite =
   [
     ( "serve.event",
@@ -381,5 +490,11 @@ let suite =
         Alcotest.test_case "jobs-invariant" `Quick test_replay_jobs_invariant;
         Alcotest.test_case "deterministic" `Quick
           test_replay_deterministic_and_seeded;
+      ] );
+    ( "serve.golden",
+      [
+        Alcotest.test_case "outcome digests" `Quick test_golden_digests;
+        Alcotest.test_case "flow = one-member coflow" `Quick
+          test_trivial_coflow_equivalence;
       ] );
   ]
