@@ -1366,6 +1366,17 @@ let serve_cmd =
       | `Session s -> Dcn_serve.Session.apply s
       | `Store (st, _) -> Dcn_durable.Store.apply st
     in
+    (* Socket mode applies what is queued as one batch: behind a store
+       that is one WAL write and one fsync for all of it. *)
+    let apply_batch ~first_seq events f =
+      match backend with
+      | `Session s ->
+        List.iteri
+          (fun i event ->
+            f ~seq:(first_seq + i) event (Dcn_serve.Session.apply s event))
+          events
+      | `Store (st, _) -> Dcn_durable.Store.apply_batch st events f
+    in
     let close_backend () =
       match backend with
       | `Session _ -> ()
@@ -1424,11 +1435,10 @@ let serve_cmd =
             Dcn_durable.Transport.serve ~idle_timeout ~queue_capacity:queue
               ~shed_policy ~initial_seq ~socket:path
               ~drain:(fun () -> Atomic.get drain_requested)
-              ~apply:(fun ~seq event ->
-                let out = apply_event event in
-                let line = outcome_line ~seq event out in
-                after_event ();
-                line)
+              ~apply:(fun ~first_seq events answer ->
+                apply_batch ~first_seq events (fun ~seq event out ->
+                    answer (outcome_line ~seq event out);
+                    after_event ()))
               ()
           in
           finish_drain ();

@@ -97,15 +97,28 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
     ref_snap.(i) <- Json.to_string (Session.snapshot reference)
   done;
 
-  (* Durable pass: same log through a Store, capturing the WAL bytes
-     and checkpoint bytes at every boundary so any crash point can be
-     reconstructed exactly.  (Byte snapshots, not length slices: the
-     WAL rotates at each checkpoint, so the final file is only the last
-     segment.) *)
+  (* Every stream is split up front, in a fixed order, so adding one
+     never shifts another. *)
+  let root = Prng.create seed in
+  let boundary_rng = Prng.split root in
+  let kind_rng = Prng.split root in
+  let mangle_rng = Prng.split root in
+  let batch_rng = Prng.split root in
+
+  (* Durable pass: same log through a Store in seeded batches of 1-8
+     events (group commit), capturing the WAL and checkpoint bytes
+     before every batch so any crash point can be reconstructed
+     exactly.  (Byte snapshots, not length slices: the WAL rotates at
+     each checkpoint, so the final file is only the last segment.)
+     [batch_start.(i)] is the first event of the batch holding event i;
+     index n + 1 stands for the empty batch after the last one, and
+     [wal_before]/[ckpt_before] at a batch start hold the bytes on disk
+     just before that batch is written. *)
   let full_dir = Filename.concat dir "full" in
   rm_rf full_dir;
-  let wal_snap = Array.make (n + 1) "" in
-  let ckpt = Array.make (n + 1) None in
+  let batch_start = Array.make (n + 2) (n + 1) in
+  let wal_before = Array.make (n + 2) "" in
+  let ckpt_before = Array.make (n + 2) None in
   (match
      Store.open_ ?config ?pool ~dir:full_dir ~checkpoint_every ~graph ~power
        ~policy ~seed ()
@@ -114,23 +127,27 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
   | Ok (store, _) ->
     let wal_path = Filename.concat full_dir "wal.log" in
     let ckpt_path = Checkpoint.path ~dir:full_dir in
-    for i = 1 to n do
-      let out = outcome_line (Store.apply store events.(i - 1)) in
-      if out <> ref_out.(i) then
-        failwith
-          (Printf.sprintf
-             "Crash.run: durable pass diverged from reference at event %d" i);
-      wal_snap.(i) <- Option.value ~default:"" (read_file_opt wal_path);
-      ckpt.(i) <- read_file_opt ckpt_path
-    done;
+    let rec pass first =
+      wal_before.(first) <- Option.value ~default:"" (read_file_opt wal_path);
+      ckpt_before.(first) <- read_file_opt ckpt_path;
+      if first <= n then begin
+        let size = min (n - first + 1) (1 + Prng.int batch_rng 8) in
+        Array.fill batch_start first size first;
+        Store.apply_batch store
+          (Array.to_list (Array.sub events (first - 1) size))
+          (fun ~seq _ out ->
+            if outcome_line out <> ref_out.(seq) then
+              Printf.ksprintf failwith
+                "Crash.run: durable pass diverged from reference at event %d"
+                seq);
+        pass (first + size)
+      end
+    in
+    pass 1;
     Store.close store);
 
   (* Seeded kill schedule: distinct boundaries, tear kinds, chop sizes
      — all from pre-split streams so the campaign is reproducible. *)
-  let root = Prng.create seed in
-  let boundary_rng = Prng.split root in
-  let kind_rng = Prng.split root in
-  let mangle_rng = Prng.split root in
   let boundaries = Array.init n (fun i -> i + 1) in
   Prng.shuffle boundary_rng boundaries;
   let chosen = Array.sub boundaries 0 kills in
@@ -149,12 +166,21 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
            let kill_dir = Filename.concat dir (Printf.sprintf "kill-%d" kill) in
            rm_rf kill_dir;
            mkdir_p kill_dir;
-           (* The store directory exactly as the crash leaves it: the
-              committed WAL segment, plus (for torn kills) the next
-              record's bytes damaged mid-append — [Wal.append] writes
-              exactly [Wal.encode], so the synthesized tail is
-              byte-identical to a real torn append. *)
-           let prefix = wal_snap.(kill) in
+           (* The store directory exactly as the crash leaves it.  The
+              kill strikes while the batch holding event [kill + 1] is
+              being written, on a record boundary inside it: the bytes
+              before that batch, plus its records up to the kill, plus
+              (for torn kills) the next record damaged mid-write —
+              [Wal.append_batch] writes exactly the [Wal.encode]
+              records, so the synthesized log is byte-identical to a
+              real one. *)
+           let first = batch_start.(kill + 1) in
+           let prefix =
+             String.concat ""
+               (wal_before.(first)
+               :: List.init (kill - first + 1) (fun i ->
+                      Wal.encode ~seq:(first + i) events.(first + i - 1)))
+           in
            let tail =
              match tear with
              | Clean -> ""
@@ -173,7 +199,7 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
                | Clean -> assert false)
            in
            write_file (Filename.concat kill_dir "wal.log") (prefix ^ tail);
-           (match ckpt.(kill) with
+           (match ckpt_before.(first) with
            | Some bytes -> write_file (Checkpoint.path ~dir:kill_dir) bytes
            | None -> ());
            let row =

@@ -5,11 +5,14 @@
     One uninterrupted {e reference} session applies the whole event log
     and records, at every event boundary, the committed-state snapshot
     and the outcome line.  One {e durable} pass applies the same log
-    through a {!Store}, capturing the WAL length and checkpoint bytes
-    at every boundary.  Each seeded kill then reconstructs the store
-    directory exactly as a crash at that boundary would leave it —
-    optionally with a torn tail: the next record chopped mid-line or
-    with a flipped byte — recovers with {!Store.open_}, and checks:
+    through {!Store.apply_batch} in seeded batches of 1–8 events (group
+    commit), capturing the WAL and checkpoint bytes before every batch.
+    Each seeded kill then reconstructs the store directory exactly as a
+    crash at that boundary would leave it — the kill lands on a record
+    boundary inside the batch being written, so the log is the bytes
+    before that batch plus its records up to the kill, optionally with
+    a torn tail: the next record chopped mid-line or with a flipped
+    byte — recovers with {!Store.open_}, and checks:
 
     - the recovered committed state is {b bit-identical} to the
       reference snapshot at that boundary (same flows, paths, coflows,
@@ -23,13 +26,14 @@
     - torn tails are {b detected} (and repaired by truncation), never
       crashed on.
 
-    Determinism: kill boundaries, tear kinds and chop offsets all come
-    from pre-split {!Dcn_util.Prng} streams of the campaign seed, so a
-    report is byte-identical across runs and [--jobs]. *)
+    Determinism: kill boundaries, tear kinds, chop offsets and batch
+    sizes all come from pre-split {!Dcn_util.Prng} streams of the
+    campaign seed, so a report is byte-identical across runs and
+    [--jobs]. *)
 
 type tear_kind =
-  | Clean  (** crash exactly between append and the next event *)
-  | Chop  (** next record truncated mid-line (torn append) *)
+  | Clean  (** crash exactly on a record boundary *)
+  | Chop  (** next record truncated mid-line (torn write) *)
   | Flip  (** one byte of the next record flipped (bit rot) *)
 
 val tear_kind_to_string : tear_kind -> string

@@ -35,4 +35,7 @@ let offer t item =
       Shed victim
   end
 
-let pop t = Queue.take_opt t.queue
+let pop_all t =
+  let items = List.of_seq (Queue.to_seq t.queue) in
+  Queue.clear t.queue;
+  items

@@ -2,12 +2,12 @@
     session — backpressure for arrivals that outpace the incremental
     re-solve.
 
-    The accept loop enqueues parsed events here and applies one per
-    loop turn; when the queue is full the configured
-    {!Dcn_resilience.Repair.shed_policy} picks a victim, which the
-    transport answers with a typed [Shed] outcome instead of silently
-    growing the heap.  Shed events never reach the WAL: shedding is a
-    refusal, not a commitment. *)
+    The accept loop enqueues parsed events here and, once per loop
+    turn, applies everything queued as one batch; when the queue is
+    full the configured {!Dcn_resilience.Repair.shed_policy} picks a
+    victim, which the transport answers with a typed [Shed] outcome
+    instead of silently growing the heap.  Shed events never reach the
+    WAL: shedding is a refusal, not a commitment. *)
 
 type 'a t
 
@@ -28,5 +28,5 @@ type 'a admission =
 val offer : 'a t -> 'a -> 'a admission
 (** Enqueue, or shed per policy when full.  Counts [serve.shed]. *)
 
-val pop : 'a t -> 'a option
-(** Oldest item, FIFO order. *)
+val pop_all : 'a t -> 'a list
+(** Every queued item, oldest first, leaving the queue empty. *)

@@ -164,17 +164,27 @@ let checkpoint_now t =
   t.since_checkpoint <- 0;
   Dcn_obs.Registry.set obs_ckpt_age 0.
 
-let apply t event =
-  let seq = t.seq + 1 in
-  (* Write-ahead: the event must be on stable storage before any state
+let apply_batch t events f =
+  let first_seq = t.seq + 1 in
+  (* Write-ahead: the whole batch is on stable storage before any state
      it produces exists. *)
-  Wal.append t.wal ~seq event;
-  t.seq <- seq;
-  let outcome = Session.apply t.session event in
-  t.since_checkpoint <- t.since_checkpoint + 1;
-  Dcn_obs.Registry.set obs_ckpt_age (float_of_int t.since_checkpoint);
-  if t.since_checkpoint >= t.checkpoint_every then checkpoint_now t;
-  outcome
+  Wal.append_batch t.wal ~first_seq events;
+  List.iteri
+    (fun i event ->
+      t.seq <- first_seq + i;
+      let outcome = Session.apply t.session event in
+      t.since_checkpoint <- t.since_checkpoint + 1;
+      Dcn_obs.Registry.set obs_ckpt_age (float_of_int t.since_checkpoint);
+      f ~seq:t.seq event outcome)
+    events;
+  (* Only now: a checkpoint inside the batch would rotate away records
+     that are logged but not yet applied. *)
+  if t.since_checkpoint >= t.checkpoint_every then checkpoint_now t
+
+let apply t event =
+  let result = ref None in
+  apply_batch t [ event ] (fun ~seq:_ _ outcome -> result := Some outcome);
+  Option.get !result
 
 let close t =
   checkpoint_now t;

@@ -11,8 +11,9 @@
       <dir>/checkpoint.json  latest checkpoint (Checkpoint)
     v}
 
-    {b Write-ahead invariant.}  {!apply} appends the event to the WAL
-    and [fsync]s {e before} handing it to [Session.apply].  A crash at
+    {b Write-ahead invariant.}  {!apply_batch} appends the whole batch
+    to the WAL with one [fsync], and that [fsync] precedes the
+    [Session.apply] of every event in the batch.  A crash at
     any byte boundary therefore loses at most an uncommitted suffix of
     the log, never a committed event; because a session is a pure
     function of [(seed, policy, config, event sequence)], replaying the
@@ -68,10 +69,27 @@ val session : t -> Dcn_serve.Session.t
 val seq : t -> int
 (** Sequence number of the last committed event (0 = none yet). *)
 
-val apply : t -> Dcn_serve.Event.t -> Dcn_serve.Session.outcome
-(** WAL-append + fsync, then [Session.apply], then a checkpoint if due.
+val apply_batch :
+  t ->
+  Dcn_serve.Event.t list ->
+  (seq:int -> Dcn_serve.Event.t -> Dcn_serve.Session.outcome -> unit) ->
+  unit
+(** [apply_batch t events f] logs every event with one WAL write and
+    one [fsync] ({!Wal.append_batch}), then applies them in order,
+    calling [f ~seq event outcome] as soon as each one is applied — so
+    the first answer waits for one [fsync], not for the whole batch.
+    Outcomes and [seq] numbers are exactly those of applying the events
+    one at a time.  The checkpoint due-check runs once, after the
+    batch: a checkpoint inside it would rotate away records that are
+    logged but not yet applied.  If [f] or [Session.apply] raises, the
+    rest of the batch stays logged but unapplied; only {!close} may
+    follow.
     @raise Unix.Unix_error/[Failure] only on I/O failure of the log
     itself — scheduling outcomes, including rejections, are values. *)
+
+val apply : t -> Dcn_serve.Event.t -> Dcn_serve.Session.outcome
+(** The batch of one: WAL-append + fsync, then [Session.apply], then a
+    checkpoint if due. *)
 
 val checkpoint_now : t -> unit
 (** Force a checkpoint of the current committed state. *)

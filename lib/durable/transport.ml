@@ -21,6 +21,7 @@ let disconnect_to_string = function
 type stats = {
   accepted : int;
   events : int;
+  batches : int;
   replies : int;
   parse_errors : int;
   shed : int;
@@ -33,6 +34,7 @@ let stats_to_json s =
     [
       ("accepted", Json.Int s.accepted);
       ("events", Json.Int s.events);
+      ("batches", Json.Int s.batches);
       ("replies", Json.Int s.replies);
       ("parse_errors", Json.Int s.parse_errors);
       ("shed", Json.Int s.shed);
@@ -79,6 +81,7 @@ type loop = {
   (* tallies *)
   mutable accepted : int;
   mutable events : int;
+  mutable batches : int;
   mutable replies : int;
   mutable parse_errors : int;
   mutable shed_count : int;
@@ -258,17 +261,28 @@ let sweep_idle t =
       t.conns
   end
 
-(* Apply exactly one queued event; returns false when the queue was
-   empty.  This is the only place [apply] runs, so WAL order = reply
-   order = the one global sequence. *)
-let apply_one t ~seq ~apply =
-  match Pending.pop t.queue with
-  | None -> false
-  | Some { conn; event } ->
-    incr seq;
-    let out = apply ~seq:!seq event in
-    t.events <- t.events + 1;
-    reply t conn out;
+(* Apply every queued event as one batch; returns false when the queue
+   was empty.  [apply] answers each event, in order, as soon as it is
+   applied, and the reply is flushed right away.  This is the only place
+   [apply] runs, so WAL order = reply order = the one global sequence. *)
+let apply_batch t ~seq ~apply =
+  match Pending.pop_all t.queue with
+  | [] -> false
+  | batch ->
+    let waiting = ref batch in
+    let answer json =
+      match !waiting with
+      | [] -> invalid_arg "Transport.serve: more replies than events"
+      | { conn; _ } :: rest ->
+        waiting := rest;
+        incr seq;
+        t.events <- t.events + 1;
+        reply t conn json
+    in
+    apply ~first_seq:(!seq + 1) (List.map (fun p -> p.event) batch) answer;
+    if !waiting <> [] then
+      invalid_arg "Transport.serve: an event of the batch was not answered";
+    t.batches <- t.batches + 1;
     true
 
 let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
@@ -295,6 +309,7 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
       next_conn = 0;
       accepted = 0;
       events = 0;
+      batches = 0;
       replies = 0;
       parse_errors = 0;
       shed_count = 0;
@@ -339,21 +354,19 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
           (* Graceful drain: no new connections, no new reads; finish
              the in-flight backlog so every accepted event is answered
              and its reply handed off, then let the caller checkpoint. *)
-          while apply_one t ~seq ~apply do
-            ()
-          done;
+          ignore (apply_batch t ~seq ~apply);
           flush_pending_out t;
           drained := true
         end
         else begin
-          let timeout = if Pending.length t.queue > 0 then 0. else 0.2 in
+          (* The queue is empty here: every turn ends by applying it. *)
           let fds = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
           let wfds =
             List.filter_map
               (fun c -> if Buffer.length c.out > 0 then Some c.fd else None)
               t.conns
           in
-          (match Unix.select fds wfds [] timeout with
+          (match Unix.select fds wfds [] 0.2 with
           | readable, writable, _ ->
             if List.memq t.listen_fd readable then accept t;
             List.iter
@@ -364,12 +377,13 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
               t.conns
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
           sweep_idle t;
-          ignore (apply_one t ~seq ~apply)
+          ignore (apply_batch t ~seq ~apply)
         end
       done;
       {
         accepted = t.accepted;
         events = t.events;
+        batches = t.batches;
         replies = t.replies;
         parse_errors = t.parse_errors;
         shed = t.shed_count;

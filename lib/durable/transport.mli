@@ -18,10 +18,13 @@
     read phase and the apply phase; when it overflows, the configured
     {!Dcn_resilience.Repair.shed_policy} picks a victim whose client
     is answered with a typed [{"shed":...}] reply instead of the heap
-    growing without bound.  One event is applied per loop turn, so
-    accepts and reads stay responsive under a heavy client; the select
-    timeout drops to zero while the queue is non-empty, so a backlog
-    still drains at full speed.
+    growing without bound.  Each loop turn reads what the sockets
+    hold, then applies everything queued as one batch (group commit:
+    with {!Store.apply_batch} behind [apply], one WAL write and one
+    [fsync] for the whole batch), so a burst pays one [fsync] instead
+    of one per event.  Every reply is flushed right after its own
+    event is applied, not at the end of the batch.  The queue capacity
+    bounds the batch, and accepts and reads resume between batches.
 
     The loop polls [drain] at every turn: once it returns [true] the
     listener closes, reading stops, the queued backlog is applied and
@@ -43,6 +46,7 @@ val disconnect_to_string : disconnect -> string
 type stats = {
   accepted : int;  (** connections accepted over the loop's lifetime *)
   events : int;  (** events applied *)
+  batches : int;  (** loop turns that applied at least one event *)
   replies : int;
       (** reply lines produced (outcomes, sheds and errors) — queued to
           the connection, though a client dropped before its buffer
@@ -57,7 +61,8 @@ val stats_to_json : stats -> Dcn_engine.Json.t
 
 exception Stop
 (** Raise from [apply] to abort the loop immediately (fatal condition;
-    queued events are dropped).  Prefer [drain] for an orderly exit. *)
+    queued events and the unanswered rest of the batch are dropped).
+    Prefer [drain] for an orderly exit. *)
 
 val serve :
   ?idle_timeout:float ->
@@ -67,7 +72,11 @@ val serve :
   ?initial_seq:int ->
   socket:string ->
   drain:(unit -> bool) ->
-  apply:(seq:int -> Dcn_serve.Event.t -> Dcn_engine.Json.t) ->
+  apply:
+    (first_seq:int ->
+    Dcn_serve.Event.t list ->
+    (Dcn_engine.Json.t -> unit) ->
+    unit) ->
   unit ->
   stats
 (** Bind [socket] (an existing socket file is replaced), accept and
@@ -80,13 +89,18 @@ val serve :
     loop — past 1 MiB of undelivered replies (or a bounded grace
     window at drain) it is dropped as [Write_stalled].
 
-    [apply] is called with a global 1-based sequence number counting
-    up from [initial_seq] (default 0 — pass {!Store.seq} so replies
-    resume the durable sequence after recovery) and must return the
-    reply object for that event — it is the only place session (or
+    [apply ~first_seq events answer] is called once per batch with the
+    queued events in arrival order; event [i] (0-based) carries the
+    global 1-based sequence number [first_seq + i], counting up from
+    [initial_seq] (default 0 — pass {!Store.seq} so replies resume the
+    durable sequence after recovery).  It must call [answer] exactly
+    once per event, in order, with that event's reply object, as soon
+    as the event is applied — it is the only place session (or
     {!Store}) state is touched, and calls are strictly sequential.
     [idle_timeout] (default 30 s, [<= 0] disables) bounds silence per
     connection; [queue_capacity] (default 64) bounds the pending queue
-    under [shed_policy] (default [Shed_newest]).  The socket file is
-    unlinked on exit.
-    @raise Unix.Unix_error if the socket cannot be bound. *)
+    — and with it the batch — under [shed_policy] (default
+    [Shed_newest]).  The socket file is unlinked on exit.
+    @raise Unix.Unix_error if the socket cannot be bound.
+    @raise Invalid_argument if [apply] returns without answering every
+    event of its batch, or answers more events than it was given. *)

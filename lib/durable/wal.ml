@@ -21,6 +21,10 @@ let obs_appends =
   Dcn_obs.Registry.counter ~help:"WAL records appended (fsync'd)"
     "serve.wal_appends"
 
+let obs_syncs =
+  Dcn_obs.Registry.counter ~help:"WAL fsyncs (one per appended batch)"
+    "serve.wal_syncs"
+
 let obs_bytes =
   Dcn_obs.Registry.counter ~help:"WAL bytes appended" "serve.wal_bytes"
 
@@ -99,13 +103,19 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
-let append w ~seq event =
-  let line = encode ~seq event in
-  let len = String.length line in
-  write_all w.fd line 0 len;
-  Unix.fsync w.fd;
-  Dcn_obs.Registry.incr obs_appends;
-  Dcn_obs.Registry.add obs_bytes (float_of_int len)
+let append_batch w ~first_seq events =
+  if events <> [] then begin
+    let records = List.mapi (fun i e -> encode ~seq:(first_seq + i) e) events in
+    let data = String.concat "" records in
+    let len = String.length data in
+    write_all w.fd data 0 len;
+    Unix.fsync w.fd;
+    Dcn_obs.Registry.incr ~by:(List.length events) obs_appends;
+    Dcn_obs.Registry.incr obs_syncs;
+    Dcn_obs.Registry.add obs_bytes (float_of_int len)
+  end
+
+let append w ~seq event = append_batch w ~first_seq:seq [ event ]
 
 let reset w =
   Unix.ftruncate w.fd 0;

@@ -15,8 +15,10 @@
     {!Dcn_serve.Event.to_json} encoding (re-serialised on append, so
     the log is byte-reproducible regardless of how clients formatted
     the event).  Every append is flushed and [fsync]'d before the
-    caller may commit the event — the write-ahead invariant: a
-    committed event is always recoverable.
+    caller may commit any event in it — the write-ahead invariant: a
+    committed event is always recoverable.  A batch of records shares
+    one write and one [fsync]; on disk it is indistinguishable from the
+    same records appended one at a time.
 
     A crash can leave a {e torn tail}: a final record missing its
     newline, or with bytes garbled between write and sync.  {!scan}
@@ -74,11 +76,18 @@ val open_writer : string -> writer
 (** Open (creating if needed) for append.  The caller is responsible
     for scanning/truncating first; the writer never reads. *)
 
+val append_batch : writer -> first_seq:int -> Dcn_serve.Event.t list -> unit
+(** Append one record per event, numbered from [first_seq], with one
+    [write] of the concatenated {!encode} lines and one [fsync] (group
+    commit).  Returns only once every record is on stable storage;
+    short writes and [EINTR] are retried until the whole batch is
+    down.  An empty batch writes and syncs nothing.  Counts
+    [serve.wal_appends] (records), [serve.wal_syncs] (batches) and
+    [serve.wal_bytes]. *)
+
 val append : writer -> seq:int -> Dcn_serve.Event.t -> unit
-(** Append one record and [fsync].  Returns only once the record is on
-    stable storage; short writes and [EINTR] are retried until the
-    whole record is down.  Counts
-    [serve.wal_appends]/[serve.wal_bytes]. *)
+(** [append w ~seq e] is [append_batch w ~first_seq:seq [e]]: the
+    record is exactly [encode ~seq e]. *)
 
 val reset : writer -> unit
 (** Truncate the log to an empty segment — called right after a

@@ -9,7 +9,10 @@
       event and reading its reply (the SIGPIPE path) — and prove the
       server survives both;
    3. SIGTERM the server and require a clean drain: exit status 0 and a
-      final checkpoint covering every committed event.
+      final checkpoint covering every committed event;
+   4. pipeline the corpus to a fresh server in one write and require
+      the same outcome stream, applied in fewer batches than events
+      (group commit: one WAL write and fsync per batch).
 
    Usage: check_durable.exe DCN_BINARY EVENTS_FILE *)
 
@@ -98,6 +101,12 @@ let recv_line fd =
       end
   in
   go ()
+
+let rec write_all fd bytes off len =
+  if len > 0 then begin
+    let n = Unix.write fd bytes off len in
+    write_all fd bytes (off + n) (len - n)
+  end
 
 let wait_for_socket sock =
   let rec go n =
@@ -221,9 +230,63 @@ let () =
   | Some (Json.Int seq) ->
     fail "final checkpoint at seq %d, expected %d" seq (n + 3)
   | _ -> fail "final checkpoint carries no seq");
+
+  (* 4: the whole corpus in one write.  The server applies what each
+     read hands it as one batch; the replies must still match stdin
+     mode one for one.  The queue holds the whole corpus, so nothing is
+     shed. *)
+  let sock = Filename.concat scratch "pipelined.sock" in
+  let report = Filename.concat scratch "pipelined-report.json" in
+  let argv =
+    Array.of_list
+      ((dcn :: "serve" :: topo_args)
+      @ [ "--socket"; sock; "--wal"; Filename.concat scratch "wal-pipelined";
+          "--queue"; string_of_int n; "--report"; report; "--jobs"; "2" ])
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let server = Unix.create_process dcn argv Unix.stdin null Unix.stderr in
+  Unix.close null;
+  wait_for_socket sock;
+  let client = connect sock in
+  let burst =
+    Bytes.of_string (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+  in
+  write_all client burst 0 (Bytes.length burst);
+  List.iteri
+    (fun i want ->
+      let got = strip_uptime (recv_line client) in
+      if got <> strip_uptime want then
+        fail
+          "pipelined outcome %d diverges from stdin mode:\n\
+          \  stdin:  %s\n\
+          \  socket: %s"
+          (i + 1) (strip_uptime want) got)
+    reference;
+  Unix.close client;
+  Unix.kill server Sys.sigterm;
+  (match Unix.waitpid [] server with
+  | _, Unix.WEXITED 0 -> ()
+  | _, st -> fail "pipelined server drain ended with %s, expected exit 0"
+               (status_to_string st));
+  let transport =
+    match Json.member "transport" (Json.of_string (read_file report)) with
+    | Some t -> t
+    | None -> fail "%s: no transport section" report
+  in
+  let count key =
+    match Json.member key transport with
+    | Some (Json.Int v) -> v
+    | _ -> fail "%s: transport.%s is not an integer" report key
+  in
+  let events = count "events" and batches = count "batches" in
+  if events <> n then
+    fail "pipelined server applied %d event(s), expected %d" events n;
+  if batches < 1 || batches >= events then
+    fail "pipelined server applied %d events in %d batch(es): no group commit"
+      events batches;
   rm_rf scratch;
   Printf.printf
     "check-durable: socket stream matches stdin (%d events, --jobs 2 vs 1), \
      mid-line disconnect and reply-to-dead-client survived, SIGTERM drained \
-     cleanly\n"
-    n
+     cleanly, pipelined corpus matched in %d batch(es)\n"
+    n batches

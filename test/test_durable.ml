@@ -69,6 +69,18 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
+(* A fresh temp directory holding a copy of [dir]'s files — the store
+   directory as a crash at this instant would leave it. *)
+let copy_dir dir =
+  let copy = temp_dir () in
+  Array.iter
+    (fun e ->
+      let oc = open_out_bin (Filename.concat copy e) in
+      output_string oc (read_file (Filename.concat dir e));
+      close_out oc)
+    (Sys.readdir dir);
+  copy
+
 let events20 = lazy (corpus_events ~limit:20 "serve-100.events")
 
 (* -------------------------------- crc ------------------------------ *)
@@ -139,6 +151,40 @@ let test_wal_round_trip () =
   (* A missing file is an empty log, not an error. *)
   let empty = Wal.scan (Filename.concat dir "absent.log") in
   Alcotest.(check int) "absent = empty" 0 (List.length empty.Wal.records)
+
+let test_wal_append_batch_bytes () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let events = Lazy.force wal_events in
+  let path = Filename.concat dir "wal.log" in
+  let w = Wal.open_writer path in
+  let module Registry = Dcn_obs.Registry in
+  Registry.enable ();
+  Fun.protect ~finally:Registry.disable (fun () ->
+      Wal.append w ~seq:7 (List.hd events);
+      Alcotest.(check string) "one append = one encoded record"
+        (Wal.encode ~seq:7 (List.hd events))
+        (read_file path);
+      Wal.append_batch w ~first_seq:8 (List.tl events);
+      Wal.append_batch w ~first_seq:11 [];
+      let total name = Registry.value (Registry.counter name) in
+      Alcotest.(check (float 0.)) "records counted" 4.
+        (total "serve.wal_appends");
+      Alcotest.(check (float 0.)) "one fsync per non-empty batch" 2.
+        (total "serve.wal_syncs"));
+  Wal.close w;
+  Alcotest.(check string) "batch = the concatenated encoded records"
+    (String.concat ""
+       (List.mapi (fun i e -> Wal.encode ~seq:(7 + i) e) events))
+    (read_file path);
+  let scan = Wal.scan path in
+  Alcotest.(check bool) "no tear" true (scan.Wal.tear = None);
+  Alcotest.(check (list int)) "seqs" [ 7; 8; 9; 10 ]
+    (List.map (fun r -> r.Wal.seq) scan.Wal.records);
+  Alcotest.(check (list string)) "events read back"
+    (List.map (fun e -> Json.to_string (Event.to_json e)) events)
+    (List.map (fun r -> Json.to_string (Event.to_json r.Wal.event))
+       scan.Wal.records)
 
 let test_wal_flipped_byte () =
   let dir = temp_dir () in
@@ -420,20 +466,75 @@ let test_store_wal_rotation () =
     Alcotest.(check bool) "names the loss" true contains_loss
   | Ok _ -> Alcotest.fail "recovered across rotated-away history"
 
+(* Group commit must checkpoint only after the whole batch: with
+   [checkpoint_every:1], a checkpoint inside the batch would rotate away
+   records that are logged but not yet applied. *)
+let test_store_batch_checkpoints_after_batch () =
+  let events = corpus_events ~limit:5 "serve-100.events" in
+  let sequential = store_dir_with ~checkpoint_every:1 events in
+  let dir = temp_dir () in
+  let mid_batch = ref None and after_batch = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter rm_rf
+        (sequential :: dir
+        :: List.filter_map Fun.id [ !mid_batch; !after_batch ]))
+  @@ fun () ->
+  let reference = session () in
+  let want_outcomes =
+    List.map
+      (fun e ->
+        Json.to_string (Session.outcome_to_json (Session.apply reference e)))
+      events
+  in
+  (match
+     Store.open_ ~dir ~checkpoint_every:1 ~graph ~power ~policy ~seed:42 ()
+   with
+  | Error m -> Alcotest.failf "store open failed: %s" m
+  | Ok (store, _) ->
+    let got = ref [] in
+    Store.apply_batch store events (fun ~seq _ out ->
+        got := (seq, Json.to_string (Session.outcome_to_json out)) :: !got;
+        Alcotest.(check int) "the whole batch stays logged" 5
+          (List.length (Wal.scan (Filename.concat dir "wal.log")).Wal.records);
+        Alcotest.(check bool) "no checkpoint inside the batch" false
+          (Sys.file_exists (Checkpoint.path ~dir));
+        if seq = 2 then mid_batch := Some (copy_dir dir));
+    Alcotest.(check (list (pair int string))) "outcomes, in order"
+      (List.mapi (fun i o -> (i + 1, o)) want_outcomes)
+      (List.rev !got);
+    after_batch := Some (copy_dir dir);
+    Store.close store);
+  let reopen dir =
+    match
+      Store.open_ ~dir ~checkpoint_every:1 ~graph ~power ~policy ~seed:42 ()
+    with
+    | Error m -> Alcotest.failf "recovery failed: %s" m
+    | Ok (store, recovery) ->
+      let snap = Json.to_string (Session.snapshot (Store.session store)) in
+      let seq = Store.seq store in
+      Store.close store;
+      (seq, recovery.Store.checkpoint_seq, snap)
+  in
+  let _, _, want = reopen sequential in
+  (* Killed after the batch, before close: the post-batch checkpoint. *)
+  let seq, checkpoint_seq, snap = reopen (Option.get !after_batch) in
+  Alcotest.(check int) "seq" 5 seq;
+  Alcotest.(check int) "checkpoint_seq" 5 checkpoint_seq;
+  Alcotest.(check string) "state = five sequential Store.apply" want snap;
+  (* Killed mid-batch: every record was synced first, so all replay. *)
+  let seq, checkpoint_seq, snap = reopen (Option.get !mid_batch) in
+  Alcotest.(check int) "mid-batch kill: seq" 5 seq;
+  Alcotest.(check int) "mid-batch kill: no checkpoint yet" 0 checkpoint_seq;
+  Alcotest.(check string) "mid-batch kill: state" want snap
+
 let test_store_recovery_jobs_invariant () =
   let events = Lazy.force events20 in
   let dir = store_dir_with events in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let recover pool =
     (* Recovery must not advance the durable state: copy the dir. *)
-    let copy = temp_dir () in
-    Array.iter
-      (fun e ->
-        let src = Filename.concat dir e in
-        let oc = open_out_bin (Filename.concat copy e) in
-        output_string oc (read_file src);
-        close_out oc)
-      (Sys.readdir dir);
+    let copy = copy_dir dir in
     Fun.protect ~finally:(fun () -> rm_rf copy) @@ fun () ->
     match
       Store.open_ ?pool ~dir:copy ~checkpoint_every:7 ~graph ~power ~policy
@@ -468,12 +569,12 @@ let test_pending_shed_newest () =
   Alcotest.(check bool) "enq b" true (Pending.offer q "b" = Pending.Enqueued);
   Alcotest.(check bool) "shed the arrival" true
     (Pending.offer q "c" = Pending.Shed "c");
-  Alcotest.(check (option string)) "fifo" (Some "a") (Pending.pop q);
+  Alcotest.(check (list string)) "fifo" [ "a"; "b" ] (Pending.pop_all q);
+  Alcotest.(check int) "emptied" 0 (Pending.length q);
   Alcotest.(check bool) "room again" true
     (Pending.offer q "d" = Pending.Enqueued);
-  Alcotest.(check (option string)) "b" (Some "b") (Pending.pop q);
-  Alcotest.(check (option string)) "d" (Some "d") (Pending.pop q);
-  Alcotest.(check (option string)) "empty" None (Pending.pop q)
+  Alcotest.(check (list string)) "d" [ "d" ] (Pending.pop_all q);
+  Alcotest.(check (list string)) "empty" [] (Pending.pop_all q)
 
 let test_pending_shed_oldest () =
   let q = Pending.create ~capacity:2 ~policy:Repair.Shed_oldest in
@@ -481,8 +582,7 @@ let test_pending_shed_oldest () =
   ignore (Pending.offer q "b");
   Alcotest.(check bool) "evict the oldest" true
     (Pending.offer q "c" = Pending.Shed "a");
-  Alcotest.(check (option string)) "b first" (Some "b") (Pending.pop q);
-  Alcotest.(check (option string)) "then c" (Some "c") (Pending.pop q);
+  Alcotest.(check (list string)) "b, then c" [ "b"; "c" ] (Pending.pop_all q);
   Alcotest.(check bool) "capacity floor" true
     (match Pending.create ~capacity:0 ~policy:Repair.Shed_newest with
     | exception Invalid_argument _ -> true
@@ -531,6 +631,8 @@ let suite =
         Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
         Alcotest.test_case "atomic file" `Quick test_atomic_file;
         Alcotest.test_case "wal round trip" `Quick test_wal_round_trip;
+        Alcotest.test_case "wal append batch bytes" `Quick
+          test_wal_append_batch_bytes;
         Alcotest.test_case "wal flipped byte" `Quick test_wal_flipped_byte;
         Alcotest.test_case "wal torn tail truncation" `Quick
           test_wal_torn_tail_truncation;
@@ -547,6 +649,8 @@ let suite =
           test_store_recovers_without_checkpoint;
         Alcotest.test_case "wal rotation at checkpoints" `Quick
           test_store_wal_rotation;
+        Alcotest.test_case "batch checkpoints after the batch" `Quick
+          test_store_batch_checkpoints_after_batch;
         Alcotest.test_case "recovery jobs-invariant" `Quick
           test_store_recovery_jobs_invariant;
         Alcotest.test_case "pending shed-newest" `Quick test_pending_shed_newest;
