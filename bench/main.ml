@@ -517,11 +517,7 @@ let kernel_scaling () =
   let power = Dcn_power.Model.quadratic in
   let piecewise = Dcn_core.Relaxation.piecewise_of power in
   let fw_cfg =
-    {
-      Dcn_mcf.Frank_wolfe.default_config with
-      max_iters = (if quick then 20 else 8);
-      line_search_iters = 24;
-    }
+    { Dcn_mcf.Frank_wolfe.default_config with max_iters = (if quick then 20 else 8) }
   in
   let workspace = Dcn_mcf.Kernel.Workspace.create () in
   let rows, json_rows =

@@ -11,31 +11,7 @@ type t = {
   iterations : int;
 }
 
-let golden = (sqrt 5. -. 1.) /. 2.
-
-let golden_section ~iters f =
-  let a = ref 0. and b = ref 1. in
-  let x1 = ref (1. -. golden) and x2 = ref golden in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  for _ = 1 to iters do
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !b -. (golden *. (!b -. !a));
-      f1 := f !x1
-    end
-    else begin
-      a := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !a +. (golden *. (!b -. !a));
-      f2 := f !x2
-    end
-  done;
-  (!a +. !b) /. 2.
-
-let solve ?(max_iters = 60) ?(gap_tol = 1e-3) ?(line_search_iters = 24) inst =
+let solve ?(max_iters = 60) ?(gap_tol = 1e-3) inst =
   let g = inst.Instance.graph in
   let power = inst.Instance.power in
   let tl = Instance.timeline inst in
@@ -140,7 +116,22 @@ let solve ?(max_iters = 60) ?(gap_tol = 1e-3) ?(line_search_iters = 24) inst =
          done;
          !acc
        in
-       let theta = golden_section ~iters:line_search_iters blend in
+       (* Exact line search on the cells the step moves; the volume
+          derivative of [len * env (v / len)] is [env' (v / len)]. *)
+       let deriv theta =
+         let acc = ref 0. in
+         for k = 0 to nk - 1 do
+           for e = 0 to m - 1 do
+             let a = agg.(k).(e) and s = aon_agg.(k).(e) in
+             if a <> s then begin
+               let v = ((1. -. theta) *. a) +. (theta *. s) in
+               acc := !acc +. ((s -. a) *. env' (v /. len.(k)))
+             end
+           done
+         done;
+         !acc
+       in
+       let theta = Dcn_mcf.Frank_wolfe.exact_step deriv in
        let theta = if blend theta < here then theta else 0. in
        if theta <= 1e-12 then raise Exit;
        for k = 0 to nk - 1 do

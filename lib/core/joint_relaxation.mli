@@ -25,5 +25,6 @@ type t = {
   iterations : int;
 }
 
-val solve : ?max_iters:int -> ?gap_tol:float -> ?line_search_iters:int -> Instance.t -> t
-(** Defaults: 60 iterations, relative gap 1e-3, 24 line-search steps. *)
+val solve : ?max_iters:int -> ?gap_tol:float -> Instance.t -> t
+(** Defaults: 60 iterations, relative gap 1e-3.  Each step's line
+    search is {!Dcn_mcf.Frank_wolfe.exact_step}. *)

@@ -17,7 +17,7 @@ type params = {
 }
 
 let experiment_fw_config =
-  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40; gap_tol = 1e-3; line_search_iters = 24 }
+  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40; gap_tol = 1e-3 }
 
 let default_params ~alpha =
   {

@@ -18,18 +18,10 @@ type config = {
   max_iters : int;
   gap_tol : float;
   penalty : float;
-  line_search_iters : int;
   engine : engine;
 }
 
-let default_config =
-  {
-    max_iters = 200;
-    gap_tol = 1e-4;
-    penalty = 1e3;
-    line_search_iters = 48;
-    engine = Kernel;
-  }
+let default_config = { max_iters = 200; gap_tol = 1e-4; penalty = 1e3; engine = Kernel }
 
 type piecewise = {
   threshold : float;
@@ -48,30 +40,47 @@ type solution = {
   max_overload : float;
 }
 
-let golden = (sqrt 5. -. 1.) /. 2.
+(* Line-search stop rules: the relative derivative tolerance, the
+   narrowest bracket, and the derivative-evaluation cap. *)
+let step_tol = 1e-12
+let max_step_evals = 64
 
-(* Minimise a convex (hence unimodal) function on [0, 1]. *)
-let golden_section ~iters f =
-  let a = ref 0. and b = ref 1. in
-  let x1 = ref (1. -. golden) and x2 = ref golden in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  for _ = 1 to iters do
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !b -. (golden *. (!b -. !a));
-      f1 := f !x1
-    end
+(* Exact line search for a convex function on [0, 1], given its
+   derivative: Illinois regula falsi on the sign change of [deriv].
+   No descent at 0 gives 0; no sign change by 1 gives the full step. *)
+let exact_step deriv =
+  let d0 = deriv 0. in
+  if not (d0 < 0.) then 0.
+  else
+    let d1 = deriv 1. in
+    if d1 <= 0. then 1.
     else begin
-      a := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !a +. (golden *. (!b -. !a));
-      f2 := f !x2
+      let tol = step_tol *. Float.abs d0 in
+      let lo = ref 0. and hi = ref 1. and flo = ref d0 and fhi = ref d1 in
+      let t = ref 0. and side = ref 0 and evals = ref 2 and go = ref true in
+      while !go do
+        t := !lo +. (!flo /. (!flo -. !fhi) *. (!hi -. !lo));
+        let ft = deriv !t in
+        incr evals;
+        if Float.abs ft <= tol then go := false
+        else begin
+          if ft < 0. then begin
+            lo := !t;
+            flo := ft;
+            if !side < 0 then fhi := !fhi /. 2.;
+            side := -1
+          end
+          else begin
+            hi := !t;
+            fhi := ft;
+            if !side > 0 then flo := !flo /. 2.;
+            side := 1
+          end;
+          if !hi -. !lo <= step_tol || !evals >= max_step_evals then go := false
+        end
+      done;
+      !t
     end
-  done;
-  (!a +. !b) /. 2.
 
 (* Per-engine iteration counters for live telemetry; one-branch no-ops
    while the registry is disabled, and incremented unconditionally (the
@@ -86,8 +95,10 @@ let obs_iters_kernel =
 
 (* One record per Frank–Wolfe iteration: the duality gap, the objective
    it was measured at, and the accepted line-search step (0 on the
-   terminating iteration).  One branch when no trace is installed. *)
-let trace_iter obs iter gap objective step =
+   terminating iteration); counters for the iteration and the line
+   search's derivative evaluations.  One branch when no trace is
+   installed. *)
+let trace_iter obs iter gap objective step evals =
   Dcn_obs.Registry.incr obs;
   if Trace.on () then begin
     Trace.event "fw.iter"
@@ -98,7 +109,8 @@ let trace_iter obs iter gap objective step =
           ("objective", Json.float objective);
           ("step", Json.float step);
         ];
-    Trace.counter "fw.iters" 1.
+    Trace.counter "fw.iters" 1.;
+    Trace.counter "fw.ls_evals" (float_of_int evals)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -229,20 +241,36 @@ let reference_impl ~config ~warm_start problem =
        final_gap := Float.max 0. !gap;
        let obj_now = objective loads in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_reference iter !final_gap obj_now 0.;
+         trace_iter obs_iters_reference iter !final_gap obj_now 0. 0;
          raise Exit
        end;
-       (* Line search over the segment towards the all-or-nothing point. *)
-       let blend_obj theta =
+       (* Exact line search over the segment towards the all-or-nothing
+          point, on the support: the links the step moves, ascending
+          (the objective is constant on the others). *)
+       let over_support f =
          let acc = ref 0. in
          for e = 0 to m - 1 do
-           acc := !acc +. pc (((1. -. theta) *. loads.(e)) +. (theta *. aon_loads.(e)))
+           if loads.(e) <> aon_loads.(e) then acc := !acc +. f e
          done;
          !acc
        in
-       let theta = golden_section ~iters:config.line_search_iters blend_obj in
-       let theta = if blend_obj theta < obj_now then theta else 0. in
-       trace_iter obs_iters_reference iter !final_gap obj_now theta;
+       let blend theta e = ((1. -. theta) *. loads.(e)) +. (theta *. aon_loads.(e)) in
+       let evals = ref 0 in
+       let theta =
+         exact_step (fun theta ->
+             incr evals;
+             over_support (fun e ->
+                 (aon_loads.(e) -. loads.(e)) *. pc_deriv (blend theta e)))
+       in
+       (* Descent guard: keep the step only if it lowers the objective. *)
+       let theta =
+         if theta > 0.
+            && over_support (fun e -> pc (blend theta e))
+               < over_support (fun e -> pc loads.(e))
+         then theta
+         else 0.
+       in
+       trace_iter obs_iters_reference iter !final_gap obj_now theta !evals;
        if theta <= 1e-12 then raise Exit;
        for i = 0 to nc - 1 do
          let fi = flows.(i) in
@@ -420,18 +448,47 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
         (Ba.Array1.unsafe_get loads e +. Ba.Array1.unsafe_get flows (base + e))
     done
   done;
-  (* acc cells: 0 scratch (max_w / gap / objective), 1-6 golden-section
-     state (a, b, x1, x2, f1, f2), 7 blend argument, 8 blend result. *)
+  (* acc cells: 0 scratch (max_w / gap / objective), 1-4 line-search
+     bracket (lo, hi, phi' at lo, phi' at hi), 5 step argument,
+     6 derivative result, 7 objective over the support at the current
+     loads, 8 the same at the step, 9 derivative tolerance. *)
+  let support = a.Kernel.support in
   let final_gap = ref infinity in
   let iterations = ref 0 in
   let minor0 = Gc.minor_words () in
-  (* pc(x) at the blend point acc.(7), accumulated into acc.(8); the
-     unit argument keeps every float in arrays or registers. *)
-  let blend_eval () =
-    let theta = acc.(7) in
+  (* phi'(acc.(5)) over the first [ns] support links into acc.(6): the
+     reference's [exact_step] derivative, pc' inlined.  Arguments and
+     results stay in arrays or registers, so calls never box. *)
+  let deriv_eval ns =
+    let theta = acc.(5) in
+    let one_t = 1. -. theta in
+    acc.(6) <- 0.;
+    for j = 0 to ns - 1 do
+      let e = Ba.Array1.unsafe_get support j in
+      let xe = Ba.Array1.unsafe_get loads e in
+      let se = Ba.Array1.unsafe_get aon_loads e in
+      let x = (one_t *. xe) +. (theta *. se) in
+      let d =
+        if r = 0. then am *. (x ** alpha1)
+        else if x <= r then slope
+        else am *. (x ** alpha1)
+      in
+      let p =
+        if cap = infinity then 0.
+        else
+          let over = x -. cap in
+          if over > 0. then pen2 *. over else 0.
+      in
+      acc.(6) <- acc.(6) +. ((se -. xe) *. (d +. p))
+    done
+  in
+  (* pc at the step acc.(5), summed over the support into acc.(8). *)
+  let support_eval ns =
+    let theta = acc.(5) in
     let one_t = 1. -. theta in
     acc.(8) <- 0.;
-    for e = 0 to m - 1 do
+    for j = 0 to ns - 1 do
+      let e = Ba.Array1.unsafe_get support j in
       let x =
         (one_t *. Ba.Array1.unsafe_get loads e)
         +. (theta *. Ba.Array1.unsafe_get aon_loads e)
@@ -520,8 +577,12 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
               *. (Ba.Array1.unsafe_get loads e -. Ba.Array1.unsafe_get aon_loads e)
        done;
        final_gap := Float.max 0. acc.(0);
-       (* Objective at the current loads. *)
+       (* Objective at the current loads; the same loop lists the
+          support (links with loads <> aon_loads, ascending) and sums
+          the objective over it. *)
        acc.(0) <- 0.;
+       acc.(7) <- 0.;
+       let ns = ref 0 in
        for e = 0 to m - 1 do
          let x = Ba.Array1.unsafe_get loads e in
          let c =
@@ -536,50 +597,74 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
              let over = x -. cap in
              if over > 0. then penalty *. over *. over else 0.
          in
-         acc.(0) <- acc.(0) +. (c +. p)
+         acc.(0) <- acc.(0) +. (c +. p);
+         if x <> Ba.Array1.unsafe_get aon_loads e then begin
+           Ba.Array1.unsafe_set support !ns e;
+           incr ns;
+           acc.(7) <- acc.(7) +. (c +. p)
+         end
        done;
        let obj_now = acc.(0) in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_kernel iter !final_gap obj_now 0.;
+         trace_iter obs_iters_kernel iter !final_gap obj_now 0. 0;
          raise Exit
        end;
-       (* Golden-section line search towards the all-or-nothing point;
-          same update sequence as [golden_section], state in acc. *)
-       acc.(1) <- 0.;
-       acc.(2) <- 1.;
-       acc.(3) <- 1. -. golden;
-       acc.(4) <- golden;
-       acc.(7) <- acc.(3);
-       blend_eval ();
-       acc.(5) <- acc.(8);
-       acc.(7) <- acc.(4);
-       blend_eval ();
-       acc.(6) <- acc.(8);
-       for _ = 1 to config.line_search_iters do
-         if acc.(5) < acc.(6) then begin
-           acc.(2) <- acc.(4);
-           acc.(4) <- acc.(3);
-           acc.(6) <- acc.(5);
-           acc.(3) <- acc.(2) -. (golden *. (acc.(2) -. acc.(1)));
-           acc.(7) <- acc.(3);
-           blend_eval ();
-           acc.(5) <- acc.(8)
-         end
+       (* Exact line search: [exact_step]'s regula falsi, state in acc. *)
+       let ns = !ns in
+       acc.(5) <- 0.;
+       deriv_eval ns;
+       let evals = ref 1 in
+       let theta0 =
+         if not (acc.(6) < 0.) then 0.
          else begin
-           acc.(1) <- acc.(3);
-           acc.(3) <- acc.(4);
-           acc.(5) <- acc.(6);
-           acc.(4) <- acc.(1) +. (golden *. (acc.(2) -. acc.(1)));
-           acc.(7) <- acc.(4);
-           blend_eval ();
-           acc.(6) <- acc.(8)
+           acc.(3) <- acc.(6);
+           acc.(5) <- 1.;
+           deriv_eval ns;
+           incr evals;
+           if acc.(6) <= 0. then 1.
+           else begin
+             acc.(9) <- step_tol *. Float.abs acc.(3);
+             acc.(1) <- 0.;
+             acc.(2) <- 1.;
+             acc.(4) <- acc.(6);
+             let side = ref 0 and go = ref true in
+             while !go do
+               acc.(5) <-
+                 acc.(1) +. (acc.(3) /. (acc.(3) -. acc.(4)) *. (acc.(2) -. acc.(1)));
+               deriv_eval ns;
+               incr evals;
+               if Float.abs acc.(6) <= acc.(9) then go := false
+               else begin
+                 if acc.(6) < 0. then begin
+                   acc.(1) <- acc.(5);
+                   acc.(3) <- acc.(6);
+                   if !side < 0 then acc.(4) <- acc.(4) /. 2.;
+                   side := -1
+                 end
+                 else begin
+                   acc.(2) <- acc.(5);
+                   acc.(4) <- acc.(6);
+                   if !side > 0 then acc.(3) <- acc.(3) /. 2.;
+                   side := 1
+                 end;
+                 if acc.(2) -. acc.(1) <= step_tol || !evals >= max_step_evals then
+                   go := false
+               end
+             done;
+             acc.(5)
+           end
          end
-       done;
-       let theta0 = (acc.(1) +. acc.(2)) /. 2. in
-       acc.(7) <- theta0;
-       blend_eval ();
-       let theta = if acc.(8) < obj_now then theta0 else 0. in
-       trace_iter obs_iters_kernel iter !final_gap obj_now theta;
+       in
+       (* Descent guard, on the support. *)
+       let theta =
+         if theta0 > 0. then begin
+           acc.(5) <- theta0;
+           support_eval ns;
+           if acc.(8) < acc.(7) then theta0 else 0.
+         end
+         else 0.
+       in
+       trace_iter obs_iters_kernel iter !final_gap obj_now theta !evals;
        if theta <= 1e-12 then raise Exit;
        (* Convex blend of the per-commodity flows and the loads. *)
        for i = 0 to nc - 1 do

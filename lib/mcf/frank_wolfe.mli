@@ -8,7 +8,10 @@
     module implements the classic flow-deviation method: linearise the
     cost at the current loads, send each commodity along a marginal-cost
     shortest path (the all-or-nothing step), and take the convex
-    combination minimising true cost (golden-section line search).
+    combination minimising true cost.  That line search is exact: it
+    root-finds the derivative of the cost along the step by Illinois
+    regula falsi ({!exact_step}), summing only over the links the step
+    moves — the cost of every other link is constant along it.
 
     Convergence is certified by the Frank–Wolfe duality gap
     [<grad cost(x), x - s>], an upper bound on the distance to the
@@ -42,9 +45,10 @@ type config = {
   max_iters : int;  (** default 200 *)
   gap_tol : float;  (** relative duality-gap target, default 1e-4 *)
   penalty : float;  (** capacity-penalty coefficient, default 1e3 *)
-  line_search_iters : int;  (** golden-section refinements, default 48 *)
   engine : engine;  (** default [Kernel] *)
 }
+(** Solver settings.  The line search has no setting: it is exact up to
+    fixed tolerances (see {!exact_step}). *)
 
 val default_config : config
 
@@ -61,6 +65,16 @@ type piecewise = {
     argument and result — death by allocation in the hot loop).  Must
     describe the same function as the problem's closures; [Relaxation]
     builds it from [Dcn_power.Model]. *)
+
+val exact_step : (float -> float) -> float
+(** [exact_step deriv] minimises a convex function on [[0, 1]] given
+    its derivative [deriv]: 0 if [deriv 0. >= 0.] (no descent), 1 if
+    [deriv 1. <= 0.] (the full step), otherwise the root of [deriv]
+    by Illinois regula falsi, stopped once [|deriv t| <= 1e-12 *
+    |deriv 0.|], the bracket is at most [1e-12] wide, or 64 derivative
+    evaluations are spent.  The reference engine's line search (the
+    kernel inlines the same arithmetic); callers still apply a descent
+    guard, since a stopped search only approximates the root. *)
 
 val deadline_poll_period : int
 (** The kernel engine polls [Dcn_engine.Deadline] on iterations

@@ -6,9 +6,9 @@
    churn per FW iteration.  This module mirrors the topology into
    CSR-style flat [Bigarray]s once, and gives the iteration preallocated
    arenas — distance/predecessor/heap buffers, link-load accumulators,
-   the dense per-commodity flow matrix and a path-incidence CSR for the
-   all-or-nothing step — so the loop allocates (almost) nothing on the
-   minor heap after warm-up.
+   the dense per-commodity flow matrix, a path-incidence CSR for the
+   all-or-nothing step and the line search's support list — so the loop
+   allocates (almost) nothing on the minor heap after warm-up.
 
    Bit-identicality contract: every arithmetic consumer in
    {!Frank_wolfe} replays the reference solver's float operations in the
@@ -72,6 +72,9 @@ type arena = {
   mutable path_off : ibuf;  (* nc *)
   mutable path_len : ibuf;  (* nc *)
   mutable path_links : ibuf;
+  (* Line-search support: the links an FW step moves, ascending
+     (rebuilt every iteration; the first entries are live). *)
+  mutable support : ibuf;  (* m *)
   (* Loop-carried float accumulators; a float array cell is unboxed, a
      [float ref] is not, so the hot loops fold through these. *)
   acc : float array;
@@ -105,6 +108,7 @@ let create_arena () =
     path_off = ibuf 1;
     path_len = ibuf 1;
     path_links = ibuf 1;
+    support = ibuf 1;
     acc = Array.make 12 0.;
   }
 
@@ -201,6 +205,7 @@ let acquire ws ~graph ~nc =
   (* Paths are short (the network diameter); start near 8 hops per
      commodity and let {!push_path_link} double on demand. *)
   let pl = ref a.path_links in gi pl (max 1 (8 * nc)); a.path_links <- !pl;
+  let su = ref a.support in gi su (max 1 m); a.support <- !su;
   let same_graph = match a.graph with Some g -> g == graph | None -> false in
   if not same_graph then mirror_graph a graph;
   a.nc <- nc;

@@ -2,11 +2,12 @@
 
     CSR-style [Bigarray] mirrors of the topology plus preallocated
     arenas — Dijkstra scratch, link-load accumulators, the dense
-    per-commodity flow matrix and the all-or-nothing path-incidence CSR
-    — so the FW iteration in {!Frank_wolfe} allocates (almost) nothing
-    on the minor heap after warm-up.  The arena record is transparent:
-    {!Frank_wolfe} is the intended consumer and indexes the buffers
-    directly; everyone else should go through {!Frank_wolfe.solve}.
+    per-commodity flow matrix, the all-or-nothing path-incidence CSR and
+    the line-search support list — so the FW iteration in {!Frank_wolfe}
+    allocates (almost) nothing on the minor heap after warm-up.  The
+    arena record is transparent: {!Frank_wolfe} is the intended consumer
+    and indexes the buffers directly; everyone else should go through
+    {!Frank_wolfe.solve}.
 
     Determinism: {!dijkstra} reproduces [Paths.shortest_tree] exactly
     (same lexicographic [(dist, node)] pop order, same adjacency-order
@@ -47,6 +48,8 @@ type arena = {
   mutable path_off : ibuf;  (** path-incidence offsets, per commodity *)
   mutable path_len : ibuf;  (** path-incidence lengths, per commodity *)
   mutable path_links : ibuf;
+  mutable support : ibuf;  (** line-search support: the links an FW
+                               step moves, ascending *)
   acc : float array;  (** unboxed loop-carried float accumulators *)
 }
 

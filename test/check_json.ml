@@ -363,7 +363,9 @@ let check_kernel_trace path =
   if counter_total "ws.reuse" < 1. then
     fail "%s: no ws.reuse counter — workspace reuse regressed" path;
   if counter_total "fw.iters" < 1. then
-    fail "%s: no fw.iters counter — the kernel loop went silent" path
+    fail "%s: no fw.iters counter — the kernel loop went silent" path;
+  if counter_total "fw.ls_evals" < 1. then
+    fail "%s: no fw.ls_evals counter — line-search cost untraced" path
 
 (* Snapshot stream + Prometheus exposition of `dcn replay --stats-every
    --stats --metrics` (the @check-stats alias): every line a version-1

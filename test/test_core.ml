@@ -20,7 +20,7 @@ let rate res id =
   | None -> Alcotest.failf "no rate recorded for flow %d" id
 
 let quick_fw =
-  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 60; line_search_iters = 24 }
+  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 60 }
 
 let rs_config = { Random_schedule.attempts = 20; fw_config = quick_fw }
 

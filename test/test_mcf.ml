@@ -304,6 +304,159 @@ let prop_decompose_recomposes =
                paths)
         commodities)
 
+(* --- exact line search ---------------------------------------------- *)
+
+module Trace = Dcn_engine.Trace
+module Json = Dcn_engine.Json
+
+(* Solve under a trace; return the solution and each [fw.iter] record's
+   (step, objective), in iteration order. *)
+let traced_solve ?piecewise ?warm_start p =
+  let t = Trace.create () in
+  let s = Trace.with_trace t (fun () -> Frank_wolfe.solve ?piecewise ?warm_start p) in
+  let field fields k =
+    match List.assoc_opt k fields with
+    | Some j -> Json.to_float j
+    | None -> Alcotest.failf "fw.iter without %s" k
+  in
+  let iters =
+    List.filter_map
+      (fun (r : Trace.record) ->
+        match r.entry with
+        | Trace.Event { name = "fw.iter"; fields; _ } ->
+          Some (field fields "step", field fields "objective")
+        | _ -> None)
+      (Trace.records t)
+  in
+  (s, iters)
+
+(* Both engines: the reference (no piecewise spec) and the kernel. *)
+let engines pw = [ ("reference", None); ("kernel", Some pw) ]
+
+let first_step label iters =
+  match iters with
+  | (step, _) :: _ -> step
+  | [] -> Alcotest.failf "%s: no fw.iter record" label
+
+(* Linear cost: the envelope spec with an unreachable kink. *)
+let linear = ((fun x -> x), fun _ -> 1.)
+
+let linear_pw =
+  { Frank_wolfe.threshold = infinity; slope = 1.; sigma = 0.; mu = 1.; alpha = 2. }
+
+(* Hosts 0 and 1 joined directly and through switch 2; returns the
+   graph, the direct link and the two-hop path. *)
+let triangle () =
+  let b = Graph.Builder.create () in
+  let h0 = Graph.Builder.add_node b Graph.Host in
+  let h1 = Graph.Builder.add_node b Graph.Host in
+  let sw = Graph.Builder.add_node b (Graph.Switch { tier = 0 }) in
+  let direct, _ = Graph.Builder.add_cable b h0 h1 in
+  let up, _ = Graph.Builder.add_cable b h0 sw in
+  let down, _ = Graph.Builder.add_cable b sw h1 in
+  (Graph.Builder.finish b, direct, [ up; down ])
+
+let test_ls_even_split_one_step () =
+  (* x^3 on two identical links, everything starting on one: phi' is
+     odd about 1/2, so the first secant lands on the even split and
+     the next iteration certifies it. *)
+  let g = Builders.parallel ~links:2 in
+  let cubic = ((fun x -> x ** 3.), fun x -> 3. *. (x ** 2.)) in
+  let pw = { Frank_wolfe.threshold = 0.; slope = 0.; sigma = 0.; mu = 1.; alpha = 3. } in
+  List.iter
+    (fun (engine, piecewise) ->
+      let p = problem ~cost:cubic g [ commodity ~index:0 ~src:0 ~dst:1 ~demand:4. ] in
+      let s, iters = traced_solve ?piecewise p in
+      let theta = first_step engine iters in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: first step %.17g is 1/2" engine theta)
+        true
+        (Float.abs (theta -. 0.5) <= 1e-9);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stops within 2 iterations (%d)" engine
+           s.Frank_wolfe.iterations)
+        true
+        (s.Frank_wolfe.iterations <= 2);
+      List.iter
+        (fun l -> Alcotest.(check (float 1e-9)) "link carries 2" 2. s.Frank_wolfe.loads.(l))
+        (Graph.links_between g ~src:0 ~dst:1))
+    (engines pw)
+
+let test_ls_full_step () =
+  (* Linear cost, all flow warm-started on the two-hop route: the cost
+     falls all the way to the direct link (phi'(1) < 0), so the step is
+     exactly 1. *)
+  let g, direct, two_hop = triangle () in
+  List.iter
+    (fun (engine, piecewise) ->
+      let p = problem ~cost:linear g [ commodity ~index:0 ~src:0 ~dst:1 ~demand:3. ] in
+      let warm_start _ = [ { Decompose.links = two_hop; weight = 1. } ] in
+      let s, iters = traced_solve ?piecewise ~warm_start p in
+      Alcotest.(check (float 0.)) (engine ^ ": full step") 1. (first_step engine iters);
+      Alcotest.(check (float 0.)) (engine ^ ": direct link carries all") 3.
+        s.Frank_wolfe.loads.(direct);
+      Alcotest.(check (float 0.)) (engine ^ ": cost 3") 3. s.Frank_wolfe.cost)
+    (engines linear_pw)
+
+let test_ls_penalty_kink () =
+  (* Linear cost, capacity 1, demand 2 starting on the direct link.
+     Moving a fraction theta to the two-hop route costs 2 theta more
+     hops but relieves the overload penalty until theta = 1/2, where
+     both routes reach capacity.  With penalty p the penalised
+     objective bottoms out just short of that kink, at
+     theta = 1/2 - 1/(4p); the step must land there, not overshoot to
+     the all-or-nothing point. *)
+  let g, direct, _ = triangle () in
+  let penalty = Frank_wolfe.default_config.Frank_wolfe.penalty in
+  let kink = 0.5 -. (1. /. (4. *. penalty)) in
+  List.iter
+    (fun (engine, piecewise) ->
+      let p =
+        problem ~capacity:1. ~cost:linear g [ commodity ~index:0 ~src:0 ~dst:1 ~demand:2. ]
+      in
+      let s, iters = traced_solve ?piecewise p in
+      let theta = first_step engine iters in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: step %.17g at the kink %.17g" engine theta kink)
+        true
+        (Float.abs (theta -. kink) <= 1e-9);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: direct-link overload %.3g is the penalty's slack" engine
+           (s.Frank_wolfe.loads.(direct) -. 1.))
+        true
+        (Float.abs (s.Frank_wolfe.loads.(direct) -. 1. -. (1. /. (2. *. penalty))) <= 1e-6))
+    (engines linear_pw)
+
+(* Random instances on the kernel engine with the power model's
+   envelope, with and without idle power and a capacity.  The descent
+   guard compares the objective over the support only, so the full sum
+   recomputed next iteration may differ from it by rounding: allow one
+   part in 10^12. *)
+let prop_ls_objective_monotone =
+  QCheck.Test.make ~name:"frank-wolfe: fw.iter objective never increases" ~count:60
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let g, commodities = random_problem seed in
+      let power =
+        Dcn_power.Model.make
+          ~sigma:(if seed mod 2 = 0 then 0. else 1.)
+          ~mu:1.
+          ~alpha:(if seed mod 3 = 0 then 3. else 2.)
+          ~cap:(if seed mod 5 < 2 then 4. else infinity)
+          ()
+      in
+      let p =
+        problem ~capacity:power.Dcn_power.Model.cap
+          ~cost:(Dcn_power.Model.envelope power, Dcn_power.Model.envelope_deriv power)
+          g commodities
+      in
+      let _, iters = traced_solve ~piecewise:(Dcn_core.Relaxation.piecewise_of power) p in
+      let rec monotone = function
+        | (_, a) :: ((_, b) :: _ as rest) -> b <= a +. (1e-12 *. Float.abs a) && monotone rest
+        | _ -> true
+      in
+      iters <> [] && monotone iters)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -326,6 +479,13 @@ let suite =
           test_fw_fat_tree_beats_single_path;
         qt prop_fw_conservation;
         qt prop_fw_gap_bounds_optimum;
+      ] );
+    ( "mcf/line_search",
+      [
+        Alcotest.test_case "even split in one step" `Quick test_ls_even_split_one_step;
+        Alcotest.test_case "full step" `Quick test_ls_full_step;
+        Alcotest.test_case "penalty kink" `Quick test_ls_penalty_kink;
+        qt prop_ls_objective_monotone;
       ] );
     ( "mcf/decompose",
       [

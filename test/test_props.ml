@@ -9,7 +9,7 @@ module Prng = Dcn_util.Prng
 open Dcn_core
 
 let quick_fw =
-  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40; line_search_iters = 24 }
+  { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40 }
 
 let seed_gen = QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
 

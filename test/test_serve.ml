@@ -401,8 +401,8 @@ let test_golden_digests () =
   check ~graph:(Builders.fat_tree 4) ~cap:2. "coflow-mix.events"
     [
       (Repair.Drop_latest_deadline, "b3beef59f04ff71bae68d9ae7c4ceeb4");
-      (Repair.Drop_largest_residual, "8094de81fa393ba1a8b66ebd4961af6e");
-      (Repair.Reject_new, "231b57812ddf89894a343bf05ca4a0aa");
+      (Repair.Drop_largest_residual, "4c940ed194d868f3de476a29334b4b11");
+      (Repair.Reject_new, "ce1f98bd350231cac3e9cddfec0c1625");
     ]
 
 (* A plain flow is the one-member coflow: rewriting every arrival as a

@@ -150,7 +150,7 @@ let test_jobs_invariance_under_tracing () =
     {
       Dcn_core.Random_schedule.attempts = 4;
       fw_config =
-        { Dcn_mcf.Frank_wolfe.default_config with max_iters = 30; line_search_iters = 20 };
+        { Dcn_mcf.Frank_wolfe.default_config with max_iters = 30 };
     }
   in
   let solve ~jobs ~traced =
