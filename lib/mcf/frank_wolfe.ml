@@ -82,6 +82,40 @@ let exact_step deriv =
       !t
     end
 
+(* A load's overload past the capacity, 0 within it or without one.
+   Both engines build the capacity penalty [penalty * overload^2] and
+   its derivative [2 penalty * overload] from it; for a finite
+   penalty >= 0 a within-capacity term is +0, which leaves the sums it
+   is added to bit-for-bit unchanged. *)
+let[@inline] overload ~cap x =
+  if cap = infinity then 0.
+  else
+    let over = x -. cap in
+    if over > 0. then over else 0.
+
+(* The kernel's penalised cost pc and its derivative pc' at load [x]:
+   the expression trees of Model.envelope(_deriv) plus the penalty,
+   over the piecewise spec's hoisted constants.  Closed and inlined
+   (non-flambda OCaml inlines only closed functions), so the kernel's
+   loops neither call closures nor box floats. *)
+let[@inline] kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x =
+  let c =
+    if x = 0. then 0.
+    else if r = 0. then mu *. (x ** alpha)
+    else if x <= r then x *. slope
+    else sigma +. (mu *. (x ** alpha))
+  in
+  let o = overload ~cap x in
+  c +. (penalty *. o *. o)
+
+let[@inline] kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x =
+  let d =
+    if r = 0. then am *. (x ** alpha1)
+    else if x <= r then slope
+    else am *. (x ** alpha1)
+  in
+  d +. (pen2 *. overload ~cap x)
+
 (* Per-engine iteration counters for live telemetry; one-branch no-ops
    while the registry is disabled, and incremented unconditionally (the
    trace event below stays gated on an installed trace). *)
@@ -113,9 +147,31 @@ let trace_iter obs iter gap objective step evals =
     Trace.counter "fw.ls_evals" (float_of_int evals)
   end
 
+(* The epilogue both engines share: the penalty-free cost through the
+   caller's closure, the worst overload, and the [fw.done] record. *)
+let finish (problem : problem) ~flows ~loads ~gap ~iterations =
+  let cost = Array.fold_left (fun acc x -> acc +. problem.cost x) 0. loads in
+  let max_overload =
+    if problem.capacity = infinity then neg_infinity
+    else
+      Array.fold_left
+        (fun acc x -> Float.max acc (x -. problem.capacity))
+        neg_infinity loads
+  in
+  if Trace.on () then
+    Trace.event "fw.done"
+      ~fields:
+        [
+          ("iterations", Json.Int iterations);
+          ("gap", Json.float gap);
+          ("cost", Json.float cost);
+          ("max_overload", Json.float max_overload);
+        ];
+  { flows; loads; cost; gap; iterations; max_overload }
+
 (* ------------------------------------------------------------------ *)
 (* Reference path: boxed graph walks and per-call allocations.  Kept
-   verbatim as the semantic ground truth; the kernel path below replays
+   as the semantic ground truth; the kernel path below replays
    exactly these float operations, and Dcn_check.Oracle plus the
    @check-kernel alias assert bit-identical agreement. *)
 
@@ -128,17 +184,10 @@ let reference_impl ~config ~warm_start problem =
     ~fields:[ ("commodities", Json.Int nc); ("links", Json.Int m) ]
   @@ fun () ->
   let pen x =
-    if problem.capacity = infinity then 0.
-    else
-      let over = x -. problem.capacity in
-      if over > 0. then config.penalty *. over *. over else 0.
+    let o = overload ~cap:problem.capacity x in
+    config.penalty *. o *. o
   in
-  let pen_deriv x =
-    if problem.capacity = infinity then 0.
-    else
-      let over = x -. problem.capacity in
-      if over > 0. then 2. *. config.penalty *. over else 0.
-  in
+  let pen_deriv x = 2. *. config.penalty *. overload ~cap:problem.capacity x in
   let pc x = problem.cost x +. pen x in
   let pc_deriv x = problem.cost_deriv x +. pen_deriv x in
   (* Commodities grouped by source so one Dijkstra serves them all. *)
@@ -284,34 +333,22 @@ let reference_impl ~config ~warm_start problem =
        done
      done
    with Exit -> ());
-  let cost = Array.fold_left (fun acc x -> acc +. problem.cost x) 0. loads in
-  let max_overload =
-    if problem.capacity = infinity then neg_infinity
-    else Array.fold_left (fun acc x -> Float.max acc (x -. problem.capacity)) neg_infinity loads
-  in
-  if Trace.on () then
-    Trace.event "fw.done"
-      ~fields:
-        [
-          ("iterations", Json.Int !iterations);
-          ("gap", Json.float !final_gap);
-          ("cost", Json.float cost);
-          ("max_overload", Json.float max_overload);
-        ];
-  { flows; loads; cost; gap = !final_gap; iterations = !iterations; max_overload }
+  finish problem ~flows ~loads ~gap:!final_gap ~iterations:!iterations
 
 (* ------------------------------------------------------------------ *)
 (* Kernel path: the same float operations in the same order, on the
-   flat arenas of {!Kernel}, with the piecewise envelope + capacity
-   penalty arithmetic inlined so the loop body neither calls closures
-   nor boxes floats.  Loop-carried float state folds through the
+   flat arenas of {!Kernel}, with pc/pc' computed by the inlined
+   [kernel_pc]/[kernel_pc_deriv] so the loops neither call the cost
+   closures nor box floats.  Loop-carried float sums fold through the
    arena's [acc] cells ([float array] stores are unboxed; [float ref]
-   assignments are not).  See DESIGN.md for the bit-identicality
-   argument. *)
+   assignments are not).  The line search is [exact_step] itself, over
+   a derivative closure built once per iteration.  See DESIGN.md for
+   the bit-identicality argument. *)
 
 (* How often the flat loop polls the ambient deadline: iterations
    1, 1+N, 1+2N, ... so a zero budget still expires before any work
-   and a watchdog preempts within N iterations. *)
+   and a watchdog preempts within N iterations.  The reference engine
+   polls every iteration. *)
 let deadline_poll_period = 4
 
 let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
@@ -328,8 +365,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   @@ fun () ->
   let a = Kernel.acquire workspace ~graph:g ~nc in
   let acc = a.Kernel.acc in
-  (* Inlined cost arithmetic: constants hoisted, expression trees
-     identical to Model.envelope(_deriv) and the reference's penalty. *)
+  (* The constants of [kernel_pc]/[kernel_pc_deriv], hoisted. *)
   let cap = problem.capacity in
   let r = pw.threshold in
   let slope = pw.slope in
@@ -344,8 +380,6 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   and demand = a.Kernel.demand in
   for i = 0 to nc - 1 do
     let c = commodities.(i) in
-    if c.Commodity.index <> i then
-      invalid_arg "Frank_wolfe.solve: commodity indices must be dense";
     Ba.Array1.unsafe_set com_src i c.Commodity.src;
     Ba.Array1.unsafe_set com_dst i c.Commodity.dst;
     Ba.Array1.unsafe_set demand i c.Commodity.demand
@@ -448,66 +482,14 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
         (Ba.Array1.unsafe_get loads e +. Ba.Array1.unsafe_get flows (base + e))
     done
   done;
-  (* acc cells: 0 scratch (max_w / gap / objective), 1-4 line-search
-     bracket (lo, hi, phi' at lo, phi' at hi), 5 step argument,
-     6 derivative result, 7 objective over the support at the current
-     loads, 8 the same at the step, 9 derivative tolerance. *)
+  (* acc cells: 0 the running sum of whichever loop is running (max
+     weight, gap, objective, line-search derivative, objective at the
+     step); 1 the objective over the support at the current loads, kept
+     for the descent guard. *)
   let support = a.Kernel.support in
   let final_gap = ref infinity in
   let iterations = ref 0 in
   let minor0 = Gc.minor_words () in
-  (* phi'(acc.(5)) over the first [ns] support links into acc.(6): the
-     reference's [exact_step] derivative, pc' inlined.  Arguments and
-     results stay in arrays or registers, so calls never box. *)
-  let deriv_eval ns =
-    let theta = acc.(5) in
-    let one_t = 1. -. theta in
-    acc.(6) <- 0.;
-    for j = 0 to ns - 1 do
-      let e = Ba.Array1.unsafe_get support j in
-      let xe = Ba.Array1.unsafe_get loads e in
-      let se = Ba.Array1.unsafe_get aon_loads e in
-      let x = (one_t *. xe) +. (theta *. se) in
-      let d =
-        if r = 0. then am *. (x ** alpha1)
-        else if x <= r then slope
-        else am *. (x ** alpha1)
-      in
-      let p =
-        if cap = infinity then 0.
-        else
-          let over = x -. cap in
-          if over > 0. then pen2 *. over else 0.
-      in
-      acc.(6) <- acc.(6) +. ((se -. xe) *. (d +. p))
-    done
-  in
-  (* pc at the step acc.(5), summed over the support into acc.(8). *)
-  let support_eval ns =
-    let theta = acc.(5) in
-    let one_t = 1. -. theta in
-    acc.(8) <- 0.;
-    for j = 0 to ns - 1 do
-      let e = Ba.Array1.unsafe_get support j in
-      let x =
-        (one_t *. Ba.Array1.unsafe_get loads e)
-        +. (theta *. Ba.Array1.unsafe_get aon_loads e)
-      in
-      let c =
-        if x = 0. then 0.
-        else if r = 0. then mu *. (x ** alpha)
-        else if x <= r then x *. slope
-        else sigma +. (mu *. (x ** alpha))
-      in
-      let p =
-        if cap = infinity then 0.
-        else
-          let over = x -. cap in
-          if over > 0. then penalty *. over *. over else 0.
-      in
-      acc.(8) <- acc.(8) +. (c +. p)
-    done
-  in
   (try
      for iter = 1 to config.max_iters do
        (* Cooperative cancellation, polled every few iterations (the
@@ -518,19 +500,10 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
        (* Marginal costs at the current loads. *)
        acc.(0) <- 0.;
        for e = 0 to m - 1 do
-         let x = Ba.Array1.unsafe_get loads e in
-         let d =
-           if r = 0. then am *. (x ** alpha1)
-           else if x <= r then slope
-           else am *. (x ** alpha1)
+         let w =
+           kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2
+             (Ba.Array1.unsafe_get loads e)
          in
-         let p =
-           if cap = infinity then 0.
-           else
-             let over = x -. cap in
-             if over > 0. then pen2 *. over else 0.
-         in
-         let w = d +. p in
          Ba.Array1.unsafe_set weights e w;
          if w > acc.(0) then acc.(0) <- w
        done;
@@ -581,27 +554,16 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           support (links with loads <> aon_loads, ascending) and sums
           the objective over it. *)
        acc.(0) <- 0.;
-       acc.(7) <- 0.;
+       acc.(1) <- 0.;
        let ns = ref 0 in
        for e = 0 to m - 1 do
          let x = Ba.Array1.unsafe_get loads e in
-         let c =
-           if x = 0. then 0.
-           else if r = 0. then mu *. (x ** alpha)
-           else if x <= r then x *. slope
-           else sigma +. (mu *. (x ** alpha))
-         in
-         let p =
-           if cap = infinity then 0.
-           else
-             let over = x -. cap in
-             if over > 0. then penalty *. over *. over else 0.
-         in
-         acc.(0) <- acc.(0) +. (c +. p);
+         let c = kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x in
+         acc.(0) <- acc.(0) +. c;
          if x <> Ba.Array1.unsafe_get aon_loads e then begin
            Ba.Array1.unsafe_set support !ns e;
            incr ns;
-           acc.(7) <- acc.(7) +. (c +. p)
+           acc.(1) <- acc.(1) +. c
          end
        done;
        let obj_now = acc.(0) in
@@ -609,58 +571,40 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
          trace_iter obs_iters_kernel iter !final_gap obj_now 0. 0;
          raise Exit
        end;
-       (* Exact line search: [exact_step]'s regula falsi, state in acc. *)
+       (* Exact line search: phi'(theta) over the support, as the
+          reference's. *)
        let ns = !ns in
-       acc.(5) <- 0.;
-       deriv_eval ns;
-       let evals = ref 1 in
-       let theta0 =
-         if not (acc.(6) < 0.) then 0.
-         else begin
-           acc.(3) <- acc.(6);
-           acc.(5) <- 1.;
-           deriv_eval ns;
-           incr evals;
-           if acc.(6) <= 0. then 1.
-           else begin
-             acc.(9) <- step_tol *. Float.abs acc.(3);
-             acc.(1) <- 0.;
-             acc.(2) <- 1.;
-             acc.(4) <- acc.(6);
-             let side = ref 0 and go = ref true in
-             while !go do
-               acc.(5) <-
-                 acc.(1) +. (acc.(3) /. (acc.(3) -. acc.(4)) *. (acc.(2) -. acc.(1)));
-               deriv_eval ns;
-               incr evals;
-               if Float.abs acc.(6) <= acc.(9) then go := false
-               else begin
-                 if acc.(6) < 0. then begin
-                   acc.(1) <- acc.(5);
-                   acc.(3) <- acc.(6);
-                   if !side < 0 then acc.(4) <- acc.(4) /. 2.;
-                   side := -1
-                 end
-                 else begin
-                   acc.(2) <- acc.(5);
-                   acc.(4) <- acc.(6);
-                   if !side > 0 then acc.(3) <- acc.(3) /. 2.;
-                   side := 1
-                 end;
-                 if acc.(2) -. acc.(1) <= step_tol || !evals >= max_step_evals then
-                   go := false
-               end
+       let evals = ref 0 in
+       let theta =
+         exact_step (fun theta ->
+             incr evals;
+             let one_t = 1. -. theta in
+             acc.(0) <- 0.;
+             for j = 0 to ns - 1 do
+               let e = Ba.Array1.unsafe_get support j in
+               let xe = Ba.Array1.unsafe_get loads e in
+               let se = Ba.Array1.unsafe_get aon_loads e in
+               let x = (one_t *. xe) +. (theta *. se) in
+               acc.(0) <-
+                 acc.(0)
+                 +. ((se -. xe) *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
              done;
-             acc.(5)
-           end
-         end
+             acc.(0))
        in
        (* Descent guard, on the support. *)
        let theta =
-         if theta0 > 0. then begin
-           acc.(5) <- theta0;
-           support_eval ns;
-           if acc.(8) < acc.(7) then theta0 else 0.
+         if theta > 0. then begin
+           let one_t = 1. -. theta in
+           acc.(0) <- 0.;
+           for j = 0 to ns - 1 do
+             let e = Ba.Array1.unsafe_get support j in
+             let x =
+               (one_t *. Ba.Array1.unsafe_get loads e)
+               +. (theta *. Ba.Array1.unsafe_get aon_loads e)
+             in
+             acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+           done;
+           if acc.(0) < acc.(1) then theta else 0.
          end
          else 0.
        in
@@ -691,50 +635,29 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   if Trace.on () && !iterations > 0 then
     Trace.counter "fw.kernel_minor_words"
       ((Gc.minor_words () -. minor0) /. float_of_int !iterations);
-  (* Copy out in the reference's shapes; the final cost goes through
-     the caller's closure, like the reference. *)
-  let flows_out =
+  (* Copy out in the reference's shapes. *)
+  let flows =
     Array.init nc (fun i ->
         let base = i * m in
         Array.init m (fun e -> Ba.Array1.unsafe_get flows (base + e)))
   in
-  let loads_out = Array.init m (fun e -> Ba.Array1.unsafe_get loads e) in
-  let cost = Array.fold_left (fun acc x -> acc +. problem.cost x) 0. loads_out in
-  let max_overload =
-    if problem.capacity = infinity then neg_infinity
-    else
-      Array.fold_left
-        (fun acc x -> Float.max acc (x -. problem.capacity))
-        neg_infinity loads_out
-  in
-  if Trace.on () then
-    Trace.event "fw.done"
-      ~fields:
-        [
-          ("iterations", Json.Int !iterations);
-          ("gap", Json.float !final_gap);
-          ("cost", Json.float cost);
-          ("max_overload", Json.float max_overload);
-        ];
-  {
-    flows = flows_out;
-    loads = loads_out;
-    cost;
-    gap = !final_gap;
-    iterations = !iterations;
-    max_overload;
-  }
+  let loads = Array.init m (fun e -> Ba.Array1.unsafe_get loads e) in
+  finish problem ~flows ~loads ~gap:!final_gap ~iterations:!iterations
 
-let solve_reference ?(config = default_config) ?(warm_start = fun _ -> []) problem
-    =
-  let nc = Array.length problem.commodities in
-  if nc = 0 then invalid_arg "Frank_wolfe.solve: no commodities";
-  reference_impl ~config ~warm_start problem
-
+(* The entry both engines share.  Both address a commodity's flow row
+   by its [index] and its demand by its array position, so the two
+   must agree. *)
 let solve ?(config = default_config) ?(warm_start = fun _ -> []) ?workspace
     ?piecewise problem =
-  let nc = Array.length problem.commodities in
-  if nc = 0 then invalid_arg "Frank_wolfe.solve: no commodities";
+  if Array.length problem.commodities = 0 then
+    invalid_arg "Frank_wolfe.solve: no commodities";
+  Array.iteri
+    (fun i (c : Commodity.t) ->
+      if c.index <> i then
+        invalid_arg
+          (Printf.sprintf "Frank_wolfe.solve: commodity at position %d has index %d" i
+             c.index))
+    problem.commodities;
   match (config.engine, piecewise) with
   | Kernel, Some pw ->
     let workspace =
@@ -742,5 +665,8 @@ let solve ?(config = default_config) ?(warm_start = fun _ -> []) ?workspace
     in
     kernel_impl ~config ~warm_start ~workspace ~pw problem
   | _ -> reference_impl ~config ~warm_start problem
+
+let solve_reference ?(config = default_config) ?warm_start problem =
+  solve ~config:{ config with engine = Reference } ?warm_start problem
 
 let lower_bound_cost _problem solution = Float.max 0. (solution.cost -. solution.gap)

@@ -32,9 +32,11 @@ type problem = {
 
 type engine =
   | Kernel
-      (** Flat-[Bigarray] kernels ({!Kernel}): zero-allocation iteration
-          loop, arena-reused workspaces.  Requires a [piecewise] cost
-          spec; falls back to [Reference] without one. *)
+      (** Flat-[Bigarray] kernels ({!Kernel}): arena-reused workspaces,
+          cost arithmetic inlined, tens of minor-heap words per warm
+          iteration (the [@check-kernel] alias bounds it at 128).
+          Requires a [piecewise] cost spec; falls back to [Reference]
+          without one. *)
   | Reference
       (** The boxed solver, kept as semantic ground truth: the kernel
           replays exactly its float operations, so both engines agree
@@ -72,14 +74,9 @@ val exact_step : (float -> float) -> float
     [deriv 1. <= 0.] (the full step), otherwise the root of [deriv]
     by Illinois regula falsi, stopped once [|deriv t| <= 1e-12 *
     |deriv 0.|], the bracket is at most [1e-12] wide, or 64 derivative
-    evaluations are spent.  The reference engine's line search (the
-    kernel inlines the same arithmetic); callers still apply a descent
-    guard, since a stopped search only approximates the root. *)
-
-val deadline_poll_period : int
-(** The kernel engine polls [Dcn_engine.Deadline] on iterations
-    [1, 1 + p, 1 + 2p, ...]; the reference engine polls every
-    iteration. *)
+    evaluations are spent.  The one line search of both engines and of
+    [Joint_relaxation]; callers still apply a descent guard, since a
+    stopped search only approximates the root. *)
 
 type solution = {
   flows : float array array;  (** [flows.(i).(e)]: commodity i's flow on link e *)
@@ -108,20 +105,22 @@ val solve :
 
     With [engine = Kernel] and a [piecewise] spec, the solve runs on the
     flat kernels using [workspace]'s arenas (the process-wide
-    {!Kernel.Workspace.default} if none is threaded); commodity [index]
-    fields must then be dense in [0, n).  Otherwise the reference
-    implementation runs.  Both produce bit-identical solutions.
+    {!Kernel.Workspace.default} if none is threaded).  Otherwise the
+    reference implementation runs.  Both produce bit-identical
+    solutions.
 
-    @raise Invalid_argument if some commodity's destination is
-    unreachable from its source, or the commodity array is empty. *)
+    @raise Invalid_argument if the commodity array is empty, if some
+    commodity's [index] is not its array position, or if some
+    commodity's destination is unreachable from its source. *)
 
 val solve_reference :
   ?config:config ->
   ?warm_start:(int -> Decompose.weighted_path list) ->
   problem ->
   solution
-(** The boxed reference engine, regardless of [config.engine].  The
-    differential harnesses compare this against {!solve}. *)
+(** {!solve} on the boxed reference engine, regardless of
+    [config.engine].  The differential harnesses compare this against
+    {!solve}. *)
 
 val lower_bound_cost : problem -> solution -> float
 (** A certified lower bound on the optimal objective from Frank–Wolfe

@@ -7,8 +7,10 @@
    CSR-style flat [Bigarray]s once, and gives the iteration preallocated
    arenas — distance/predecessor/heap buffers, link-load accumulators,
    the dense per-commodity flow matrix, a path-incidence CSR for the
-   all-or-nothing step and the line search's support list — so the loop
-   allocates (almost) nothing on the minor heap after warm-up.
+   all-or-nothing step and the line search's support list — so a warm
+   iteration allocates tens of minor-heap words (the line search's
+   derivative closure, its boxed arguments, trace-call arguments), not
+   the boxed solver's megabytes.
 
    Bit-identicality contract: every arithmetic consumer in
    {!Frank_wolfe} replays the reference solver's float operations in the
@@ -75,8 +77,10 @@ type arena = {
   (* Line-search support: the links an FW step moves, ascending
      (rebuilt every iteration; the first entries are live). *)
   mutable support : ibuf;  (* m *)
-  (* Loop-carried float accumulators; a float array cell is unboxed, a
-     [float ref] is not, so the hot loops fold through these. *)
+  (* Loop-carried float sums; a float array cell is unboxed, a
+     [float ref] is not, so the hot loops fold through these: cell 0
+     is the running sum of the current loop, cell 1 the objective over
+     the line-search support at the current loads. *)
   acc : float array;
 }
 
@@ -109,7 +113,7 @@ let create_arena () =
     path_len = ibuf 1;
     path_links = ibuf 1;
     support = ibuf 1;
-    acc = Array.make 12 0.;
+    acc = Array.make 2 0.;
   }
 
 module Workspace = struct

@@ -3,8 +3,9 @@
     CSR-style [Bigarray] mirrors of the topology plus preallocated
     arenas — Dijkstra scratch, link-load accumulators, the dense
     per-commodity flow matrix, the all-or-nothing path-incidence CSR and
-    the line-search support list — so the FW iteration in {!Frank_wolfe}
-    allocates (almost) nothing on the minor heap after warm-up.  The
+    the line-search support list — so a warm FW iteration in
+    {!Frank_wolfe} allocates tens of minor-heap words, not the boxed
+    solver's megabytes.  The
     arena record is transparent: {!Frank_wolfe} is the intended consumer
     and indexes the buffers directly; everyone else should go through
     {!Frank_wolfe.solve}.
@@ -50,7 +51,7 @@ type arena = {
   mutable path_links : ibuf;
   mutable support : ibuf;  (** line-search support: the links an FW
                                step moves, ascending *)
-  acc : float array;  (** unboxed loop-carried float accumulators *)
+  acc : float array;  (** two unboxed loop-carried float sums *)
 }
 
 module Workspace : sig

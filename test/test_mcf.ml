@@ -427,6 +427,61 @@ let test_ls_penalty_kink () =
         (Float.abs (s.Frank_wolfe.loads.(direct) -. 1. -. (1. /. (2. *. penalty))) <= 1e-6))
     (engines linear_pw)
 
+let test_fw_permuted_indices_rejected () =
+  (* Both engines address a flow row by [index] but blend it with the
+     demand at its array position: indices that are not the positions
+     must be rejected, not silently mis-route. *)
+  let g = Builders.fat_tree 4 in
+  let hosts = Graph.hosts g in
+  let pw = { Frank_wolfe.threshold = 0.; slope = 0.; sigma = 0.; mu = 1.; alpha = 2. } in
+  List.iter
+    (fun (engine, piecewise) ->
+      let p =
+        problem g
+          [
+            commodity ~index:1 ~src:hosts.(0) ~dst:hosts.(5) ~demand:1.;
+            commodity ~index:0 ~src:hosts.(2) ~dst:hosts.(9) ~demand:5.;
+          ]
+      in
+      Alcotest.(check bool)
+        (engine ^ ": permuted indices raise")
+        true
+        (try
+           ignore (Frank_wolfe.solve ?piecewise p);
+           false
+         with Invalid_argument _ -> true))
+    (engines pw)
+
+let test_ls_engines_same_work () =
+  (* Both engines run [exact_step]: on the same instance they must
+     spend the same iterations and derivative evaluations, with and
+     without idle power and a capacity. *)
+  List.iter
+    (fun (seed, sigma, cap) ->
+      let g, commodities = random_problem seed in
+      let power = Dcn_power.Model.make ~sigma ~mu:1. ~alpha:2. ~cap () in
+      let p =
+        problem ~capacity:cap
+          ~cost:(Dcn_power.Model.envelope power, Dcn_power.Model.envelope_deriv power)
+          g commodities
+      in
+      let work =
+        List.map
+          (fun (_, piecewise) ->
+            let t = Trace.create () in
+            ignore (Trace.with_trace t (fun () -> Frank_wolfe.solve ?piecewise p));
+            (Trace.counter_total t "fw.iters", Trace.counter_total t "fw.ls_evals"))
+          (engines (Dcn_core.Relaxation.piecewise_of power))
+      in
+      match work with
+      | [ (ri, re); (ki, ke) ] ->
+        let label = Printf.sprintf "seed %d" seed in
+        Alcotest.(check bool) (label ^ ": derivative evaluations ran") true (re > 0.);
+        Alcotest.(check (float 0.)) (label ^ ": fw.iters") ri ki;
+        Alcotest.(check (float 0.)) (label ^ ": fw.ls_evals") re ke
+      | _ -> assert false)
+    [ (3, 0., infinity); (8, 1., infinity); (21, 0., 4.); (34, 1., 4.) ]
+
 (* Random instances on the kernel engine with the power model's
    envelope, with and without idle power and a capacity.  The descent
    guard compares the objective over the support only, so the full sum
@@ -473,6 +528,8 @@ let suite =
         Alcotest.test_case "quartic even split" `Quick test_fw_quartic_even_split;
         Alcotest.test_case "envelope cost" `Quick test_fw_envelope_cost;
         Alcotest.test_case "empty commodities" `Quick test_fw_empty_commodities;
+        Alcotest.test_case "permuted indices rejected" `Quick
+          test_fw_permuted_indices_rejected;
         Alcotest.test_case "fat-tree host links forced" `Quick
           test_fw_fat_tree_host_links_forced;
         Alcotest.test_case "fat-tree beats single path" `Quick
@@ -485,6 +542,7 @@ let suite =
         Alcotest.test_case "even split in one step" `Quick test_ls_even_split_one_step;
         Alcotest.test_case "full step" `Quick test_ls_full_step;
         Alcotest.test_case "penalty kink" `Quick test_ls_penalty_kink;
+        Alcotest.test_case "engines do the same work" `Quick test_ls_engines_same_work;
         qt prop_ls_objective_monotone;
       ] );
     ( "mcf/decompose",
