@@ -482,7 +482,11 @@ let trace_summary_cmd =
     (Cmd.info "summary"
        ~doc:
          "Profile a trace: per-span call counts, total/self time, latency \
-          quantiles, GC allocation, counters.")
+          quantiles, GC allocation, counters.  Frank-Wolfe counters: \
+          $(b,fw.iters) counts iterations; $(b,fw.ls_evals) counts line-search \
+          derivative evaluations, summed over the commodities that each \
+          iteration's pairwise sweep tries to move (one search per \
+          iteration when no commodity is warm-started).")
     Term.(term_result (const run $ trace_file_t 0 "TRACE.json" $ top_t $ format_t))
 
 let trace_export_cmd =

@@ -46,21 +46,30 @@ let step_tol = 1e-12
 let max_step_evals = 64
 
 (* Exact line search for a convex function on [0, 1], given its
-   derivative: Illinois regula falsi on the sign change of [deriv].
-   No descent at 0 gives 0; no sign change by 1 gives the full step. *)
-let exact_step deriv =
-  let d0 = deriv 0. in
-  if not (d0 < 0.) then 0.
-  else
-    let d1 = deriv 1. in
-    if d1 <= 0. then 1.
+   derivative: Illinois regula falsi on the sign change of phi'.  No
+   descent at 0 gives 0; no sign change by 1 gives the full step.  The
+   floats travel through cells, so a caller that must not allocate can
+   call it: [deriv ()] reads t from [io.(0)] and writes phi'(t) to
+   [io.(1)], and the step is left in [io.(0)]. *)
+let exact_step_in (io : float array) deriv =
+  io.(0) <- 0.;
+  deriv ();
+  let d0 = io.(1) in
+  if not (d0 < 0.) then io.(0) <- 0.
+  else begin
+    io.(0) <- 1.;
+    deriv ();
+    let d1 = io.(1) in
+    if d1 <= 0. then io.(0) <- 1.
     else begin
       let tol = step_tol *. Float.abs d0 in
       let lo = ref 0. and hi = ref 1. and flo = ref d0 and fhi = ref d1 in
       let t = ref 0. and side = ref 0 and evals = ref 2 and go = ref true in
       while !go do
         t := !lo +. (!flo /. (!flo -. !fhi) *. (!hi -. !lo));
-        let ft = deriv !t in
+        io.(0) <- !t;
+        deriv ();
+        let ft = io.(1) in
         incr evals;
         if Float.abs ft <= tol then go := false
         else begin
@@ -79,8 +88,14 @@ let exact_step deriv =
           if !hi -. !lo <= step_tol || !evals >= max_step_evals then go := false
         end
       done;
-      !t
+      io.(0) <- !t
     end
+  end
+
+let exact_step deriv =
+  let io = [| 0.; 0. |] in
+  exact_step_in io (fun () -> io.(1) <- deriv io.(0));
+  io.(0)
 
 (* A load's overload past the capacity, 0 within it or without one.
    Both engines build the capacity penalty [penalty * overload^2] and
@@ -92,6 +107,17 @@ let[@inline] overload ~cap x =
   else
     let over = x -. cap in
     if over > 0. then over else 0.
+
+(* Load [x] after a pairwise step moves [delta] along a link with net
+   coefficient [c]; clamped at 0, so rounding on a link the step empties
+   never hands pc/pc' a negative load. *)
+let[@inline] shifted x c delta =
+  let y = x +. (c *. delta) in
+  if y > 0. then y else 0.
+
+(* A path whose weight falls to this fraction of its commodity's demand
+   leaves the active set. *)
+let drop_tol = 1e-12
 
 (* The kernel's penalised cost pc and its derivative pc' at load [x]:
    the expression trees of Model.envelope(_deriv) plus the penalty,
@@ -128,11 +154,12 @@ let obs_iters_kernel =
     ~labels:[ ("engine", "kernel") ] "fw.iterations"
 
 (* One record per Frank–Wolfe iteration: the duality gap, the objective
-   it was measured at, and the accepted line-search step (0 on the
-   terminating iteration); counters for the iteration and the line
-   search's derivative evaluations.  One branch when no trace is
+   it was measured at, the largest accepted pairwise step and the number
+   of commodities that stepped (both 0 on the terminating iteration);
+   counters for the iteration and the line searches' derivative
+   evaluations, summed over commodities.  One branch when no trace is
    installed. *)
-let trace_iter obs iter gap objective step evals =
+let trace_iter obs iter gap objective step moved evals =
   Dcn_obs.Registry.incr obs;
   if Trace.on () then begin
     Trace.event "fw.iter"
@@ -142,6 +169,7 @@ let trace_iter obs iter gap objective step evals =
           ("gap", Json.float gap);
           ("objective", Json.float objective);
           ("step", Json.float step);
+          ("moved", Json.Int moved);
         ];
     Trace.counter "fw.iters" 1.;
     Trace.counter "fw.ls_evals" (float_of_int evals)
@@ -175,6 +203,11 @@ let finish (problem : problem) ~flows ~loads ~gap ~iterations =
    exactly these float operations, and Dcn_check.Oracle plus the
    @check-kernel alias assert bit-identical agreement. *)
 
+(* One member of a commodity's active set. *)
+type active_path = { links : Graph.link list; mutable weight : float }
+
+let same_links = List.equal Int.equal
+
 let reference_impl ~config ~warm_start problem =
   let g = problem.graph in
   let m = Graph.num_links g in
@@ -199,15 +232,21 @@ let reference_impl ~config ~warm_start problem =
     commodities;
   let sources = Hashtbl.fold (fun s _ acc -> s :: acc) by_src [] in
   let sources = List.sort compare sources in
-  let flows = Array.make_matrix nc m 0. in
-  let loads = Array.make m 0. in
-  let add_path flows_i amount path =
-    List.iter (fun l -> flows_i.(l) <- flows_i.(l) +. amount) path
+  (* Per commodity, the distinct weighted paths carrying its demand,
+     oldest first. *)
+  let active = Array.make nc [] in
+  (* Add [amount] on [links] to commodity [i]'s active set: to the path
+     with the same links if there is one, else as a new last path. *)
+  let add_to i links amount =
+    match List.find_opt (fun p -> same_links p.links links) active.(i) with
+    | Some p -> p.weight <- p.weight +. amount
+    | None -> active.(i) <- active.(i) @ [ { links; weight = amount } ]
   in
   (* Initial point: the caller's warm-start paths where given (rescaled
-     to the demand, so conservation holds by construction), hop-count
-     shortest paths otherwise.  Reachability is validated for every
-     commodity either way — the all-or-nothing step needs it. *)
+     to the demand, so conservation holds by construction; identical
+     link lists merged), the hop-count shortest path otherwise.
+     Reachability is validated for every commodity either way — the
+     all-or-nothing step needs it. *)
   let warm_used = ref 0 in
   List.iter
     (fun src ->
@@ -231,25 +270,155 @@ let reference_impl ~config ~warm_start problem =
               let scale = c.demand /. total in
               List.iter
                 (fun (wp : Decompose.weighted_path) ->
-                  add_path flows.(c.index) (wp.weight *. scale) wp.links)
-                warm
+                  add_to c.index wp.links (wp.weight *. scale))
+                warm;
+              active.(c.index) <-
+                List.filter (fun p -> p.weight > drop_tol *. c.demand) active.(c.index)
             end
-            else add_path flows.(c.index) c.demand path))
+            else add_to c.index path c.demand))
         (Hashtbl.find by_src src))
     sources;
   if !warm_used > 0 && Trace.on () then
     Trace.event "fw.warm_start"
       ~fields:[ ("commodities", Json.Int !warm_used) ];
-  for e = 0 to m - 1 do
-    loads.(e) <- 0.;
-    for i = 0 to nc - 1 do
-      loads.(e) <- loads.(e) +. flows.(i).(e)
-    done
-  done;
+  (* Per-link sums over the active sets: commodities ascending, paths
+     in set order, links in path order. *)
+  let sum_paths add =
+    Array.iteri
+      (fun i paths -> List.iter (fun p -> List.iter (add i p.weight) p.links) paths)
+      active
+  in
+  let loads = Array.make m 0. in
+  sum_paths (fun _ w l -> loads.(l) <- loads.(l) +. w);
+  (* A solve without any warm start takes joint steps over dense
+     per-commodity flows (see [joint_step]); any warm start makes it
+     take pairwise steps over the active sets. *)
+  let joint = !warm_used = 0 in
+  let flows = Array.make_matrix (if joint then nc else 0) m 0. in
+  if joint then sum_paths (fun i w l -> flows.(i).(l) <- flows.(i).(l) +. w);
   let objective xs = Array.fold_left (fun acc x -> acc +. pc x) 0. xs in
   let aon_loads = Array.make m 0. in
   let aon_paths = Array.make nc [] in
   let weights = Array.make m 0. in
+  let coef = Array.make m 0 in
+  let price links = List.fold_left (fun acc l -> acc +. weights.(l)) 0. links in
+  (* The vanilla Frank–Wolfe step: every commodity moves towards its
+     all-or-nothing path under one line search, over the links whose
+     load the step changes, ascending.  From the hop-count start it
+     beats a sweep of pairwise steps (EXPERIMENTS E19).  Returns the
+     step, the commodities moved (all or none) and the derivative
+     evaluations. *)
+  let joint_step () =
+    let over_support f =
+      let acc = ref 0. in
+      for e = 0 to m - 1 do
+        if loads.(e) <> aon_loads.(e) then acc := !acc +. f e
+      done;
+      !acc
+    in
+    let blend theta e = ((1. -. theta) *. loads.(e)) +. (theta *. aon_loads.(e)) in
+    let evals = ref 0 in
+    let theta =
+      exact_step (fun theta ->
+          incr evals;
+          over_support (fun e -> (aon_loads.(e) -. loads.(e)) *. pc_deriv (blend theta e)))
+    in
+    (* Descent guard: keep the step only if it lowers the objective. *)
+    let theta =
+      if theta > 0.
+         && over_support (fun e -> pc (blend theta e))
+            < over_support (fun e -> pc loads.(e))
+      then theta
+      else 0.
+    in
+    if theta <= 1e-12 then (theta, 0, !evals)
+    else begin
+      for i = 0 to nc - 1 do
+        let fi = flows.(i) in
+        for e = 0 to m - 1 do
+          fi.(e) <- fi.(e) *. (1. -. theta)
+        done;
+        let amount = theta *. commodities.(i).Commodity.demand in
+        List.iter (fun l -> fi.(l) <- fi.(l) +. amount) aon_paths.(i)
+      done;
+      for e = 0 to m - 1 do
+        loads.(e) <- blend theta e
+      done;
+      (theta, nc, !evals)
+    end
+  in
+  (* A Gauss–Seidel sweep of pairwise steps, commodities ascending:
+     move weight from the costliest other active path v to the
+     all-or-nothing path s, pricing at the current loads (the weights
+     follow every accepted step).  Returns the largest accepted step,
+     the commodities moved and the derivative evaluations. *)
+  let pairwise_sweep () =
+    let step = ref 0. and moved = ref 0 and evals = ref 0 in
+    for i = 0 to nc - 1 do
+      let s = aon_paths.(i) in
+      let ps = price s in
+      let costliest =
+        List.fold_left
+          (fun best p ->
+            if same_links p.links s then best
+            else
+              let pp = price p.links in
+              match best with
+              | Some (_, pb) when pb >= pp -> best
+              | _ -> Some (p, pp))
+          None active.(i)
+      in
+      match costliest with
+      | Some (v, pv) when pv > ps ->
+        (* The support: links whose load the step moves, s's then
+           v's, each once with its net coefficient. *)
+        List.iter (fun l -> coef.(l) <- coef.(l) + 1) s;
+        List.iter (fun l -> coef.(l) <- coef.(l) - 1) v.links;
+        let support =
+          List.filter_map
+            (fun l ->
+              let c = coef.(l) in
+              if c = 0 then None
+              else begin
+                coef.(l) <- 0;
+                Some (l, float_of_int c)
+              end)
+            (s @ v.links)
+        in
+        let over_support f =
+          List.fold_left (fun acc (e, c) -> acc +. f e c) 0. support
+        in
+        (* Exact line search over t in [0, 1], moving t * w(v). *)
+        let wv = v.weight in
+        let moved_load t e c = shifted loads.(e) c (t *. wv) in
+        let t =
+          exact_step (fun t ->
+              incr evals;
+              over_support (fun e c -> c *. pc_deriv (moved_load t e c)))
+        in
+        (* Descent guard, as in [joint_step]. *)
+        if
+          t > 0.
+          && over_support (fun e c -> pc (moved_load t e c))
+             < over_support (fun e _ -> pc loads.(e))
+        then begin
+          let delta = t *. wv in
+          List.iter
+            (fun (e, c) ->
+              loads.(e) <- shifted loads.(e) c delta;
+              weights.(e) <- pc_deriv loads.(e))
+            support;
+          v.weight <- wv -. delta;
+          add_to i s delta;
+          if v.weight <= drop_tol *. commodities.(i).Commodity.demand then
+            active.(i) <- List.filter (fun p -> p != v) active.(i);
+          incr moved;
+          if t > !step then step := t
+        end
+      | _ -> ()
+    done;
+    (!step, !moved, !evals)
+  in
   let final_gap = ref infinity in
   let iterations = ref 0 in
   (try
@@ -290,49 +459,22 @@ let reference_impl ~config ~warm_start problem =
        final_gap := Float.max 0. !gap;
        let obj_now = objective loads in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_reference iter !final_gap obj_now 0. 0;
+         trace_iter obs_iters_reference iter !final_gap obj_now 0. 0 0;
          raise Exit
        end;
-       (* Exact line search over the segment towards the all-or-nothing
-          point, on the support: the links the step moves, ascending
-          (the objective is constant on the others). *)
-       let over_support f =
-         let acc = ref 0. in
-         for e = 0 to m - 1 do
-           if loads.(e) <> aon_loads.(e) then acc := !acc +. f e
-         done;
-         !acc
-       in
-       let blend theta e = ((1. -. theta) *. loads.(e)) +. (theta *. aon_loads.(e)) in
-       let evals = ref 0 in
-       let theta =
-         exact_step (fun theta ->
-             incr evals;
-             over_support (fun e ->
-                 (aon_loads.(e) -. loads.(e)) *. pc_deriv (blend theta e)))
-       in
-       (* Descent guard: keep the step only if it lowers the objective. *)
-       let theta =
-         if theta > 0.
-            && over_support (fun e -> pc (blend theta e))
-               < over_support (fun e -> pc loads.(e))
-         then theta
-         else 0.
-       in
-       trace_iter obs_iters_reference iter !final_gap obj_now theta !evals;
-       if theta <= 1e-12 then raise Exit;
-       for i = 0 to nc - 1 do
-         let fi = flows.(i) in
-         for e = 0 to m - 1 do
-           fi.(e) <- fi.(e) *. (1. -. theta)
-         done;
-         add_path fi (theta *. commodities.(i).Commodity.demand) aon_paths.(i)
-       done;
-       for e = 0 to m - 1 do
-         loads.(e) <- ((1. -. theta) *. loads.(e)) +. (theta *. aon_loads.(e))
-       done
+       let step, moved, evals = if joint then joint_step () else pairwise_sweep () in
+       trace_iter obs_iters_reference iter !final_gap obj_now step moved evals;
+       if moved = 0 then raise Exit
      done
    with Exit -> ());
+  let flows =
+    if joint then flows
+    else begin
+      let flows = Array.make_matrix nc m 0. in
+      sum_paths (fun i w l -> flows.(i).(l) <- flows.(i).(l) +. w);
+      flows
+    end
+  in
   finish problem ~flows ~loads ~gap:!final_gap ~iterations:!iterations
 
 (* ------------------------------------------------------------------ *)
@@ -341,9 +483,10 @@ let reference_impl ~config ~warm_start problem =
    [kernel_pc]/[kernel_pc_deriv] so the loops neither call the cost
    closures nor box floats.  Loop-carried float sums fold through the
    arena's [acc] cells ([float array] stores are unboxed; [float ref]
-   assignments are not).  The line search is [exact_step] itself, over
-   a derivative closure built once per iteration.  See DESIGN.md for
-   the bit-identicality argument. *)
+   assignments are not).  The line search is [exact_step_in], over two
+   derivative closures built once per solve (joint and pairwise) that
+   take t and return phi'(t) through cells, so a step boxes no float.
+   See DESIGN.md for the bit-identicality argument. *)
 
 (* How often the flat loop polls the ambient deadline: iterations
    1, 1+N, 1+2N, ... so a zero budget still expires before any work
@@ -407,18 +550,26 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
     Ba.Array1.unsafe_set order at i;
     Ba.Array1.unsafe_set count s (at + 1)
   done;
-  let flows = a.Kernel.flows
-  and loads = a.Kernel.loads
+  let loads = a.Kernel.loads
   and aon_loads = a.Kernel.aon_loads
   and weights = a.Kernel.weights
   and path_off = a.Kernel.path_off
   and path_len = a.Kernel.path_len in
-  for idx = 0 to (nc * m) - 1 do
-    Ba.Array1.unsafe_set flows idx 0.
-  done;
+  (* Add the path in incidence slots [off, off + len) to commodity [i]'s
+     active set, merging into an identical path (the reference's
+     [add_to]).  The amount is in [acc.(2)], so no float is passed. *)
+  let add_to i ~off ~len =
+    let p = ref (Kernel.first_path a i) in
+    while !p >= 0 && not (Kernel.same_as_aon a !p ~off ~len) do
+      p := Kernel.next_path a !p
+    done;
+    let p = if !p >= 0 then !p else Kernel.add_aon_path a i ~off ~len in
+    let w = a.Kernel.pool_weight in
+    Ba.Array1.unsafe_set w p (Ba.Array1.unsafe_get w p +. acc.(2))
+  in
   (* Initial point (see the reference): warm-start paths rescaled to the
-     demand where given, hop-count shortest paths otherwise, with
-     reachability validated per commodity. *)
+     demand and merged where given, the hop-count shortest path
+     otherwise, with reachability validated per commodity. *)
   let warm_used = ref 0 in
   let s = ref 0 in
   while !s < nc do
@@ -439,29 +590,28 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           (fun acc (wp : Decompose.weighted_path) -> acc +. wp.weight)
           0. warm
       in
-      let base = i * m in
+      let d = Ba.Array1.unsafe_get demand i in
       if total > 0. then begin
         incr warm_used;
-        let scale = Ba.Array1.unsafe_get demand i /. total in
+        let scale = d /. total in
         List.iter
           (fun (wp : Decompose.weighted_path) ->
-            let amount = wp.Decompose.weight *. scale in
-            List.iter
-              (fun l ->
-                Ba.Array1.unsafe_set flows (base + l)
-                  (Ba.Array1.unsafe_get flows (base + l) +. amount))
-              wp.Decompose.links)
-          warm
+            let len = Kernel.store_list a ~slot:0 wp.Decompose.links in
+            acc.(2) <- wp.Decompose.weight *. scale;
+            add_to i ~off:0 ~len)
+          warm;
+        let p = ref (Kernel.first_path a i) in
+        while !p >= 0 do
+          let q = Kernel.next_path a !p in
+          if not (Ba.Array1.unsafe_get a.Kernel.pool_weight !p > drop_tol *. d) then
+            Kernel.remove_path a i !p;
+          p := q
+        done
       end
       else begin
-        let d = Ba.Array1.unsafe_get demand i in
-        let v = ref dst in
-        while Ba.Array1.unsafe_get a.Kernel.pred !v >= 0 do
-          let l = Ba.Array1.unsafe_get a.Kernel.pred !v in
-          Ba.Array1.unsafe_set flows (base + l)
-            (Ba.Array1.unsafe_get flows (base + l) +. d);
-          v := Ba.Array1.unsafe_get a.Kernel.lsrc l
-        done
+        let len = Kernel.store_tree_path a ~slot:0 ~dst in
+        acc.(2) <- d;
+        add_to i ~off:0 ~len
       end;
       incr s
     done
@@ -469,24 +619,198 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   if !warm_used > 0 && Trace.on () then
     Trace.event "fw.warm_start"
       ~fields:[ ("commodities", Json.Int !warm_used) ];
-  (* Initial loads; per cell the summands arrive in ascending commodity
-     order, as in the reference (the loop nest is swapped for cache
-     locality, which permutes only writes to distinct cells). *)
-  for e = 0 to m - 1 do
-    Ba.Array1.unsafe_set loads e 0.
-  done;
-  for i = 0 to nc - 1 do
-    let base = i * m in
-    for e = 0 to m - 1 do
-      Ba.Array1.unsafe_set loads e
-        (Ba.Array1.unsafe_get loads e +. Ba.Array1.unsafe_get flows (base + e))
+  (* Add every active path of commodity [i] to [buf] from [base] on: the
+     reference's [sum_paths], one commodity at a time. *)
+  let spread_commodity i buf ~base =
+    let p = ref (Kernel.first_path a i) in
+    while !p >= 0 do
+      Kernel.spread_path a !p buf ~base;
+      p := Kernel.next_path a !p
     done
+  in
+  let zero (buf : Kernel.fbuf) len =
+    for k = 0 to len - 1 do
+      Ba.Array1.unsafe_set buf k 0.
+    done
+  in
+  zero loads m;
+  for i = 0 to nc - 1 do
+    spread_commodity i loads ~base:0
   done;
+  (* The step rule, as the reference's: joint steps over dense flows
+     without any warm start, pairwise sweeps otherwise. *)
+  let joint = !warm_used = 0 in
+  let flows = Kernel.dense_flows a ~rows:(if joint then nc else 0) in
+  if joint then begin
+    zero flows (nc * m);
+    for i = 0 to nc - 1 do
+      spread_commodity i flows ~base:(i * m)
+    done
+  end;
   (* acc cells: 0 the running sum of whichever loop is running (max
-     weight, gap, objective, line-search derivative, objective at the
-     step); 1 the objective over the support at the current loads, kept
-     for the descent guard. *)
-  let support = a.Kernel.support in
+     weight, gap, objective, a path's price, the line-search derivative,
+     the objective over the support at the step); 1 the objective over
+     the support at the current loads, for the descent guard; 2 the
+     weight of the path giving up mass during a pairwise line search,
+     else the amount [add_to] adds; 3 the price of s; 4 the price of
+     the costliest other active path; 5 the largest accepted step of
+     the iteration.  The line search's own floats live in [io]. *)
+  let io = [| 0.; 0. |] in
+  let support = a.Kernel.support and sup_coef = a.Kernel.sup_coef in
+  (* The line searches' derivatives, built once per solve: phi'(t) over
+     the current support ([ns] entries) at t = io.(0), into io.(1). *)
+  let ns = ref 0 and evals = ref 0 in
+  let joint_deriv () =
+    incr evals;
+    let theta = io.(0) in
+    let one_t = 1. -. theta in
+    acc.(0) <- 0.;
+    for j = 0 to !ns - 1 do
+      let e = Ba.Array1.unsafe_get support j in
+      let xe = Ba.Array1.unsafe_get loads e in
+      let se = Ba.Array1.unsafe_get aon_loads e in
+      let x = (one_t *. xe) +. (theta *. se) in
+      acc.(0) <-
+        acc.(0) +. ((se -. xe) *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+    done;
+    io.(1) <- acc.(0)
+  in
+  let pairwise_deriv () =
+    incr evals;
+    let delta = io.(0) *. acc.(2) in
+    acc.(0) <- 0.;
+    for j = 0 to !ns - 1 do
+      let e = Ba.Array1.unsafe_get support j in
+      let c = Ba.Array1.unsafe_get sup_coef j in
+      let x = shifted (Ba.Array1.unsafe_get loads e) c delta in
+      acc.(0) <- acc.(0) +. (c *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+    done;
+    io.(1) <- acc.(0)
+  in
+  let moved = ref 0 in
+  (* The reference's [joint_step]; the step is left in io.(0). *)
+  let joint_step () =
+    ns := 0;
+    acc.(1) <- 0.;
+    for e = 0 to m - 1 do
+      let x = Ba.Array1.unsafe_get loads e in
+      if x <> Ba.Array1.unsafe_get aon_loads e then begin
+        Ba.Array1.unsafe_set support !ns e;
+        incr ns;
+        acc.(1) <- acc.(1) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+      end
+    done;
+    exact_step_in io joint_deriv;
+    (* Descent guard, on the support. *)
+    if io.(0) > 0. then begin
+      let theta = io.(0) in
+      let one_t = 1. -. theta in
+      acc.(0) <- 0.;
+      for j = 0 to !ns - 1 do
+        let e = Ba.Array1.unsafe_get support j in
+        let x =
+          (one_t *. Ba.Array1.unsafe_get loads e)
+          +. (theta *. Ba.Array1.unsafe_get aon_loads e)
+        in
+        acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+      done;
+      if not (acc.(0) < acc.(1)) then io.(0) <- 0.
+    end;
+    acc.(5) <- io.(0);
+    if io.(0) > 1e-12 then begin
+      let theta = io.(0) in
+      let one_t = 1. -. theta in
+      for i = 0 to nc - 1 do
+        let base = i * m in
+        for e = 0 to m - 1 do
+          Ba.Array1.unsafe_set flows (base + e)
+            (Ba.Array1.unsafe_get flows (base + e) *. one_t)
+        done;
+        let amount = theta *. Ba.Array1.unsafe_get demand i in
+        let off = Ba.Array1.unsafe_get path_off i in
+        for k = off to off + Ba.Array1.unsafe_get path_len i - 1 do
+          let l = Ba.Array1.unsafe_get a.Kernel.path_links k in
+          Ba.Array1.unsafe_set flows (base + l)
+            (Ba.Array1.unsafe_get flows (base + l) +. amount)
+        done
+      done;
+      for e = 0 to m - 1 do
+        Ba.Array1.unsafe_set loads e
+          ((one_t *. Ba.Array1.unsafe_get loads e)
+          +. (theta *. Ba.Array1.unsafe_get aon_loads e))
+      done;
+      moved := nc
+    end
+  in
+  (* The reference's [pairwise_sweep]. *)
+  let pairwise_sweep () =
+    for i = 0 to nc - 1 do
+      let off = Ba.Array1.unsafe_get path_off i in
+      let len = Ba.Array1.unsafe_get path_len i in
+      Kernel.price_aon a ~off ~len;
+      acc.(3) <- acc.(0);
+      (* The costliest active path other than s, first on ties. *)
+      let v = ref (-1) in
+      let p = ref (Kernel.first_path a i) in
+      while !p >= 0 do
+        if not (Kernel.same_as_aon a !p ~off ~len) then begin
+          Kernel.price_path a !p;
+          if !v < 0 || acc.(0) > acc.(4) then begin
+            v := !p;
+            acc.(4) <- acc.(0)
+          end
+        end;
+        p := Kernel.next_path a !p
+      done;
+      let v = !v in
+      if v >= 0 && acc.(4) > acc.(3) then begin
+        ns := Kernel.build_support a ~off ~len v;
+        (* The objective over the support at the current loads. *)
+        acc.(1) <- 0.;
+        for j = 0 to !ns - 1 do
+          acc.(1) <-
+            acc.(1)
+            +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty
+                 (Ba.Array1.unsafe_get loads (Ba.Array1.unsafe_get support j))
+        done;
+        acc.(2) <- Ba.Array1.unsafe_get a.Kernel.pool_weight v;
+        exact_step_in io pairwise_deriv;
+        (* Descent guard, on the support. *)
+        if io.(0) > 0. then begin
+          let delta = io.(0) *. acc.(2) in
+          acc.(0) <- 0.;
+          for j = 0 to !ns - 1 do
+            let e = Ba.Array1.unsafe_get support j in
+            let c = Ba.Array1.unsafe_get sup_coef j in
+            let x = shifted (Ba.Array1.unsafe_get loads e) c delta in
+            acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+          done;
+          if not (acc.(0) < acc.(1)) then io.(0) <- 0.
+        end;
+        if io.(0) > 0. then begin
+          let delta = io.(0) *. acc.(2) in
+          for j = 0 to !ns - 1 do
+            let e = Ba.Array1.unsafe_get support j in
+            let x =
+              shifted (Ba.Array1.unsafe_get loads e) (Ba.Array1.unsafe_get sup_coef j) delta
+            in
+            Ba.Array1.unsafe_set loads e x;
+            Ba.Array1.unsafe_set weights e
+              (kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+          done;
+          Ba.Array1.unsafe_set a.Kernel.pool_weight v (acc.(2) -. delta);
+          acc.(2) <- delta;
+          add_to i ~off ~len;
+          if
+            Ba.Array1.unsafe_get a.Kernel.pool_weight v
+            <= drop_tol *. Ba.Array1.unsafe_get demand i
+          then Kernel.remove_path a i v;
+          incr moved;
+          if io.(0) > acc.(5) then acc.(5) <- io.(0)
+        end
+      end
+    done
+  in
   let final_gap = ref infinity in
   let iterations = ref 0 in
   let minor0 = Gc.minor_words () in
@@ -508,9 +832,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
          if w > acc.(0) then acc.(0) <- w
        done;
        let tie = 1e-9 *. Float.max 1. acc.(0) in
-       for e = 0 to m - 1 do
-         Ba.Array1.unsafe_set aon_loads e 0.
-       done;
+       zero aon_loads m;
        (* All-or-nothing step: one Dijkstra per source, paths recorded
           in the incidence store and accumulated in evaluation order. *)
        let slot = ref 0 in
@@ -526,18 +848,17 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
          do
            let i = Ba.Array1.unsafe_get order !s in
            let d = Ba.Array1.unsafe_get demand i in
+           let len =
+             Kernel.store_tree_path a ~slot:!slot
+               ~dst:(Ba.Array1.unsafe_get com_dst i)
+           in
            Ba.Array1.unsafe_set path_off i !slot;
-           let v = ref (Ba.Array1.unsafe_get com_dst i) in
-           while Ba.Array1.unsafe_get a.Kernel.pred !v >= 0 do
-             let l = Ba.Array1.unsafe_get a.Kernel.pred !v in
-             Kernel.push_path_link a ~slot:!slot l;
-             incr slot;
-             Ba.Array1.unsafe_set aon_loads l
-               (Ba.Array1.unsafe_get aon_loads l +. d);
-             v := Ba.Array1.unsafe_get a.Kernel.lsrc l
+           Ba.Array1.unsafe_set path_len i len;
+           for k = !slot to !slot + len - 1 do
+             let l = Ba.Array1.unsafe_get a.Kernel.path_links k in
+             Ba.Array1.unsafe_set aon_loads l (Ba.Array1.unsafe_get aon_loads l +. d)
            done;
-           Ba.Array1.unsafe_set path_len i
-             (!slot - Ba.Array1.unsafe_get path_off i);
+           slot := !slot + len;
            incr s
          done
        done;
@@ -550,99 +871,45 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
               *. (Ba.Array1.unsafe_get loads e -. Ba.Array1.unsafe_get aon_loads e)
        done;
        final_gap := Float.max 0. acc.(0);
-       (* Objective at the current loads; the same loop lists the
-          support (links with loads <> aon_loads, ascending) and sums
-          the objective over it. *)
+       (* Objective at the current loads. *)
        acc.(0) <- 0.;
-       acc.(1) <- 0.;
-       let ns = ref 0 in
        for e = 0 to m - 1 do
-         let x = Ba.Array1.unsafe_get loads e in
-         let c = kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x in
-         acc.(0) <- acc.(0) +. c;
-         if x <> Ba.Array1.unsafe_get aon_loads e then begin
-           Ba.Array1.unsafe_set support !ns e;
-           incr ns;
-           acc.(1) <- acc.(1) +. c
-         end
+         acc.(0) <-
+           acc.(0)
+           +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty
+                (Ba.Array1.unsafe_get loads e)
        done;
        let obj_now = acc.(0) in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_kernel iter !final_gap obj_now 0. 0;
+         trace_iter obs_iters_kernel iter !final_gap obj_now 0. 0 0;
          raise Exit
        end;
-       (* Exact line search: phi'(theta) over the support, as the
-          reference's. *)
-       let ns = !ns in
-       let evals = ref 0 in
-       let theta =
-         exact_step (fun theta ->
-             incr evals;
-             let one_t = 1. -. theta in
-             acc.(0) <- 0.;
-             for j = 0 to ns - 1 do
-               let e = Ba.Array1.unsafe_get support j in
-               let xe = Ba.Array1.unsafe_get loads e in
-               let se = Ba.Array1.unsafe_get aon_loads e in
-               let x = (one_t *. xe) +. (theta *. se) in
-               acc.(0) <-
-                 acc.(0)
-                 +. ((se -. xe) *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
-             done;
-             acc.(0))
-       in
-       (* Descent guard, on the support. *)
-       let theta =
-         if theta > 0. then begin
-           let one_t = 1. -. theta in
-           acc.(0) <- 0.;
-           for j = 0 to ns - 1 do
-             let e = Ba.Array1.unsafe_get support j in
-             let x =
-               (one_t *. Ba.Array1.unsafe_get loads e)
-               +. (theta *. Ba.Array1.unsafe_get aon_loads e)
-             in
-             acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
-           done;
-           if acc.(0) < acc.(1) then theta else 0.
-         end
-         else 0.
-       in
-       trace_iter obs_iters_kernel iter !final_gap obj_now theta !evals;
-       if theta <= 1e-12 then raise Exit;
-       (* Convex blend of the per-commodity flows and the loads. *)
-       for i = 0 to nc - 1 do
-         let base = i * m in
-         for e = 0 to m - 1 do
-           Ba.Array1.unsafe_set flows (base + e)
-             (Ba.Array1.unsafe_get flows (base + e) *. (1. -. theta))
-         done;
-         let amount = theta *. Ba.Array1.unsafe_get demand i in
-         let off = Ba.Array1.unsafe_get path_off i in
-         for idx = off to off + Ba.Array1.unsafe_get path_len i - 1 do
-           let l = Ba.Array1.unsafe_get a.Kernel.path_links idx in
-           Ba.Array1.unsafe_set flows (base + l)
-             (Ba.Array1.unsafe_get flows (base + l) +. amount)
-         done
-       done;
-       for e = 0 to m - 1 do
-         Ba.Array1.unsafe_set loads e
-           (((1. -. theta) *. Ba.Array1.unsafe_get loads e)
-           +. (theta *. Ba.Array1.unsafe_get aon_loads e))
-       done
+       acc.(5) <- 0.;
+       evals := 0;
+       moved := 0;
+       if joint then joint_step () else pairwise_sweep ();
+       trace_iter obs_iters_kernel iter !final_gap obj_now acc.(5) !moved !evals;
+       if !moved = 0 then raise Exit
      done
    with Exit -> ());
   if Trace.on () && !iterations > 0 then
     Trace.counter "fw.kernel_minor_words"
       ((Gc.minor_words () -. minor0) /. float_of_int !iterations);
-  (* Copy out in the reference's shapes. *)
+  (* Copy out in the reference's shapes; without dense flows, each
+     commodity's row is summed from its active set in [aon_loads]. *)
+  let row (buf : Kernel.fbuf) base =
+    Array.init m (fun e -> Ba.Array1.unsafe_get buf (base + e))
+  in
   let flows =
     Array.init nc (fun i ->
-        let base = i * m in
-        Array.init m (fun e -> Ba.Array1.unsafe_get flows (base + e)))
+        if joint then row flows (i * m)
+        else begin
+          zero aon_loads m;
+          spread_commodity i aon_loads ~base:0;
+          row aon_loads 0
+        end)
   in
-  let loads = Array.init m (fun e -> Ba.Array1.unsafe_get loads e) in
-  finish problem ~flows ~loads ~gap:!final_gap ~iterations:!iterations
+  finish problem ~flows ~loads:(row loads 0) ~gap:!final_gap ~iterations:!iterations
 
 (* The entry both engines share.  Both address a commodity's flow row
    by its [index] and its demand by its array position, so the two

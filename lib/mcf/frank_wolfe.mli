@@ -5,18 +5,38 @@
     its full demand fractionally from its source to its destination.
     The paper assumes an off-the-shelf convex-programming oracle for
     this (the F-MCF subproblem of Algorithm 2); OCaml has none, so this
-    module implements the classic flow-deviation method: linearise the
-    cost at the current loads, send each commodity along a marginal-cost
-    shortest path (the all-or-nothing step), and take the convex
-    combination minimising true cost.  That line search is exact: it
-    root-finds the derivative of the cost along the step by Illinois
-    regula falsi ({!exact_step}), summing only over the links the step
-    moves — the cost of every other link is constant along it.
+    module implements Frank–Wolfe with two step rules, chosen by
+    whether the caller gave a warm start.  An iteration linearises the
+    cost at the current loads and finds each commodity's marginal-cost
+    shortest path s (one Dijkstra per source).  Then:
+
+    - {b No warm start at all} (every commodity starts on its hop-count
+      path): the vanilla flow-deviation step.  Every commodity moves
+      towards its s under one line search over the links whose load
+      changes.
+    - {b Any warm start}: pairwise Frank–Wolfe over path active sets
+      (Lacoste-Julien & Jaggi, NeurIPS 2015).  Each commodity keeps the
+      distinct weighted paths that carry its demand.  A Gauss–Seidel
+      sweep over the commodities, in index order, moves weight from the
+      commodity's costliest other active path v to s, pricing both at
+      the loads the sweep has reached.  The amount moved is
+      t * weight(v), with the line search summing only over the links
+      in s but not v or in v but not s.  A path whose weight reaches 0
+      leaves the set (a drop step).  The vanilla step only ever scales
+      old paths down, so from a warm start it zigzags between them;
+      pairwise steps converge linearly instead.  A commodity without a
+      warm start in such a solve starts on its hop-count path.
+
+    Both line searches are {!exact_step}: it root-finds the derivative
+    of the cost along the step, in [0, 1].  From the hop-count start
+    the vanilla step is the faster of the two (EXPERIMENTS E19), hence
+    the two rules.
 
     Convergence is certified by the Frank–Wolfe duality gap
     [<grad cost(x), x - s>], an upper bound on the distance to the
-    optimum of the convex objective; the solver stops when the gap falls
-    below [gap_tol] relative to the current cost.
+    optimum of the convex objective, measured before each step; the
+    solver stops when the gap falls below [gap_tol] relative to the
+    current cost, or when a step moves no commodity.
 
     A finite per-link [capacity] is handled by a smooth quadratic
     penalty added to the objective (loads may exceed it slightly; the
@@ -97,7 +117,8 @@ val solve :
 (** [warm_start i] supplies an initial fractional routing for commodity
     [i] as weighted paths (e.g. the decomposition of a previous solve of
     a nearby problem); weights are rescaled so they sum to the
-    commodity's demand, which keeps flow conservation by construction.
+    commodity's demand, which keeps flow conservation by construction,
+    and paths with identical link lists merge into one active path.
     An empty list (the default) falls back to the cold start: the
     hop-count shortest path.  Warm starts change only the starting
     point, never the optimum the method converges to — they buy

@@ -6,11 +6,12 @@
    churn per FW iteration.  This module mirrors the topology into
    CSR-style flat [Bigarray]s once, and gives the iteration preallocated
    arenas — distance/predecessor/heap buffers, link-load accumulators,
-   the dense per-commodity flow matrix, a path-incidence CSR for the
-   all-or-nothing step and the line search's support list — so a warm
-   iteration allocates tens of minor-heap words (the line search's
-   derivative closure, its boxed arguments, trace-call arguments), not
-   the boxed solver's megabytes.
+   a path-incidence CSR for the all-or-nothing step, the pairwise
+   active sets (a path pool with per-commodity lists over a link store),
+   dense per-commodity flows for the joint step and the line search's
+   support list — so a warm iteration allocates tens of minor-heap
+   words (trace-call arguments, the Dijkstra tie bias), however many
+   commodities step, not the boxed solver's megabytes.
 
    Bit-identicality contract: every arithmetic consumer in
    {!Frank_wolfe} replays the reference solver's float operations in the
@@ -66,21 +67,39 @@ type arena = {
   mutable order : ibuf;  (* evaluation order: src asc, index desc within *)
   mutable count : ibuf;  (* counting-sort scratch, indexed by node *)
   mutable nc : int;  (* commodities of the current problem *)
-  (* Dense per-commodity flows, row-major [nc * m]. *)
-  mutable flows : fbuf;
   (* All-or-nothing path incidence: commodity [i]'s links occupy slots
-     [path_off.(i) .. path_off.(i) + path_len.(i) - 1] (rebuilt every
-     iteration; offsets follow evaluation order, not index order). *)
+     [path_off.(i) .. path_off.(i) + path_len.(i) - 1], source to
+     destination (rebuilt every iteration; offsets follow evaluation
+     order, not index order). *)
   mutable path_off : ibuf;  (* nc *)
   mutable path_len : ibuf;  (* nc *)
   mutable path_links : ibuf;
-  (* Line-search support: the links an FW step moves, ascending
-     (rebuilt every iteration; the first entries are live). *)
+  (* Pairwise active sets: pool path [p]'s links occupy [pool_links]
+     slots [pool_off.(p) .. pool_off.(p) + pool_len.(p) - 1], source to
+     destination; commodity [i]'s paths are the list [act_head.(i)],
+     [pool_next.(p)], ... ending at -1, oldest first.  Reset by
+     {!acquire}; the link store is append-only within a solve. *)
+  mutable act_head : ibuf;  (* nc *)
+  mutable pool_off : ibuf;
+  mutable pool_len : ibuf;
+  mutable pool_weight : fbuf;
+  mutable pool_next : ibuf;
+  mutable pool_paths : int;  (* path ids handed out this solve *)
+  mutable pool_links : ibuf;
+  mutable pool_nlinks : int;  (* link-store slots used this solve *)
+  (* Dense per-commodity flows, row-major [nc * m], for the joint step
+     of a solve without warm start; grown on first use. *)
+  mutable flows : fbuf;
+  (* Line-search support of a pairwise step: the links it moves, with
+     their net coefficient (+1 on the target path, -1 on the path
+     giving up weight); the first entries are live.  [coef] is the
+     per-link scratch that builds it, all zero between steps. *)
   mutable support : ibuf;  (* m *)
-  (* Loop-carried float sums; a float array cell is unboxed, a
-     [float ref] is not, so the hot loops fold through these: cell 0
-     is the running sum of the current loop, cell 1 the objective over
-     the line-search support at the current loads. *)
+  mutable sup_coef : fbuf;  (* m *)
+  mutable coef : ibuf;  (* m *)
+  (* Loop-carried float sums and the current commodity's step inputs;
+     a float array cell is unboxed, a [float ref] is not, so the hot
+     loops fold through these (cell roles: see {!Frank_wolfe}). *)
   acc : float array;
 }
 
@@ -108,12 +127,22 @@ let create_arena () =
     order = ibuf 1;
     count = ibuf 1;
     nc = 0;
-    flows = fbuf 1;
     path_off = ibuf 1;
     path_len = ibuf 1;
     path_links = ibuf 1;
+    act_head = ibuf 1;
+    pool_off = ibuf 1;
+    pool_len = ibuf 1;
+    pool_weight = fbuf 1;
+    pool_next = ibuf 1;
+    pool_paths = 0;
+    pool_links = ibuf 1;
+    pool_nlinks = 0;
+    flows = fbuf 1;
     support = ibuf 1;
-    acc = Array.make 2 0.;
+    sup_coef = fbuf 1;
+    coef = ibuf 1;
+    acc = Array.make 6 0.;
   }
 
 module Workspace = struct
@@ -127,24 +156,27 @@ module Workspace = struct
   let default = create ()
 end
 
-(* Capacity growth is geometric so a serving session converges to zero
-   growth events; [ws.grow] counts them, [ws.reuse] counts acquisitions
-   served entirely from the existing arenas. *)
-let ensure_f buf needed =
-  let cap = Ba.Array1.dim !buf in
-  if cap < needed then begin
-    buf := fbuf (max needed (2 * cap));
-    true
+(* Capacity growth is geometric, keeping the contents, so a serving
+   session converges to zero growth events; [ws.grow] counts them,
+   [ws.reuse] counts acquisitions served entirely from the existing
+   arenas. *)
+let grown_i (buf : ibuf) needed =
+  let cap = Ba.Array1.dim buf in
+  if needed <= cap then buf
+  else begin
+    let bigger = ibuf (max needed (2 * cap)) in
+    Ba.Array1.blit buf (Ba.Array1.sub bigger 0 cap);
+    bigger
   end
-  else false
 
-let ensure_i buf needed =
-  let cap = Ba.Array1.dim !buf in
-  if cap < needed then begin
-    buf := ibuf (max needed (2 * cap));
-    true
+let grown_f (buf : fbuf) needed =
+  let cap = Ba.Array1.dim buf in
+  if needed <= cap then buf
+  else begin
+    let bigger = fbuf (max needed (2 * cap)) in
+    Ba.Array1.blit buf (Ba.Array1.sub bigger 0 cap);
+    bigger
   end
-  else false
 
 let mirror_graph a g =
   let n = Graph.num_nodes g in
@@ -184,35 +216,59 @@ let acquire ws ~graph ~nc =
   let n = Graph.num_nodes graph in
   let m = Graph.num_links graph in
   let grew = ref false in
-  let gf buf needed = if ensure_f buf needed then grew := true in
-  let gi buf needed = if ensure_i buf needed then grew := true in
-  let rp = ref a.row_ptr in gi rp (n + 1); a.row_ptr <- !rp;
-  let al = ref a.adj_link in gi al (max 1 m); a.adj_link <- !al;
-  let ad = ref a.adj_dst in gi ad (max 1 m); a.adj_dst <- !ad;
-  let ls = ref a.lsrc in gi ls (max 1 m); a.lsrc <- !ls;
-  let di = ref a.dist in gf di n; a.dist <- !di;
-  let pr = ref a.pred in gi pr n; a.pred <- !pr;
-  let se = ref a.settled in gi se n; a.settled <- !se;
-  let hk = ref a.heap_key in gf hk (n + m + 1); a.heap_key <- !hk;
-  let hn = ref a.heap_node in gi hn (n + m + 1); a.heap_node <- !hn;
-  let lo = ref a.loads in gf lo (max 1 m); a.loads <- !lo;
-  let ao = ref a.aon_loads in gf ao (max 1 m); a.aon_loads <- !ao;
-  let we = ref a.weights in gf we (max 1 m); a.weights <- !we;
-  let cs = ref a.com_src in gi cs (max 1 nc); a.com_src <- !cs;
-  let cd = ref a.com_dst in gi cd (max 1 nc); a.com_dst <- !cd;
-  let de = ref a.demand in gf de (max 1 nc); a.demand <- !de;
-  let ord = ref a.order in gi ord (max 1 nc); a.order <- !ord;
-  let cn = ref a.count in gi cn (n + 1); a.count <- !cn;
-  let fl = ref a.flows in gf fl (max 1 (nc * m)); a.flows <- !fl;
-  let po = ref a.path_off in gi po (max 1 nc); a.path_off <- !po;
-  let pn = ref a.path_len in gi pn (max 1 nc); a.path_len <- !pn;
+  let gf buf needed =
+    let b = grown_f buf needed in
+    if b != buf then grew := true;
+    b
+  in
+  let gi buf needed =
+    let b = grown_i buf needed in
+    if b != buf then grew := true;
+    b
+  in
+  a.row_ptr <- gi a.row_ptr (n + 1);
+  a.adj_link <- gi a.adj_link (max 1 m);
+  a.adj_dst <- gi a.adj_dst (max 1 m);
+  a.lsrc <- gi a.lsrc (max 1 m);
+  a.dist <- gf a.dist n;
+  a.pred <- gi a.pred n;
+  a.settled <- gi a.settled n;
+  a.heap_key <- gf a.heap_key (n + m + 1);
+  a.heap_node <- gi a.heap_node (n + m + 1);
+  a.loads <- gf a.loads (max 1 m);
+  a.aon_loads <- gf a.aon_loads (max 1 m);
+  a.weights <- gf a.weights (max 1 m);
+  a.com_src <- gi a.com_src (max 1 nc);
+  a.com_dst <- gi a.com_dst (max 1 nc);
+  a.demand <- gf a.demand (max 1 nc);
+  a.order <- gi a.order (max 1 nc);
+  a.count <- gi a.count (n + 1);
+  a.path_off <- gi a.path_off (max 1 nc);
+  a.path_len <- gi a.path_len (max 1 nc);
   (* Paths are short (the network diameter); start near 8 hops per
-     commodity and let {!push_path_link} double on demand. *)
-  let pl = ref a.path_links in gi pl (max 1 (8 * nc)); a.path_links <- !pl;
-  let su = ref a.support in gi su (max 1 m); a.support <- !su;
+     path and 4 active paths per commodity, and let the path stores
+     double on demand mid-solve. *)
+  a.path_links <- gi a.path_links (8 * max 1 nc);
+  a.act_head <- gi a.act_head (max 1 nc);
+  a.pool_off <- gi a.pool_off (4 * max 1 nc);
+  a.pool_len <- gi a.pool_len (4 * max 1 nc);
+  a.pool_weight <- gf a.pool_weight (4 * max 1 nc);
+  a.pool_next <- gi a.pool_next (4 * max 1 nc);
+  a.pool_links <- gi a.pool_links (32 * max 1 nc);
+  a.support <- gi a.support (max 1 m);
+  a.sup_coef <- gf a.sup_coef (max 1 m);
+  a.coef <- gi a.coef (max 1 m);
   let same_graph = match a.graph with Some g -> g == graph | None -> false in
   if not same_graph then mirror_graph a graph;
   a.nc <- nc;
+  for i = 0 to nc - 1 do
+    Ba.Array1.unsafe_set a.act_head i (-1)
+  done;
+  a.pool_paths <- 0;
+  a.pool_nlinks <- 0;
+  for e = 0 to m - 1 do
+    Ba.Array1.unsafe_set a.coef e 0
+  done;
   if Trace.on () then
     Trace.counter (if !grew || not same_graph then "ws.grow" else "ws.reuse") 1.;
   a
@@ -319,13 +375,149 @@ let dijkstra a ~src ~use_weights ~tie =
 
 let reachable a ~dst = Ba.Array1.unsafe_get a.dist dst < infinity
 
-(* Append a link to the path-incidence store at [slot], doubling the
-   store if full (allocation happens only until the arena is warm). *)
-let push_path_link a ~slot l =
-  let cap = Ba.Array1.dim a.path_links in
-  if slot >= cap then begin
-    let bigger = ibuf (2 * cap) in
-    Ba.Array1.blit a.path_links (Ba.Array1.sub bigger 0 cap);
-    a.path_links <- bigger
+(* The path helpers below grow their store themselves: a solve may add
+   more paths than [acquire] sized for, and only until the arena is
+   warm. *)
+
+let store_tree_path a ~slot ~dst =
+  let len = ref 0 in
+  let v = ref dst in
+  while Ba.Array1.unsafe_get a.pred !v >= 0 do
+    incr len;
+    v := Ba.Array1.unsafe_get a.lsrc (Ba.Array1.unsafe_get a.pred !v)
+  done;
+  a.path_links <- grown_i a.path_links (slot + !len);
+  (* Walk back from [dst], filling the slots from the end. *)
+  let k = ref (slot + !len - 1) in
+  v := dst;
+  while Ba.Array1.unsafe_get a.pred !v >= 0 do
+    let l = Ba.Array1.unsafe_get a.pred !v in
+    Ba.Array1.unsafe_set a.path_links !k l;
+    decr k;
+    v := Ba.Array1.unsafe_get a.lsrc l
+  done;
+  !len
+
+let store_list a ~slot links =
+  let len = List.length links in
+  a.path_links <- grown_i a.path_links (slot + len);
+  List.iteri (fun k l -> Ba.Array1.unsafe_set a.path_links (slot + k) l) links;
+  len
+
+let first_path a i = Ba.Array1.unsafe_get a.act_head i
+let next_path a p = Ba.Array1.unsafe_get a.pool_next p
+
+let same_as_aon a p ~off ~len =
+  Ba.Array1.unsafe_get a.pool_len p = len
+  &&
+  let base = Ba.Array1.unsafe_get a.pool_off p in
+  let k = ref 0 in
+  while
+    !k < len
+    && Ba.Array1.unsafe_get a.pool_links (base + !k)
+       = Ba.Array1.unsafe_get a.path_links (off + !k)
+  do
+    incr k
+  done;
+  !k = len
+
+(* [acc.(0)] <- the sum of [weights] over slots [off, off + len) of a
+   link store, in slot order. *)
+let sum_weights a (links : ibuf) ~off ~len =
+  a.acc.(0) <- 0.;
+  for k = off to off + len - 1 do
+    a.acc.(0) <-
+      a.acc.(0) +. Ba.Array1.unsafe_get a.weights (Ba.Array1.unsafe_get links k)
+  done
+
+let price_aon a ~off ~len = sum_weights a a.path_links ~off ~len
+
+let price_path a p =
+  sum_weights a a.pool_links ~off:(Ba.Array1.unsafe_get a.pool_off p)
+    ~len:(Ba.Array1.unsafe_get a.pool_len p)
+
+let spread_path a p (buf : fbuf) ~base =
+  let w = Ba.Array1.unsafe_get a.pool_weight p in
+  let off = Ba.Array1.unsafe_get a.pool_off p in
+  for k = off to off + Ba.Array1.unsafe_get a.pool_len p - 1 do
+    let i = base + Ba.Array1.unsafe_get a.pool_links k in
+    Ba.Array1.unsafe_set buf i (Ba.Array1.unsafe_get buf i +. w)
+  done
+
+let build_support a ~off ~len v =
+  let vo = Ba.Array1.unsafe_get a.pool_off v in
+  let vlen = Ba.Array1.unsafe_get a.pool_len v in
+  for k = off to off + len - 1 do
+    let l = Ba.Array1.unsafe_get a.path_links k in
+    Ba.Array1.unsafe_set a.coef l (Ba.Array1.unsafe_get a.coef l + 1)
+  done;
+  for k = vo to vo + vlen - 1 do
+    let l = Ba.Array1.unsafe_get a.pool_links k in
+    Ba.Array1.unsafe_set a.coef l (Ba.Array1.unsafe_get a.coef l - 1)
+  done;
+  (* List each link with a nonzero net coefficient once, s's links
+     first, clearing [coef] on the way.  (Plain loops: a local closure
+     would be allocated on every call.) *)
+  let ns = ref 0 in
+  for j = 0 to len + vlen - 1 do
+    let l =
+      if j < len then Ba.Array1.unsafe_get a.path_links (off + j)
+      else Ba.Array1.unsafe_get a.pool_links (vo + j - len)
+    in
+    let c = Ba.Array1.unsafe_get a.coef l in
+    if c <> 0 then begin
+      Ba.Array1.unsafe_set a.coef l 0;
+      Ba.Array1.unsafe_set a.support !ns l;
+      Ba.Array1.unsafe_set a.sup_coef !ns (float_of_int c);
+      incr ns
+    end
+  done;
+  !ns
+
+let dense_flows a ~rows =
+  a.flows <- grown_f a.flows (max 1 (rows * a.m));
+  a.flows
+
+let add_aon_path a i ~off ~len =
+  let p = a.pool_paths in
+  if p >= Ba.Array1.dim a.pool_off then begin
+    a.pool_off <- grown_i a.pool_off (p + 1);
+    a.pool_len <- grown_i a.pool_len (p + 1);
+    a.pool_weight <- grown_f a.pool_weight (p + 1);
+    a.pool_next <- grown_i a.pool_next (p + 1)
   end;
-  Ba.Array1.unsafe_set a.path_links slot l
+  a.pool_paths <- p + 1;
+  let base = a.pool_nlinks in
+  a.pool_links <- grown_i a.pool_links (base + len);
+  for k = 0 to len - 1 do
+    Ba.Array1.unsafe_set a.pool_links (base + k)
+      (Ba.Array1.unsafe_get a.path_links (off + k))
+  done;
+  a.pool_nlinks <- base + len;
+  Ba.Array1.unsafe_set a.pool_off p base;
+  Ba.Array1.unsafe_set a.pool_len p len;
+  Ba.Array1.unsafe_set a.pool_weight p 0.;
+  Ba.Array1.unsafe_set a.pool_next p (-1);
+  (* Append at the tail of commodity [i]'s list. *)
+  let head = Ba.Array1.unsafe_get a.act_head i in
+  if head < 0 then Ba.Array1.unsafe_set a.act_head i p
+  else begin
+    let q = ref head in
+    while Ba.Array1.unsafe_get a.pool_next !q >= 0 do
+      q := Ba.Array1.unsafe_get a.pool_next !q
+    done;
+    Ba.Array1.unsafe_set a.pool_next !q p
+  end;
+  p
+
+let remove_path a i p =
+  let next = Ba.Array1.unsafe_get a.pool_next p in
+  let head = Ba.Array1.unsafe_get a.act_head i in
+  if head = p then Ba.Array1.unsafe_set a.act_head i next
+  else begin
+    let q = ref head in
+    while Ba.Array1.unsafe_get a.pool_next !q <> p do
+      q := Ba.Array1.unsafe_get a.pool_next !q
+    done;
+    Ba.Array1.unsafe_set a.pool_next !q next
+  end

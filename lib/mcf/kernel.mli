@@ -1,14 +1,16 @@
 (** Flat numeric kernels for the Frank–Wolfe hot path.
 
     CSR-style [Bigarray] mirrors of the topology plus preallocated
-    arenas — Dijkstra scratch, link-load accumulators, the dense
-    per-commodity flow matrix, the all-or-nothing path-incidence CSR and
-    the line-search support list — so a warm FW iteration in
-    {!Frank_wolfe} allocates tens of minor-heap words, not the boxed
-    solver's megabytes.  The
-    arena record is transparent: {!Frank_wolfe} is the intended consumer
-    and indexes the buffers directly; everyone else should go through
-    {!Frank_wolfe.solve}.
+    arenas — Dijkstra scratch, link-load accumulators, the
+    all-or-nothing path-incidence CSR, the pairwise active sets (a path
+    pool with per-commodity lists over a link store), dense flows for
+    the joint step and the line-search support list — so a warm FW
+    iteration in {!Frank_wolfe} allocates tens of minor-heap words, not
+    the boxed solver's megabytes.  The arena record is transparent:
+    {!Frank_wolfe} is the intended consumer and reads the per-link and
+    per-commodity buffers and the path weights directly; the path
+    stores' layout is walked only by the helpers below.  Everyone else
+    should go through {!Frank_wolfe.solve}.
 
     Determinism: {!dijkstra} reproduces [Paths.shortest_tree] exactly
     (same lexicographic [(dist, node)] pop order, same adjacency-order
@@ -45,13 +47,28 @@ type arena = {
                              source (the reference's traversal) *)
   mutable count : ibuf;  (** counting-sort scratch *)
   mutable nc : int;
-  mutable flows : fbuf;  (** row-major [nc * m] *)
   mutable path_off : ibuf;  (** path-incidence offsets, per commodity *)
   mutable path_len : ibuf;  (** path-incidence lengths, per commodity *)
-  mutable path_links : ibuf;
-  mutable support : ibuf;  (** line-search support: the links an FW
-                               step moves, ascending *)
-  acc : float array;  (** two unboxed loop-carried float sums *)
+  mutable path_links : ibuf;  (** all-or-nothing paths, source to
+                                  destination *)
+  mutable act_head : ibuf;  (** first active pool path per commodity,
+                                [-1] if none *)
+  mutable pool_off : ibuf;  (** pool path's first link-store slot *)
+  mutable pool_len : ibuf;  (** pool path's link count *)
+  mutable pool_weight : fbuf;  (** pool path's weight *)
+  mutable pool_next : ibuf;  (** next path of the same commodity, [-1]
+                                 at the tail *)
+  mutable pool_paths : int;  (** pool paths handed out this solve *)
+  mutable pool_links : ibuf;  (** link store, source to destination *)
+  mutable pool_nlinks : int;  (** link-store slots used this solve *)
+  mutable flows : fbuf;  (** dense per-commodity flows, row-major,
+                             for a solve without warm start (see
+                             {!dense_flows}) *)
+  mutable support : ibuf;  (** line-search support: the links a
+                               pairwise step moves *)
+  mutable sup_coef : fbuf;  (** their net coefficients *)
+  mutable coef : ibuf;  (** per-link scratch, all zero between steps *)
+  acc : float array;  (** six unboxed float cells *)
 }
 
 module Workspace : sig
@@ -69,8 +86,12 @@ end
 val acquire : Workspace.t -> graph:Dcn_topology.Graph.t -> nc:int -> arena
 (** The calling domain's arena, grown (geometrically) to fit [graph]
     and [nc] commodities, with the CSR mirror rebuilt if [graph] is not
-    physically the mirrored one.  Emits a [ws.reuse] trace counter when
-    served entirely from existing buffers, [ws.grow] otherwise. *)
+    physically the mirrored one, and the active sets emptied (every
+    commodity's list, the path pool and the link store).  Emits a
+    [ws.reuse] trace counter when served entirely from existing
+    buffers, [ws.grow] otherwise.  The path stores also double on
+    demand inside the helpers below; like [acquire]'s growth, that
+    stops once the arena is warm. *)
 
 val dijkstra : arena -> src:int -> use_weights:bool -> tie:float -> unit
 (** Shortest-path tree from [src] into [dist]/[pred].  Edge cost is
@@ -79,6 +100,54 @@ val dijkstra : arena -> src:int -> use_weights:bool -> tie:float -> unit
 val reachable : arena -> dst:int -> bool
 (** Whether the last {!dijkstra} reached [dst]. *)
 
-val push_path_link : arena -> slot:int -> int -> unit
-(** Write a link into path-incidence slot [slot], doubling the store if
-    full (allocation-free once the arena is warm). *)
+val store_tree_path : arena -> slot:int -> dst:int -> int
+(** Write the last {!dijkstra}'s path to [dst] into the path-incidence
+    store from [slot] on, source to destination, and return its
+    length. *)
+
+val store_list : arena -> slot:int -> int list -> int
+(** Write a link list into the path-incidence store from [slot] on and
+    return its length. *)
+
+val first_path : arena -> int -> int
+(** Commodity [i]'s first (oldest) active pool path, [-1] if none. *)
+
+val next_path : arena -> int -> int
+(** The pool path after [p] in its commodity's list, [-1] at the tail. *)
+
+val same_as_aon : arena -> int -> off:int -> len:int -> bool
+(** [same_as_aon a p ~off ~len]: whether pool path [p] has exactly the
+    links of path-incidence slots [off .. off + len - 1]. *)
+
+val price_aon : arena -> off:int -> len:int -> unit
+(** [acc.(0)] <- the sum of [weights] over path-incidence slots
+    [off .. off + len - 1], in slot order. *)
+
+val price_path : arena -> int -> unit
+(** [acc.(0)] <- the sum of [weights] over pool path [p]'s links, in
+    path order. *)
+
+val spread_path : arena -> int -> fbuf -> base:int -> unit
+(** [spread_path a p buf ~base] adds pool path [p]'s weight to
+    [buf.(base + l)] for each of its links [l], in path order. *)
+
+val build_support : arena -> off:int -> len:int -> int -> int
+(** [build_support a ~off ~len v] lists the links a pairwise step from
+    pool path [v] to the path in incidence slots [off .. off + len - 1]
+    moves: each link whose net coefficient (+1 per occurrence on the
+    incidence path, -1 per occurrence on [v]) is nonzero, once, the
+    incidence path's links first, into [support]/[sup_coef]; returns
+    how many.  [coef] is left all zero. *)
+
+val dense_flows : arena -> rows:int -> fbuf
+(** The arena's dense flow buffer, grown to at least [rows * m] cells;
+    contents unspecified. *)
+
+val add_aon_path : arena -> int -> off:int -> len:int -> int
+(** [add_aon_path a i ~off ~len] copies path-incidence slots
+    [off .. off + len - 1] into the link store as a new pool path of
+    weight 0, appends it to commodity [i]'s list and returns its id. *)
+
+val remove_path : arena -> int -> int -> unit
+(** [remove_path a i p] unlinks pool path [p] from commodity [i]'s list
+    ([p] must be on it). *)

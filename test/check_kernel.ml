@@ -6,10 +6,17 @@
       weighted path decompositions.  This is the contract that lets
       Random_schedule round either engine's fractional solution into the
       same certified schedule.
-   2. Allocation: after a warm-up solve, a kernel-engine FW iteration
-      must allocate at most 128 minor-heap words - the workspace arenas
-      absorb the hot path, where a boxed iteration burns millions.
-   3. With --trace FILE, writes a traced kernel run (fw.kernel spans,
+   2. Pairwise steps: hand-built warm starts that force a step into a
+      path that is already active (its weight merges) and two warm
+      paths with identical links; kernel and reference solutions must be
+      bit-identical.  (The drop step, t = 1, is test_mcf's "drop step
+      empties a link".)
+   3. Allocation: after a warm-up solve, a kernel-engine FW iteration
+      must allocate at most 128 minor-heap words, both for the joint
+      steps of a solve without warm start and for the pairwise sweeps
+      of a warm-started one - the workspace arenas absorb the hot path,
+      where a boxed iteration burns millions.
+   4. With --trace FILE, writes a traced kernel run (fw.kernel spans,
       ws.reuse/ws.grow counters) for check_json --kernel to validate.
 
    Exits 0 on success, 1 with a diagnostic on the first failure. *)
@@ -84,6 +91,70 @@ let differential () =
     cases;
   Printf.printf "check_kernel: differential ok (%d cases)\n%!" (Array.length cases)
 
+let check_solution label (k : Fw.solution) (r : Fw.solution) =
+  let same_array a b =
+    Array.length a = Array.length b && Array.for_all2 feq a b
+  in
+  if not (feq k.cost r.cost) then
+    failf "%s: cost %h (kernel) <> %h (reference)" label k.cost r.cost;
+  if not (feq k.gap r.gap) then failf "%s: gap %h <> %h" label k.gap r.gap;
+  if k.iterations <> r.iterations then
+    failf "%s: %d iterations <> %d" label k.iterations r.iterations;
+  if not (same_array k.loads r.loads) then failf "%s: loads differ" label;
+  if not (Array.length k.flows = Array.length r.flows
+          && Array.for_all2 same_array k.flows r.flows)
+  then failf "%s: flows differ" label
+
+(* Host 0 reaches host 1 over a direct link and over two three-hop
+   routes that share their first link; under a linear envelope the
+   direct link is three times cheaper, so each pairwise step is a full
+   step (t = 1) out of a three-hop route. *)
+let pairwise_cases () =
+  let module G = Dcn_topology.Graph in
+  let b = G.Builder.create () in
+  let host () = G.Builder.add_node b G.Host in
+  let switch () = G.Builder.add_node b (G.Switch { tier = 0 }) in
+  let h0 = host () and h1 = host () in
+  let sw = switch () and sa = switch () and sb = switch () in
+  let cable u v = fst (G.Builder.add_cable b u v) in
+  let direct = cable h0 h1 and shared = cable h0 sw in
+  let route_a = [ shared; cable sw sa; cable sa h1 ] in
+  let route_b = [ shared; cable sw sb; cable sb h1 ] in
+  let g = G.Builder.finish b in
+  let power = Model.make ~sigma:4. ~mu:1. ~alpha:2. () in
+  let problem demand =
+    {
+      Fw.graph = g;
+      commodities = [| Dcn_mcf.Commodity.make ~index:0 ~src:h0 ~dst:h1 ~demand |];
+      cost = Model.envelope power;
+      cost_deriv = Model.envelope_deriv power;
+      capacity = infinity;
+    }
+  in
+  let wp links weight = { Dcn_mcf.Decompose.links; weight } in
+  let cases =
+    [
+      (* s = the direct link is active from the start: weight merges. *)
+      ("merge into active s", 1., [ wp route_a 0.5; wp [ direct ] 0.5 ]);
+      (* Identical warm paths merge into one before the first step. *)
+      ("identical warm paths", 1.5, [ wp route_b 1.; wp [ direct ] 1.; wp route_b 1. ]);
+    ]
+  in
+  List.iter
+    (fun (label, demand, warm) ->
+      let warm_start _ = warm in
+      let p = problem demand in
+      let k =
+        Fw.solve ~config:fw_config ~warm_start ~piecewise:(Relaxation.piecewise_of power) p
+      in
+      let r = Fw.solve_reference ~config:fw_config ~warm_start p in
+      check_solution label k r;
+      if not (k.Fw.loads.(direct) = demand && k.Fw.loads.(shared) = 0.) then
+        failf "%s: direct link carries %h, shared link %h (want %h and 0)" label
+          k.Fw.loads.(direct) k.Fw.loads.(shared) demand)
+    cases;
+  Printf.printf "check_kernel: pairwise cases ok (%d cases)\n%!" (List.length cases)
+
 (* A single-interval F-MCF at fat-tree k=4 with one commodity per host
    pair sample: big enough that a boxed iteration allocates megabytes,
    small enough to run in milliseconds. *)
@@ -107,37 +178,54 @@ let alloc_problem () =
     },
     Relaxation.piecewise_of power )
 
+(* Each commodity's hop-count path as its warm start: the same starting
+   point as a cold solve, but the solve takes pairwise steps. *)
+let hop_warm_start (problem : Fw.problem) i =
+  let c = problem.commodities.(i) in
+  let g = problem.graph in
+  let tree = Dcn_topology.Paths.shortest_tree g ~src:c.Dcn_mcf.Commodity.src in
+  match Dcn_topology.Paths.extract_path g tree ~dst:c.Dcn_mcf.Commodity.dst with
+  | Some links -> [ { Dcn_mcf.Decompose.links; weight = 1. } ]
+  | None -> []
+
 (* Minor words per FW iteration, exactly: the difference between two
-   warm solves that both run every iteration they are allowed
-   ([gap_tol = 0]), over the difference in iteration counts.  Setup and
-   copy-out are the same in both solves and cancel. *)
+   solves on warm arenas that both run every iteration they are allowed
+   ([gap_tol = 0], and every iteration moves some commodity), over the
+   difference in iteration counts.  Setup and copy-out are the same in
+   both solves and cancel. *)
 let allocation () =
   let problem, piecewise = alloc_problem () in
   let config iters = { Fw.default_config with max_iters = iters; gap_tol = 0. } in
   let short = 5 and long = 12 in
-  let measured iters =
-    let config = config iters in
-    let before = Gc.minor_words () in
-    let sol = Fw.solve ~config ~piecewise problem in
-    let words = Gc.minor_words () -. before in
-    if sol.Fw.iterations <> iters then
-      failf "allocation: %d of %d iterations ran" sol.Fw.iterations iters;
-    let refsol = Fw.solve_reference ~config problem in
-    if not (feq refsol.Fw.cost sol.Fw.cost) then
-      failf "allocation: kernel cost %h <> reference %h" sol.Fw.cost refsol.Fw.cost;
-    (words, sol)
+  let per_iteration label warm_start =
+    let measured iters =
+      let config = config iters in
+      let before = Gc.minor_words () in
+      let sol = Fw.solve ~config ~warm_start ~piecewise problem in
+      let words = Gc.minor_words () -. before in
+      if sol.Fw.iterations <> iters then
+        failf "allocation (%s): %d of %d iterations ran" label sol.Fw.iterations iters;
+      let refsol = Fw.solve_reference ~config ~warm_start problem in
+      if not (feq refsol.Fw.cost sol.Fw.cost) then
+        failf "allocation (%s): kernel cost %h <> reference %h" label sol.Fw.cost
+          refsol.Fw.cost;
+      (words, sol)
+    in
+    (* Warm-up: sizes the arenas. *)
+    let _, warm = measured long in
+    let w_short, _ = measured short in
+    let w_long, sol = measured long in
+    if not (feq warm.Fw.cost sol.Fw.cost) then
+      failf "allocation (%s): warm-up and measured solves disagree" label;
+    let per_iter = (w_long -. w_short) /. float_of_int (long - short) in
+    Printf.printf "check_kernel: %s: %.0f minor words/iteration (%d vs %d iterations)\n%!"
+      label per_iter long short;
+    if per_iter > 128. then
+      failf "allocation (%s): %.0f minor words per FW iteration (budget 128)" label
+        per_iter
   in
-  (* Warm-up: sizes the arenas. *)
-  let _, warm = measured long in
-  let w_short, _ = measured short in
-  let w_long, sol = measured long in
-  if not (feq warm.Fw.cost sol.Fw.cost) then
-    failf "allocation: warm-up and measured solves disagree";
-  let per_iter = (w_long -. w_short) /. float_of_int (long - short) in
-  Printf.printf "check_kernel: %.0f minor words/iteration (%d vs %d iterations)\n%!"
-    per_iter long short;
-  if per_iter > 128. then
-    failf "allocation: %.0f minor words per FW iteration (budget 128)" per_iter
+  per_iteration "joint steps, no warm start" (fun _ -> []);
+  per_iteration "pairwise sweeps, warm start" (hop_warm_start problem)
 
 (* The telemetry layer's disabled contract: with the metrics registry
    off (this harness never enables it), every Dcn_obs update must
@@ -196,6 +284,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   differential ();
+  pairwise_cases ();
   allocation ();
   registry_disabled_alloc ();
   Option.iter write_trace !trace_out;

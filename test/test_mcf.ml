@@ -427,9 +427,73 @@ let test_ls_penalty_kink () =
         (Float.abs (s.Frank_wolfe.loads.(direct) -. 1. -. (1. /. (2. *. penalty))) <= 1e-6))
     (engines linear_pw)
 
+let test_drop_step_empties_link () =
+  (* Host 0 reaches host 1 directly and over two three-hop routes that
+     share their first link.  Warm-started with 0.7 on one route and 0.1
+     on the other, the shared link's load is 0.7 + 0.1, which rounds
+     below 0.8; under the envelope's linear segment the direct link is
+     three times cheaper, so the routes leave in two drop steps (t = 1)
+     and the second one takes 0.1 from a load of 0.1 - 1.3e-16.
+     Unclamped, pc' would see a negative rate, which the power model
+     rejects. *)
+  let b = Graph.Builder.create () in
+  let host () = Graph.Builder.add_node b Graph.Host in
+  let switch () = Graph.Builder.add_node b (Graph.Switch { tier = 0 }) in
+  let h0 = host () and h1 = host () in
+  let sw = switch () and sa = switch () and sb = switch () in
+  let cable u v = fst (Graph.Builder.add_cable b u v) in
+  let direct = cable h0 h1 and shared = cable h0 sw in
+  let route_a = [ shared; cable sw sa; cable sa h1 ] in
+  let route_b = [ shared; cable sw sb; cable sb h1 ] in
+  let g = Graph.Builder.finish b in
+  let power = Dcn_power.Model.make ~sigma:4. ~mu:1. ~alpha:2. () in
+  let demand = 0.7 +. 0.1 in
+  let warm_start _ =
+    [ { Decompose.links = route_a; weight = 0.7 }; { links = route_b; weight = 0.1 } ]
+  in
+  let solutions =
+    List.map
+      (fun (engine, piecewise) ->
+        let p =
+          problem
+            ~cost:(Dcn_power.Model.envelope power, Dcn_power.Model.envelope_deriv power)
+            g
+            [ commodity ~index:0 ~src:h0 ~dst:h1 ~demand ]
+        in
+        let s, iters = traced_solve ?piecewise ~warm_start p in
+        (match iters with
+        | (t1, _) :: (t2, _) :: _ ->
+          Alcotest.(check (float 0.)) (engine ^ ": first step drops") 1. t1;
+          Alcotest.(check (float 0.)) (engine ^ ": second step drops") 1. t2
+        | _ -> Alcotest.failf "%s: fewer than two iterations" engine);
+        Alcotest.(check (float 0.)) (engine ^ ": shared link empty") 0.
+          s.Frank_wolfe.loads.(shared);
+        Alcotest.(check (float 0.)) (engine ^ ": direct link carries all") demand
+          s.Frank_wolfe.loads.(direct);
+        Array.iter
+          (fun x -> Alcotest.(check bool) (engine ^ ": no negative load") true (x >= 0.))
+          s.Frank_wolfe.loads;
+        s)
+      (engines (Dcn_core.Relaxation.piecewise_of power))
+  in
+  (* The two engines agree bit for bit. *)
+  match solutions with
+  | [ r; k ] ->
+    let bits = Array.map Int64.bits_of_float in
+    Alcotest.(check int64) "cost bits" (Int64.bits_of_float r.Frank_wolfe.cost)
+      (Int64.bits_of_float k.Frank_wolfe.cost);
+    Alcotest.(check int64) "gap bits" (Int64.bits_of_float r.Frank_wolfe.gap)
+      (Int64.bits_of_float k.Frank_wolfe.gap);
+    Alcotest.(check int) "iterations" r.Frank_wolfe.iterations k.Frank_wolfe.iterations;
+    Alcotest.(check (array int64)) "load bits" (bits r.Frank_wolfe.loads)
+      (bits k.Frank_wolfe.loads);
+    Alcotest.(check (array (array int64))) "flow bits"
+      (Array.map bits r.Frank_wolfe.flows) (Array.map bits k.Frank_wolfe.flows)
+  | _ -> Alcotest.fail "expected two engines"
+
 let test_fw_permuted_indices_rejected () =
-  (* Both engines address a flow row by [index] but blend it with the
-     demand at its array position: indices that are not the positions
+  (* Both engines address an active set by [index] but read the
+     demand at the array position: indices that are not the positions
      must be rejected, not silently mis-route. *)
   let g = Builders.fat_tree 4 in
   let hosts = Graph.hosts g in
@@ -543,6 +607,7 @@ let suite =
         Alcotest.test_case "full step" `Quick test_ls_full_step;
         Alcotest.test_case "penalty kink" `Quick test_ls_penalty_kink;
         Alcotest.test_case "engines do the same work" `Quick test_ls_engines_same_work;
+        Alcotest.test_case "drop step empties a link" `Quick test_drop_step_empties_link;
         qt prop_ls_objective_monotone;
       ] );
     ( "mcf/decompose",

@@ -379,15 +379,19 @@ let replay_digest ~graph ~cap ~policy name =
 
 (* Pinned digests: any change to an outcome, a reject reason, the report
    or the snapshot bytes under any policy shows up here.  Together the
-   six runs cover degraded and rejected arrivals, a whole-coflow shed, a
-   reject-new coflow rejection, a cancel of a shed coflow, a refused
-   member cancel and retirements. *)
+   eight runs cover degraded and rejected arrivals and cancels of shed
+   flows (serve-100), a refused member cancel (coflow-mix seq 5),
+   retirements, and at cap 1.25 a whole-coflow shed (seq 7 under
+   drop-latest-deadline), joint-plan rejections (seq 4, 11, 13, and
+   reject-new's refusal at seq 7) and cancels of rejected coflows
+   (seq 8, 14). *)
 let test_golden_digests () =
   let check ~graph ~cap name cases =
     List.iter
       (fun (policy, want) ->
         Alcotest.(check string)
-          (Printf.sprintf "%s under %s" name (Repair.policy_to_string policy))
+          (Printf.sprintf "%s at cap %g under %s" name cap
+             (Repair.policy_to_string policy))
           want
           (replay_digest ~graph ~cap ~policy name))
       cases
@@ -400,10 +404,52 @@ let test_golden_digests () =
     ];
   check ~graph:(Builders.fat_tree 4) ~cap:2. "coflow-mix.events"
     [
-      (Repair.Drop_latest_deadline, "b3beef59f04ff71bae68d9ae7c4ceeb4");
-      (Repair.Drop_largest_residual, "4c940ed194d868f3de476a29334b4b11");
-      (Repair.Reject_new, "ce1f98bd350231cac3e9cddfec0c1625");
+      (Repair.Drop_latest_deadline, "e6d503a91a94446bac19fd965a5df94f");
+      (Repair.Drop_largest_residual, "ea671e201a44278ef5052ee47320d9e9");
+      (Repair.Reject_new, "04fa06f6857136fdddce65f6ed09e104");
+    ];
+  check ~graph:(Builders.fat_tree 4) ~cap:1.25 "coflow-mix.events"
+    [
+      (Repair.Drop_latest_deadline, "dfc5439839aaa2c5094c8fe6600d34f6");
+      (Repair.Reject_new, "68d45abd1670b082e82b4b5ca24bb1d5");
     ]
+
+(* Warm interval re-solves converge instead of running into the
+   iteration cap: coflow-mix replayed with `dcn replay`'s defaults
+   (fat-tree k=4, sigma 0, uncapped, drop-latest-deadline, seed 42)
+   re-solves 40 intervals, and no Frank-Wolfe solve may stop at
+   [max_iters] short of the gap target (vanilla Frank-Wolfe, zigzagging
+   between warm-start paths, stopped 24 of them there). *)
+let test_warm_resolves_converge () =
+  let max_iters = Session.default_config.Session.fw_config.Dcn_mcf.Frank_wolfe.max_iters in
+  let s =
+    Session.create ~graph:(Builders.fat_tree 4)
+      ~power:(Model.make ~sigma:0. ~mu:1. ~alpha:2. ())
+      ~policy:Repair.Drop_latest_deadline ~seed:42 ()
+  in
+  let t = Dcn_engine.Trace.create () in
+  Dcn_engine.Trace.with_trace t (fun () ->
+      List.iter
+        (fun line ->
+          match Event.of_json (Json.of_string line) with
+          | Error m -> Alcotest.failf "corpus line rejected: %s" m
+          | Ok e -> ignore (Session.apply s e))
+        (corpus_lines "coflow-mix.events"));
+  let iterations =
+    List.filter_map
+      (fun (r : Dcn_engine.Trace.record) ->
+        match r.entry with
+        | Dcn_engine.Trace.Event { name = "fw.done"; fields; _ } ->
+          Option.map Json.to_int (List.assoc_opt "iterations" fields)
+        | _ -> None)
+      (Dcn_engine.Trace.records t)
+  in
+  Alcotest.(check bool) "interval solves traced" true (iterations <> []);
+  Alcotest.(check int)
+    (Printf.sprintf "solves at the %d-iteration cap (of %d)" max_iters
+       (List.length iterations))
+    0
+    (List.length (List.filter (fun i -> i >= max_iters) iterations))
 
 (* A plain flow is the one-member coflow: rewriting every arrival as a
    coflow of one (coflow id = flow id) and every cancel as a coflow
@@ -490,6 +536,8 @@ let suite =
         Alcotest.test_case "jobs-invariant" `Quick test_replay_jobs_invariant;
         Alcotest.test_case "deterministic" `Quick
           test_replay_deterministic_and_seeded;
+        Alcotest.test_case "warm re-solves converge" `Quick
+          test_warm_resolves_converge;
       ] );
     ( "serve.golden",
       [
