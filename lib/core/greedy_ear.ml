@@ -62,33 +62,20 @@ let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
           (fun e -> List.iter (fun j -> loads.(e).(j) <- loads.(e).(j) +. d) my_intervals)
           path)
     ordered;
-  let t0, t1 = Instance.horizon inst in
-  let plans =
-    List.map
-      (fun (f : Flow.t) ->
-        {
-          Schedule.flow = f;
-          path = Hashtbl.find chosen f.id;
-          slots =
-            [ { Schedule.start = f.release; stop = f.deadline; rate = Flow.density f } ];
-        })
-      inst.Instance.flows
+  let routed =
+    List.map (fun (f : Flow.t) -> (f, Hashtbl.find chosen f.id)) inst.Instance.flows
   in
-  let schedule = Schedule.make ~graph:g ~power ~horizon:(t0, t1) plans in
+  let schedule =
+    Schedule.of_densities ~graph:g ~power ~horizon:(Instance.horizon inst) routed
+  in
   Selfcheck.schedule ~label:"greedy-ear" ~partial:false inst schedule;
-  let paths =
-    List.map
-      (fun (f : Flow.t) -> (f.id, Hashtbl.find chosen f.id))
-      inst.Instance.flows
-  in
+  let paths = List.map (fun ((f : Flow.t), path) -> (f.id, path)) routed in
   (* The greedy admits every flow; it may overshoot link capacity where
      a capacity-aware solver would have spread the load. *)
-  let cap = power.Model.cap in
-  let overload = Schedule.max_link_rate schedule -. cap in
   {
     Solution.algorithm = name;
     energy = Schedule.energy schedule;
-    feasible = overload <= 1e-6 *. Float.max 1. cap;
+    feasible = (Schedule.capacity_verdict schedule).within_cap;
     schedule;
     per_flow_rates =
       List.map (fun (f : Flow.t) -> (f.id, Flow.density f)) inst.Instance.flows;

@@ -26,7 +26,7 @@ let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
       inst.Instance.flows
   in
   let accepted = ref [] and rejected = ref [] in
-  let plans = ref [] in
+  let routed = ref [] in
   List.iter
     (fun (f : Flow.t) ->
       (* One watchdog poll per arrival. *)
@@ -66,18 +66,12 @@ let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
         List.iter
           (fun e -> List.iter (fun j -> loads.(e).(j) <- loads.(e).(j) +. d) my_intervals)
           path;
-        plans :=
-          {
-            Schedule.flow = f;
-            path;
-            slots =
-              [ { Schedule.start = f.release; stop = f.deadline; rate = d } ];
-          }
-          :: !plans)
+        routed := (f, path) :: !routed)
     ordered;
-  let t0, t1 = Instance.horizon inst in
-  let plans = List.rev !plans in
-  let schedule = Schedule.make ~graph:g ~power ~horizon:(t0, t1) plans in
+  let routed = List.rev !routed in
+  let schedule =
+    Schedule.of_densities ~graph:g ~power ~horizon:(Instance.horizon inst) routed
+  in
   Selfcheck.schedule ~label:"online" ~partial:true inst schedule;
   let rejected = List.sort compare !rejected in
   {
@@ -88,15 +82,11 @@ let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
     feasible = rejected = [];
     schedule;
     per_flow_rates =
-      List.map
-        (fun (p : Schedule.plan) ->
-          (p.flow.Flow.id, Flow.density p.flow))
-        plans;
+      List.map (fun ((f : Flow.t), _) -> (f.id, Flow.density f)) routed;
     meta =
       Solution.Routed
         {
-          paths =
-            List.map (fun (p : Schedule.plan) -> (p.flow.Flow.id, p.path)) plans;
+          paths = List.map (fun ((f : Flow.t), path) -> (f.id, path)) routed;
           accepted = List.sort compare !accepted;
           rejected;
         };

@@ -1,7 +1,5 @@
 module Graph = Dcn_topology.Graph
 module Flow = Dcn_flow.Flow
-module Timeline = Dcn_flow.Timeline
-module Model = Dcn_power.Model
 module Schedule = Dcn_sched.Schedule
 module Decompose = Dcn_mcf.Decompose
 module Prng = Dcn_util.Prng
@@ -37,35 +35,10 @@ let candidate_paths relax (f : Flow.t) =
   (* Deterministic order for reproducible sampling. *)
   List.sort compare all
 
-(* Exposed (see mli): the serving layer samples a path for one new flow
-   from the warm relaxation with exactly this distribution. *)
-let build_schedule inst chosen =
-  let t0, t1 = Instance.horizon inst in
-  let plans =
-    List.map
-      (fun (f : Flow.t) ->
-        let path = List.assoc f.Flow.id chosen in
-        {
-          Schedule.flow = f;
-          path;
-          slots =
-            [
-              {
-                Schedule.start = f.Flow.release;
-                stop = f.Flow.deadline;
-                rate = Flow.density f;
-              };
-            ];
-        })
-      inst.Instance.flows
-  in
-  Schedule.make ~graph:inst.Instance.graph ~power:inst.Instance.power
-    ~horizon:(t0, t1) plans
-
 (* One fully evaluated rounding attempt. *)
 type attempt = {
   a_index : int;
-  a_chosen : (int * Graph.link list) list;
+  a_routed : (Flow.t * Graph.link list) list;
   a_schedule : Schedule.t;
   a_energy : float;
   a_feasible : bool;
@@ -85,20 +58,16 @@ let solve ?(config = default_config) ?relaxation ~instance:inst
   let relax =
     match relaxation with
     | Some r -> r
-    | None -> (
-      (* A previous solution of a nearby instance warm-starts the
-         relaxation: every interval is re-solved (the full-horizon
+    | None ->
+      (* A previous solution of a nearby instance, if any, warm-starts
+         the relaxation: every interval is re-solved (the full-horizon
          window marks them all dirty), seeded from the previous
          fractional paths of every flow both instances share. *)
-      match Option.bind previous Solution.relaxation with
-      | Some prev ->
-        fst
-          (Relaxation.resolve ~pool ~fw_config:config.fw_config
-             ~workspace:ws.Solver_api.kernel ~previous:prev
-             ~window:(Instance.horizon inst) inst)
-      | None ->
-        Relaxation.solve ~pool ~fw_config:config.fw_config
-          ~workspace:ws.Solver_api.kernel inst)
+      fst
+        (Relaxation.resolve ~pool ~fw_config:config.fw_config
+           ~workspace:ws.Solver_api.kernel
+           ?previous:(Option.bind previous Solution.relaxation)
+           ~window:(Instance.horizon inst) inst)
   in
   Dcn_obs.Stage.time "core.rounding" @@ fun () ->
   Trace.span "rs.solve"
@@ -110,33 +79,37 @@ let solve ?(config = default_config) ?relaxation ~instance:inst
   @@ fun () ->
   let flows = inst.Instance.flows in
   let candidates =
-    List.map (fun (f : Flow.t) -> (f.id, candidate_paths relax f)) flows
+    List.map (fun (f : Flow.t) -> (f, candidate_paths relax f)) flows
   in
   List.iter
-    (fun (id, cands) ->
+    (fun ((f : Flow.t), cands) ->
       if cands = [] then
         invalid_arg
-          (Printf.sprintf "Random_schedule.solve: no candidate path for flow %d" id))
+          (Printf.sprintf "Random_schedule.solve: no candidate path for flow %d"
+             f.id))
     candidates;
   (* One independent PRNG stream per attempt, split off the caller's
      generator up front: attempt k makes the same draw whether it is
      evaluated sequentially or on any pool, so the solution is
      bit-identical for every jobs value. *)
   let rngs = Pool.split_rngs rng config.attempts in
-  let cap = inst.Instance.power.Model.cap in
   let evaluate k =
     let rng = rngs.(k) in
-    let chosen =
+    let routed =
       List.map
-        (fun (id, cands) ->
+        (fun (f, cands) ->
           let weights = Array.of_list (List.map snd cands) in
           let idx = Prng.pick_weighted rng ~weights in
-          (id, fst (List.nth cands idx)))
+          (f, fst (List.nth cands idx)))
         candidates
     in
-    let schedule = build_schedule inst chosen in
-    let overload = Schedule.max_link_rate schedule -. cap in
-    let feasible = overload <= 1e-6 *. Float.max 1. cap in
+    let schedule =
+      Schedule.of_densities ~graph:inst.Instance.graph ~power:inst.Instance.power
+        ~horizon:(Instance.horizon inst) routed
+    in
+    let { Schedule.overload; within_cap = feasible } =
+      Schedule.capacity_verdict schedule
+    in
     let energy = Schedule.energy schedule in
     (* Per-attempt outcome, emitted on whichever domain evaluated the
        draw (the trace is where the parallel schedule is visible; the
@@ -155,7 +128,7 @@ let solve ?(config = default_config) ?relaxation ~instance:inst
     end;
     {
       a_index = k;
-      a_chosen = chosen;
+      a_routed = routed;
       a_schedule = schedule;
       a_energy = energy;
       a_feasible = feasible;
@@ -214,10 +187,15 @@ let solve ?(config = default_config) ?relaxation ~instance:inst
       meta =
         Solution.Rounding
           {
-            Solution.paths = chosen_attempt.a_chosen;
+            Solution.paths =
+              List.map
+                (fun ((f : Flow.t), path) -> (f.id, path))
+                chosen_attempt.a_routed;
             attempts_used;
             candidates =
-              List.map (fun (id, cands) -> (id, List.length cands)) candidates;
+              List.map
+                (fun ((f : Flow.t), cands) -> (f.id, List.length cands))
+                candidates;
             relaxation = relax;
           };
     }

@@ -153,35 +153,8 @@ let weighted intervals part =
       acc +. ((hi -. lo) *. part s))
     0. intervals
 
-let solve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config)
-    ?workspace inst =
-  Dcn_obs.Stage.time "core.relaxation" @@ fun () ->
-  let g = inst.Instance.graph in
-  let power = inst.Instance.power in
-  let tl = Instance.timeline inst in
-  let flows = inst.Instance.flows in
-  Trace.span "relaxation.solve"
-    ~fields:[ ("intervals", Json.Int (Timeline.num_intervals tl)) ]
-  @@ fun () ->
-  let cold _ = [] in
-  (* The per-interval F-MCF programs are independent; fan them across
-     the pool (the result array is index-ordered, so the outcome does
-     not depend on the pool size). *)
-  let intervals =
-    Dcn_engine.Pool.map pool
-      (solve_interval ~g ~power ~tl ~flows ~fw_config ~workspace ~warm:cold)
-      (Array.init (Timeline.num_intervals tl) Fun.id)
-  in
-  Dcn_obs.Registry.incr ~by:(Array.length intervals) obs_solved;
-  {
-    timeline = tl;
-    intervals;
-    cost = weighted intervals (fun s -> s.cost);
-    lb = weighted intervals (fun s -> s.lb);
-  }
-
 let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config)
-    ?workspace ~previous ~window inst =
+    ?workspace ?previous ~window inst =
   Dcn_obs.Stage.time "core.relaxation" @@ fun () ->
   let g = inst.Instance.graph in
   let power = inst.Instance.power in
@@ -198,11 +171,11 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
         ("window_hi", Json.float whi);
       ]
   @@ fun () ->
-  (* The previous interval covering a time point, if any. *)
+  (* The previous interval covering a time point, if any; without a
+     [previous] relaxation every interval is solved cold. *)
   let previous_at mid =
-    match Timeline.index_at previous.timeline mid with
-    | None -> None
-    | Some j -> Some previous.intervals.(j)
+    Option.bind previous (fun p ->
+        Option.map (Array.get p.intervals) (Timeline.index_at p.timeline mid))
   in
   let ids_of_paths fps = List.sort_uniq compare (List.map fst fps) in
   let solve_one k =
@@ -254,3 +227,6 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
       lb = weighted intervals (fun s -> s.lb);
     },
     stats )
+
+let solve ?pool ?fw_config ?workspace inst =
+  fst (resolve ?pool ?fw_config ?workspace ~window:(Instance.horizon inst) inst)

@@ -32,19 +32,6 @@ val piecewise_of : Dcn_power.Model.t -> Dcn_mcf.Frank_wolfe.piecewise
 (** The model's lower convex envelope in the closed form the kernel
     engine inlines; describes exactly [Model.envelope(_deriv)]. *)
 
-val solve :
-  ?pool:Dcn_engine.Pool.t ->
-  ?fw_config:Dcn_mcf.Frank_wolfe.config ->
-  ?workspace:Dcn_mcf.Kernel.Workspace.t ->
-  Instance.t ->
-  t
-(** [pool] fans the independent per-interval F-MCF programs across
-    worker domains (default: sequential).  The result is bit-identical
-    for every pool size and either FW engine.  [workspace] supplies the
-    kernel engine's arenas, reused across the intervals (and safely
-    across the pool's domains); without one the process-wide default
-    workspace is used. *)
-
 type reuse_stats = {
   resolved : int;  (** intervals whose F-MCF was (re-)solved *)
   reused : int;  (** intervals copied verbatim from [previous] *)
@@ -54,13 +41,21 @@ val resolve :
   ?pool:Dcn_engine.Pool.t ->
   ?fw_config:Dcn_mcf.Frank_wolfe.config ->
   ?workspace:Dcn_mcf.Kernel.Workspace.t ->
-  previous:t ->
+  ?previous:t ->
   window:float * float ->
   Instance.t ->
   t * reuse_stats
 (** Incremental re-solve after a local change to the flow set (an
     arrival, cancellation or retirement whose span is [window]), given
-    the [previous] relaxation of the pre-change instance.
+    the [previous] relaxation of the pre-change instance.  Without
+    [previous], every interval is solved cold.
+
+    [pool] fans the independent per-interval F-MCF programs across
+    worker domains (default: sequential).  The result is bit-identical
+    for every pool size and either FW engine.  [workspace] supplies the
+    kernel engine's arenas, reused across the intervals (and safely
+    across the pool's domains); without one the process-wide default
+    workspace is used.
 
     Intervals of the {e new} timeline that do not overlap [window]
     reuse the previous solution of the interval covering their midpoint
@@ -71,6 +66,12 @@ val resolve :
     narrow a window), the interval is re-solved rather than reused, so
     [resolve] never returns a stale solution.  Overlapping intervals
     are re-solved with {!Dcn_mcf.Frank_wolfe}'s warm start seeded from
-    the previous fractional paths of every flow both instances share.
+    the previous fractional paths of every flow both instances share. *)
 
-    Bit-identical for every pool size, like {!solve}. *)
+val solve :
+  ?pool:Dcn_engine.Pool.t ->
+  ?fw_config:Dcn_mcf.Frank_wolfe.config ->
+  ?workspace:Dcn_mcf.Kernel.Workspace.t ->
+  Instance.t ->
+  t
+(** The relaxation solved cold: {!resolve} without [previous]. *)

@@ -38,6 +38,18 @@ let make ~graph ~power ~horizon plans =
     plans;
   { graph; power; horizon; plans }
 
+let of_densities ~graph ~power ~horizon routed =
+  make ~graph ~power ~horizon
+    (List.map
+       (fun ((f : Flow.t), path) ->
+         {
+           flow = f;
+           path;
+           slots =
+             [ { start = f.release; stop = f.deadline; rate = Flow.density f } ];
+         })
+       routed)
+
 let find_plan t id = List.find_opt (fun p -> p.flow.Flow.id = id) t.plans
 
 (* Slots carried by each link, as (start, stop, rate, flow id). *)
@@ -97,6 +109,15 @@ let energy t = idle_energy t +. dynamic_energy t
 
 let max_link_rate t =
   Array.fold_left (fun acc (_, p) -> Float.max acc (Profile.max_rate p)) 0. (profiles t)
+
+type verdict = { overload : float; within_cap : bool }
+
+let capacity_verdict t =
+  let cap = t.power.Model.cap in
+  let overload =
+    if Float.is_finite cap then max_link_rate t -. cap else neg_infinity
+  in
+  { overload; within_cap = overload <= 1e-6 *. Float.max 1. cap }
 
 module Check = struct
   type violation =

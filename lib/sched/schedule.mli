@@ -41,6 +41,28 @@ val make :
     are well-formed); semantic checks live in {!Check}.
     @raise Invalid_argument on a malformed plan or duplicate flow ids. *)
 
+val of_densities :
+  graph:Dcn_topology.Graph.t ->
+  power:Dcn_power.Model.t ->
+  horizon:float * float ->
+  (Dcn_flow.Flow.t * Dcn_topology.Graph.link list) list ->
+  t
+(** The interval-density schedule of Algorithm 2: each flow transmits
+    at its density {!Dcn_flow.Flow.density} over its whole span on its
+    one path.  Plans keep the order of the pairs.
+    @raise Invalid_argument as {!make}. *)
+
+type verdict = {
+  overload : float;
+      (** [max_link_rate - cap]; [neg_infinity] when the cap is
+          infinite, where no profile is swept *)
+  within_cap : bool;
+      (** [overload] is within the [1e-6 * max 1 cap] tolerance *)
+}
+
+val capacity_verdict : t -> verdict
+(** Does the schedule fit under the power model's link capacity? *)
+
 val delivered : plan -> float
 (** Data carried by the plan's slots. *)
 

@@ -6,6 +6,7 @@ module Prng = Dcn_util.Prng
 module Graph = Dcn_topology.Graph
 module Paths = Dcn_topology.Paths
 module Flow = Dcn_flow.Flow
+module Timeline = Dcn_flow.Timeline
 module Model = Dcn_power.Model
 module Fw = Dcn_mcf.Frank_wolfe
 module Instance = Dcn_core.Instance
@@ -119,13 +120,14 @@ type t = {
   workspace : Dcn_mcf.Kernel.Workspace.t;
   created : float;  (* wall clock at [create], for [uptime_ms] *)
   mutable clock : float;
-  mutable flows : Flow.t list;  (* ascending id *)
-  mutable paths : (int * Graph.link list) list;  (* flow id -> committed path *)
   (* Committed coflow membership, ascending coflow id.  Members still in
      flight; a member list only shrinks when members retire (complete),
      because shedding and cancellation always take the whole group. *)
   mutable coflows : (int * int list) list;
   mutable relaxation : Relaxation.t option;
+  (* The only record of which flows are committed and on which path:
+     one interval-density plan per flow, ascending id (built from the
+     sorted candidate list).  [None] when drained. *)
   mutable schedule : Schedule.t option;
   stats : stats;
 }
@@ -144,8 +146,6 @@ let create ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
     workspace = Dcn_mcf.Kernel.Workspace.create ();
     created = Deadline.now ();
     clock = 0.;
-    flows = [];
-    paths = [];
     coflows = [];
     relaxation = None;
     schedule = None;
@@ -226,7 +226,10 @@ let clock t = t.clock
    uptime cannot go negative when NTP steps the wall clock backwards;
    the max is belt-and-braces for a snapshot taken on another domain. *)
 let uptime_ms t = Float.max 0. (1e3 *. (Deadline.now () -. t.created))
-let active_flows t = t.flows
+let plans t = match t.schedule with None -> [] | Some s -> s.Schedule.plans
+let flows_of ps = List.map (fun (p : Schedule.plan) -> p.flow) ps
+let active_flows t = flows_of (plans t)
+let find t id = Option.bind t.schedule (fun s -> Schedule.find_plan s id)
 let active_coflows t = t.coflows
 let schedule t = t.schedule
 
@@ -245,44 +248,12 @@ let tiny x = 1e-9 *. Float.max 1. (Float.abs x)
 let resolve_relaxation t ~window inst =
   Trace.span "serve.resolve" @@ fun () ->
   let relax, (rs : Relaxation.reuse_stats) =
-    match t.relaxation with
-    | Some previous ->
-      Relaxation.resolve ~pool:t.pool ~fw_config:t.config.fw_config
-        ~workspace:t.workspace ~previous ~window inst
-    | None ->
-      let relax =
-        Relaxation.solve ~pool:t.pool ~fw_config:t.config.fw_config
-          ~workspace:t.workspace inst
-      in
-      (relax, { Relaxation.resolved = Array.length relax.intervals; reused = 0 })
+    Relaxation.resolve ~pool:t.pool ~fw_config:t.config.fw_config
+      ~workspace:t.workspace ?previous:t.relaxation ~window inst
   in
   Trace.counter "serve.resolved_intervals" (float_of_int rs.resolved);
   Trace.counter "serve.reused_intervals" (float_of_int rs.reused);
   (relax, rs)
-
-(* Interval-density plan: the flow transmits at D_i over its whole span
-   on its one committed path (Algorithm 2's schedule shape). *)
-let density_plan (f : Flow.t) path =
-  let rate = f.volume /. (f.deadline -. f.release) in
-  {
-    Schedule.flow = f;
-    path;
-    slots = [ { Schedule.start = f.release; stop = f.deadline; rate } ];
-  }
-
-let build_schedule t inst paths =
-  let plans =
-    List.map
-      (fun (f : Flow.t) -> density_plan f (List.assoc f.id paths))
-      inst.Instance.flows
-  in
-  Schedule.make ~graph:t.graph ~power:t.power ~horizon:(Instance.horizon inst)
-    plans
-
-let feasible t sched =
-  let cap = t.power.Model.cap in
-  (not (Float.is_finite cap))
-  || Schedule.max_link_rate sched -. cap <= 1e-6 *. Float.max 1. cap
 
 (* The time span [lo, hi] covered by [flows], widened from [from]. *)
 let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
@@ -292,14 +263,12 @@ let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
     from flows
 
 (* Absorb a committed epoch: mutate the session, account, certify. *)
-let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
+let commit t ~relax ~sched ~inst ~dropped ~retired
     ~(rstats : Relaxation.reuse_stats) =
   let delta = Schedule_delta.diff ~before:t.schedule ~after:(Some sched) in
   let violations =
     if t.config.certify then Certify.schedule inst sched else []
   in
-  t.flows <- flows;
-  t.paths <- paths;
   (* Members that left the committed set retired or were shed as a whole
      group; either way the membership table tracks live members only,
      and a group with none left is done. *)
@@ -307,9 +276,7 @@ let commit t ~flows ~paths ~relax ~sched ~inst ~dropped ~retired
     List.filter_map
       (fun (cid, ms) ->
         let live =
-          List.filter
-            (fun id -> List.exists (fun (f : Flow.t) -> f.id = id) flows)
-            ms
+          List.filter (fun id -> Option.is_some (Schedule.find_plan sched id)) ms
         in
         if live = [] then None else Some (cid, live))
       t.coflows;
@@ -375,12 +342,6 @@ let admit t ?coflow (members : Flow.t list) =
       let member_candidates =
         List.map (Random_schedule.candidate_paths relax) members
       in
-      let keep =
-        List.filter
-          (fun (id, _) ->
-            List.exists (fun (f : Flow.t) -> f.id = id) candidate)
-          t.paths
-      in
       let draw =
         if List.mem [] member_candidates then None
         else
@@ -393,28 +354,38 @@ let admit t ?coflow (members : Flow.t list) =
               member_ids member_candidates
           in
           let rngs = Pool.split_rngs (Prng.split t.rng) t.config.attempts in
+          let horizon = Instance.horizon inst in
+          (* A member takes its drawn path; every other candidate keeps
+             its committed one. *)
+          let route drawn (f : Flow.t) =
+            match List.assoc_opt f.id drawn with
+            | Some path -> (f, path)
+            | None -> (f, (Option.get (find t f.id)).path)
+          in
           let rec try_draw i =
             if i >= t.config.attempts then None
             else
-              let assoc =
+              let drawn =
                 List.fold_left
                   (fun acc (id, paths, weights) ->
                     let idx = Prng.pick_weighted rngs.(i) ~weights in
                     (id, paths.(idx)) :: acc)
-                  keep prepared
+                  [] prepared
               in
-              let sched = build_schedule t inst assoc in
-              if feasible t sched then Some (sched, assoc) else try_draw (i + 1)
+              let sched =
+                Schedule.of_densities ~graph:t.graph ~power:t.power ~horizon
+                  (List.map (route drawn) candidate)
+              in
+              if (Schedule.capacity_verdict sched).within_cap then Some sched
+              else try_draw (i + 1)
           in
           try_draw 0
       in
       match draw with
-      | Some (sched, assoc) ->
+      | Some sched ->
         t.stats.admitted <- t.stats.admitted + List.length members;
         let outcome =
-          commit t ~flows:candidate
-            ~paths:(List.sort (fun (a, _) (b, _) -> compare a b) assoc)
-            ~relax ~sched ~inst ~dropped ~retired:[] ~rstats
+          commit t ~relax ~sched ~inst ~dropped ~retired:[] ~rstats
         in
         (* [commit] pruned shed groups; the new one enters afterwards so
            a [Rejected] round never leaves a trace of it. *)
@@ -457,7 +428,7 @@ let admit t ?coflow (members : Flow.t list) =
             (shed @ dropped)
             (span_of ~from:window shed)))
   in
-  go (List.sort by_id (members @ t.flows)) [] (span_of members)
+  go (List.sort by_id (members @ active_flows t)) [] (span_of members)
 
 (* Admission checks for one new flow, before anything is re-solved. *)
 let validate_new t (f : Flow.t) =
@@ -469,7 +440,7 @@ let validate_new t (f : Flow.t) =
     Some
       (Printf.sprintf "flow %d: deadline %g at or before clock %g" f.id
          f.deadline t.clock)
-  else if List.exists (fun (g : Flow.t) -> g.id = f.id) t.flows then
+  else if Option.is_some (find t f.id) then
     Some (Printf.sprintf "flow %d already committed" f.id)
   else if Option.is_none (Paths.shortest_path t.graph ~src:f.src ~dst:f.dst)
   then Some (Printf.sprintf "flow %d: no path from %d to %d" f.id f.src f.dst)
@@ -532,15 +503,14 @@ let on_coflow_arrival t ~coflow members =
 let withdraw t ~cancelled ~retired =
   let gone, rest =
     List.partition
-      (fun (f : Flow.t) -> List.mem f.id cancelled || List.mem f.id retired)
-      t.flows
+      (fun (p : Schedule.plan) ->
+        List.mem p.flow.id cancelled || List.mem p.flow.id retired)
+      (plans t)
   in
   let s = t.stats in
   match rest with
   | [] ->
     let delta = Schedule_delta.diff ~before:t.schedule ~after:None in
-    t.flows <- [];
-    t.paths <- [];
     t.coflows <- [];
     t.relaxation <- None;
     t.schedule <- None;
@@ -557,22 +527,24 @@ let withdraw t ~cancelled ~retired =
         energy = 0.;
       }
   | _ -> (
-    match Instance.make_result ~graph:t.graph ~power:t.power ~flows:rest with
+    match
+      Instance.make_result ~graph:t.graph ~power:t.power ~flows:(flows_of rest)
+    with
     | Error e -> Rejected { reason = Instance.error_to_string e }
     | Ok inst ->
-      let relax, rstats = resolve_relaxation t ~window:(span_of gone) inst in
-      let paths =
-        List.filter
-          (fun (id, _) -> List.exists (fun (f : Flow.t) -> f.id = id) rest)
-          t.paths
+      let relax, rstats =
+        resolve_relaxation t ~window:(span_of (flows_of gone)) inst
       in
-      let sched = build_schedule t inst paths in
+      let sched =
+        Schedule.of_densities ~graph:t.graph ~power:t.power
+          ~horizon:(Instance.horizon inst)
+          (List.map (fun (p : Schedule.plan) -> (p.flow, p.path)) rest)
+      in
       s.cancelled <- s.cancelled + List.length cancelled;
-      commit t ~flows:rest ~paths ~relax ~sched ~inst ~dropped:[] ~retired
-        ~rstats)
+      commit t ~relax ~sched ~inst ~dropped:[] ~retired ~rstats)
 
 let on_cancel t id =
-  if not (List.exists (fun (g : Flow.t) -> g.id = id) t.flows) then
+  if Option.is_none (find t id) then
     Rejected { reason = Printf.sprintf "unknown flow %d" id }
   else
     match List.find_opt (fun (_, ms) -> List.mem id ms) t.coflows with
@@ -603,7 +575,7 @@ let on_advance t to_ =
       List.filter_map
         (fun (g : Flow.t) ->
           if g.deadline <= to_ +. tn then Some g.id else None)
-        t.flows
+        (active_flows t)
     in
     t.clock <- Float.max t.clock to_;
     match retired with
@@ -630,8 +602,9 @@ let on_advance t to_ =
    outcome leaves the committed state (and so the gauges) unchanged. *)
 let refresh_gauges t outcome =
   if Dcn_obs.Registry.on () then begin
-    Dcn_obs.Registry.set obs_active_flows (float_of_int (List.length t.flows));
-    (match t.flows with
+    let flows = active_flows t in
+    Dcn_obs.Registry.set obs_active_flows (float_of_int (List.length flows));
+    (match flows with
     | [] -> ()
     | fs ->
       Dcn_obs.Registry.set obs_min_slack
@@ -647,8 +620,8 @@ let refresh_gauges t outcome =
       let collective_deadline ms =
         List.fold_left
           (fun acc id ->
-            match List.find_opt (fun (f : Flow.t) -> f.id = id) t.flows with
-            | Some f -> Float.max acc f.deadline
+            match find t id with
+            | Some p -> Float.max acc p.flow.deadline
             | None -> acc)
           neg_infinity ms
       in
@@ -708,7 +681,7 @@ let report t =
     [
       ("clock", Json.float t.clock);
       ("policy", Json.Str (Repair.policy_to_string t.policy));
-      ("flows", Json.Int (List.length t.flows));
+      ("flows", Json.Int (List.length (plans t)));
       ( "energy",
         Json.float
           (match t.schedule with None -> 0. | Some sc -> Schedule.energy sc) );
@@ -744,9 +717,10 @@ let report t =
    - {b Minimality.}  Only state that is not a pure function of the
      rest is serialised.  The timeline is recomputed from the flows
      ([Instance.timeline]); the committed schedule is rebuilt from the
-     committed paths ([build_schedule]); interval {e solutions} are
-     stored verbatim because a cold re-solve would not reproduce the
-     warm-started fractional paths the next [resolve] reuses.
+     flows and their paths ([Schedule.of_densities]); interval
+     {e solutions} are stored verbatim because a cold re-solve would
+     not reproduce the warm-started fractional paths the next
+     [resolve] reuses.
 
    A fingerprint of everything the session was created with guards
    [restore]: resuming under a different topology, power model, policy
@@ -809,17 +783,19 @@ let snapshot t =
       ("rng", Json.Str (Int64.to_string (Prng.state t.rng)));
       ( "flows",
         Json.List
-          (List.map (fun f -> Json.Obj (Event.flow_to_fields f)) t.flows) );
+          (List.map
+             (fun f -> Json.Obj (Event.flow_to_fields f))
+             (active_flows t)) );
       ( "paths",
         Json.List
           (List.map
-             (fun (id, links) ->
+             (fun (p : Schedule.plan) ->
                Json.Obj
                  [
-                   ("flow", Json.Int id);
-                   ("links", Json.List (List.map (fun l -> Json.Int l) links));
+                   ("flow", Json.Int p.flow.id);
+                   ("links", Json.List (List.map (fun l -> Json.Int l) p.path));
                  ])
-             t.paths) );
+             (plans t)) );
       ( "coflows",
         Json.List
           (List.map
@@ -910,20 +886,22 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
     (match Int64.of_string_opt (Json.to_str (Json.get "rng" json)) with
     | Some s -> Prng.set_state t.rng s
     | None -> failwith "rng state is not an int64");
-    t.flows <-
+    let flows =
       List.sort by_id
         (List.map
            (fun j ->
              match Event.flow_of_json j with
              | Ok f -> f
              | Error m -> failwith m)
-           (Json.to_list (Json.get "flows" json)));
-    t.paths <-
+           (Json.to_list (Json.get "flows" json)))
+    in
+    let paths =
       List.map
         (fun p ->
           ( Json.to_int (Json.get "flow" p),
             List.map Json.to_int (Json.to_list (Json.get "links" p)) ))
-        (Json.to_list (Json.get "paths" json));
+        (Json.to_list (Json.get "paths" json))
+    in
     t.coflows <-
       List.map
         (fun c ->
@@ -949,8 +927,8 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
     (* Flows committed => exactly one path committed for each, coflow
        membership over live flows only, and a relaxation to warm the
        next re-solve; a drained session has none of them. *)
-    let flow_ids = List.map (fun (f : Flow.t) -> f.id) t.flows in
-    if List.sort compare (List.map fst t.paths) <> flow_ids then
+    let flow_ids = List.map (fun (f : Flow.t) -> f.id) flows in
+    if List.sort compare (List.map fst paths) <> flow_ids then
       failwith "committed paths do not match the committed flows one to one";
     let rec ascending = function
       | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
@@ -973,7 +951,7 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
       t.coflows;
     if List.length (List.sort_uniq compare members) <> List.length members then
       failwith "a flow belongs to more than one coflow";
-    (match (t.flows, Json.get "relaxation" json) with
+    (match (flows, Json.get "relaxation" json) with
     | [], Json.Null -> ()
     | [], _ -> failwith "snapshot has a relaxation but no flows"
     | _ :: _, Json.Null -> failwith "snapshot has flows but no relaxation"
@@ -986,6 +964,16 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
             (List.map interval_of_json (Json.to_list (Json.get "intervals" rj)))
         in
         let timeline = Instance.timeline inst in
+        (* The next re-solve indexes the committed intervals by the
+           timeline recomputed from the flows; floats round-trip
+           exactly, so the match is exact. *)
+        let matches k (s : Relaxation.interval_solution) =
+          s.index = k && s.bounds = Timeline.bounds timeline k
+        in
+        if
+          Array.length intervals <> Timeline.num_intervals timeline
+          || not (Array.for_all Fun.id (Array.mapi matches intervals))
+        then failwith "relaxation intervals do not match the committed timeline";
         t.relaxation <-
           Some
             {
@@ -994,7 +982,11 @@ let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
               cost = Json.to_float (Json.get "cost" rj);
               lb = Json.to_float (Json.get "lb" rj);
             };
-        t.schedule <- Some (build_schedule t inst t.paths)));
+        t.schedule <-
+          Some
+            (Schedule.of_densities ~graph ~power
+               ~horizon:(Instance.horizon inst)
+               (List.map (fun (f : Flow.t) -> (f, List.assoc f.id paths)) flows))));
     t
   with
   | t -> Ok t

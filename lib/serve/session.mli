@@ -2,10 +2,12 @@
     batch solvers.
 
     A session holds the committed state of one fabric under live
-    traffic — the admitted flow set, each flow's routing path, the
-    breakpoint timeline with the last fractional per-interval F-MCF
-    solution, the committed schedule, and a monotone clock.  Events
-    ({!Event.t}) drive it through {!apply}:
+    traffic — the committed schedule, the breakpoint timeline with the
+    last fractional per-interval F-MCF solution, coflow membership, and
+    a monotone clock.  The schedule is the only record of the admitted
+    flow set and each flow's routing path: one interval-density plan
+    per flow, in ascending flow id.  Events ({!Event.t}) drive it
+    through {!apply}:
 
     - a {b coflow arrival} admits a whole flow group all-or-nothing:
       every member commits in one epoch (one path draw per member from
@@ -106,7 +108,8 @@ val uptime_ms : t -> float
     levels. *)
 
 val active_flows : t -> Dcn_flow.Flow.t list
-(** Committed flows, ascending id. *)
+(** Committed flows, ascending id: the flows of the committed
+    schedule's plans ([[]] when drained). *)
 
 val active_coflows : t -> (int * int list) list
 (** Committed coflow membership, ascending coflow id — live members
@@ -158,4 +161,7 @@ val restore :
     diverge instead of continuing the committed timeline).  The
     committed schedule and breakpoint timeline are recomputed from the
     restored flows and paths — they are pure functions of them — and
-    [uptime_ms] restarts at the moment of restore. *)
+    the snapshot is refused unless its paths match its flows one to
+    one, its coflow members are committed flows, and its relaxation has
+    exactly the recomputed timeline's intervals.  [uptime_ms] restarts
+    at the moment of restore. *)

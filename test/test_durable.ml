@@ -309,8 +309,8 @@ let test_restore_rejects_mismatch () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored under a different power model");
-  (* Committed paths or coflow membership that disagree with the flow
-     set describe a session no event sequence can reach. *)
+  (* Committed paths, coflow membership or a relaxation that disagree
+     with the flow set describe a session no event sequence can reach. *)
   let with_field name v =
     Json.Obj
       (List.map
@@ -324,6 +324,15 @@ let test_restore_rejects_mismatch () =
     | _ -> Alcotest.fail "fewer than two committed flows after 20 events"
   in
   let path id = Json.Obj [ ("flow", Json.Int id); ("links", Json.List []) ] in
+  let relaxation = Json.get "relaxation" snap in
+  let intervals = Json.to_list (Json.get "intervals" relaxation) in
+  let with_intervals is =
+    with_field "relaxation"
+      (Json.Obj
+         (List.map
+            (fun (k, x) -> if k = "intervals" then (k, Json.List is) else (k, x))
+            (Json.to_obj relaxation)))
+  in
   let coflows cs =
     with_field "coflows"
       (Json.List
@@ -350,6 +359,10 @@ let test_restore_rejects_mismatch () =
       ("a coflow id listed twice", coflows [ (7, [ a ]); (7, [ b ]) ]);
       ("a flow in two coflows", coflows [ (7, [ a ]); (8, [ a ]) ]);
       ("a coflow with no members", coflows [ (7, []) ]);
+      ( "a relaxation missing an interval",
+        with_intervals (List.filteri (fun k _ -> k > 0) intervals) );
+      ( "relaxation intervals out of order",
+        with_intervals (List.rev intervals) );
     ]
 
 let test_uptime_monotone_nonnegative () =

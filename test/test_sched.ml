@@ -100,6 +100,34 @@ let simple_schedule ?(power = Model.quadratic) ?(rate = 1.) () =
   in
   Schedule.make ~graph:line3 ~power ~horizon:(0., 4.) [ plan ]
 
+(* Densities 1 and 2 share the line on [1,3]: one slot per flow at its
+   density, plans in pair order, and the capacity verdict reads the peak
+   rate 3 against the cap (no profile sweep without one). *)
+let test_schedule_of_densities () =
+  let path = path_of line3 ~src:0 ~dst:2 in
+  let build power =
+    Schedule.of_densities ~graph:line3 ~power ~horizon:(0., 4.)
+      [ (flow (), path); (flow ~id:1 ~release:1. ~deadline:3. (), path) ]
+  in
+  let s = build Model.quadratic in
+  Alcotest.(check (list int)) "plan order" [ 0; 1 ]
+    (List.map (fun (p : Schedule.plan) -> p.flow.Flow.id) s.Schedule.plans);
+  List.iter
+    (fun (p : Schedule.plan) ->
+      check_float "delivers its volume" p.flow.Flow.volume (Schedule.delivered p))
+    s.plans;
+  check_float "peak" 3. (Schedule.max_link_rate s);
+  let uncapped = Schedule.capacity_verdict s in
+  Alcotest.(check bool) "uncapped" true
+    (uncapped.overload = neg_infinity && uncapped.within_cap);
+  let at cap =
+    Schedule.capacity_verdict
+      (build (Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap ()))
+  in
+  Alcotest.(check bool) "within the tolerance" true (at (3. -. 1e-7)).within_cap;
+  Alcotest.(check bool) "over the cap" false (at 2.9).within_cap;
+  check_float "overload" 0.1 (at 2.9).overload
+
 let test_schedule_energy_eq5 () =
   (* One flow at rate 1 for 4s over 2 links, f = x^2:
      dynamic = 2 links * 1^2 * 4 = 8; sigma = 0. *)
@@ -371,6 +399,8 @@ let suite =
     ( "sched/schedule",
       [
         Alcotest.test_case "energy Eq.5" `Quick test_schedule_energy_eq5;
+        Alcotest.test_case "of_densities + capacity verdict" `Quick
+          test_schedule_of_densities;
         Alcotest.test_case "idle energy" `Quick test_schedule_idle_energy;
         Alcotest.test_case "active links" `Quick test_schedule_active_links;
         Alcotest.test_case "delivered" `Quick test_schedule_delivered;

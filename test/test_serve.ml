@@ -365,13 +365,31 @@ let replay_digest ~graph ~cap ~policy name =
       ~policy ~seed:42 ()
   in
   let b = Buffer.create 4096 in
+  (* A [Rejected] outcome must leave the committed state as it was: the
+     snapshot less the PRNG stream (a refused admission still consumes
+     a split) and the counters. *)
+  let committed () =
+    Json.to_string
+      (Json.Obj
+         (List.filter
+            (fun (k, _) -> k <> "rng" && k <> "stats")
+            (Json.to_obj (Session.snapshot s))))
+  in
   List.iter
     (fun line ->
       match Event.of_json (Json.of_string line) with
       | Error m -> Alcotest.failf "corpus line rejected: %s" m
       | Ok e ->
+        let before = committed () in
+        let outcome = Session.apply s e in
+        (match outcome with
+        | Session.Rejected { reason } ->
+          if committed () <> before then
+            Alcotest.failf "%s: rejected event (%s) changed the committed state"
+              name reason
+        | Session.Committed _ | Session.Degraded _ -> ());
         Buffer.add_string b
-          (Json.to_string (Session.outcome_to_json (Session.apply s e)) ^ "\n"))
+          (Json.to_string (Session.outcome_to_json outcome) ^ "\n"))
     (corpus_lines name);
   Buffer.add_string b (Json.to_string (Session.report s));
   Buffer.add_string b (Json.to_string (Session.snapshot s));
