@@ -705,7 +705,13 @@ let certify_cmd =
 
 let fuzz_cmd =
   let runs_t =
-    Arg.(value & opt int 50 & info [ "runs" ] ~doc:"Number of random instances." ~docv:"N")
+    Arg.(
+      value & opt int 50
+      & info [ "runs" ]
+          ~doc:
+            "Number of random instances; 0 skips them (a campaign of \
+             --faults and/or --coflows alone)."
+          ~docv:"N")
   in
   let out_t =
     Arg.(
@@ -751,9 +757,11 @@ let fuzz_cmd =
   in
   let run runs seed out no_shrink faults coflows trace report jobs =
     guard @@ fun () ->
-    if runs < 1 then Error (`Msg "--runs must be >= 1")
+    if runs < 0 then Error (`Msg "--runs must be >= 0")
     else if faults < 0 then Error (`Msg "--faults must be >= 0")
     else if coflows < 0 then Error (`Msg "--coflows must be >= 0")
+    else if runs = 0 && faults = 0 && coflows = 0 then
+      Error (`Msg "fuzz: --runs, --faults and --coflows are all 0")
     else
       Result.join
       @@ with_jobs jobs
@@ -762,7 +770,11 @@ let fuzz_cmd =
       let campaign_failures = ref 0 in
       let coflow_failures = ref 0 in
       Observe.run ~command:"fuzz" ~trace ~report (fun () ->
-          let cases = Dcn_check.Gen.batch ~seed ~n:runs in
+          (* --runs 0 skips the instance batch: a coflow- or fault-only
+             campaign. *)
+          let cases =
+            if runs = 0 then [||] else Dcn_check.Gen.batch ~seed ~n:runs
+          in
           let reports = Dcn_check.Oracle.run_batch ~pool cases in
           let shrunk = ref [] in
           Array.iteri
@@ -831,8 +843,9 @@ let fuzz_cmd =
                 | None -> ()
               end)
             reports;
-          Printf.printf "fuzz: %d/%d case(s) certified (seed %d)\n"
-            (runs - !failures) runs seed;
+          if runs > 0 then
+            Printf.printf "fuzz: %d/%d case(s) certified (seed %d)\n"
+              (runs - !failures) runs seed;
           let resilience_section =
             if faults = 0 then []
             else begin
@@ -1059,14 +1072,16 @@ let resilience_cmd =
 
 (* --------------------------- serve / replay ----------------------- *)
 
-(* One newline-delimited JSON event per line.  Positioned diagnostics:
-   a malformed line is reported with its line number, the byte offset of
-   the failure within the line (from Json.parse), and the absolute
-   offset in the stream.  --strict stops at the first bad line; the
-   default skips it and keeps serving. *)
-let serve_stream ?(stop = fun () -> false) ~apply ~strict ~on_outcome ic =
+(* The line discipline of every newline-delimited JSON stream the CLI
+   reads (events, telemetry snapshots): lines are numbered from 1, blank
+   ones are skipped, and [f ~line_no ~line_base line] handles the rest
+   ([line_base] is the line's offset in the stream).  A line [f] refuses
+   with [Error msg] is malformed: --strict stops there, the default
+   reports it on stderr and reads on.  Returns the number of malformed
+   lines and the message that stopped a strict read. *)
+let read_lines ?(stop = fun () -> false) ~command ~strict f ic =
   let line_no = ref 0 and base = ref 0 in
-  let parse_errors = ref 0 and fatal = ref None in
+  let malformed = ref 0 and fatal = ref None in
   (try
      while !fatal = None && not (stop ()) do
        let line = input_line ic in
@@ -1074,25 +1089,32 @@ let serve_stream ?(stop = fun () -> false) ~apply ~strict ~on_outcome ic =
        let line_base = !base in
        base := !base + String.length line + 1;
        if String.trim line <> "" then
-         let bad msg =
-           incr parse_errors;
+         match f ~line_no:!line_no ~line_base line with
+         | Ok () -> ()
+         | Error msg ->
+           incr malformed;
            if strict then fatal := Some msg
-           else Printf.eprintf "[serve] skipping event at %s\n%!" msg
-         in
-         match Json.parse line with
-         | Error e ->
-           bad
-             (Printf.sprintf "line %d, byte %d (stream offset %d): %s" !line_no
-                e.Json.offset
-                (line_base + e.Json.offset)
-                e.Json.message)
-         | Ok json -> (
-           match Dcn_serve.Event.of_json json with
-           | Error m -> bad (Printf.sprintf "line %d: %s" !line_no m)
-           | Ok event -> on_outcome ~seq:!line_no event (apply event))
+           else Printf.eprintf "[%s] skipping %s\n%!" command msg
      done
    with End_of_file -> ());
-  (!parse_errors, !fatal)
+  (!malformed, !fatal)
+
+(* One event per line, handed to [f ~line_no].  A malformed line is
+   reported with its line number, plus for a JSON syntax error the byte
+   offset of the failure within the line and its absolute offset in the
+   stream. *)
+let read_events ?stop ~command ~strict f ic =
+  read_lines ?stop ~command ~strict
+    (fun ~line_no ~line_base line ->
+      match Dcn_serve.Event.of_line line with
+      | Ok event -> Ok (f ~line_no event)
+      | Error { offset = Some byte; message } ->
+        Error
+          (Printf.sprintf "event at line %d, byte %d (stream offset %d): %s"
+             line_no byte (line_base + byte) message)
+      | Error { offset = None; message } ->
+        Error (Printf.sprintf "event at line %d: %s" line_no message))
+    ic
 
 let cap_t =
   Arg.(
@@ -1234,7 +1256,7 @@ let with_stats ~stats_every ~stats_file ~metrics_file f =
 
 let serve_session_result ~command ~strict ~parse_errors ~fatal session =
   match fatal with
-  | Some msg -> Error (`Msg (Printf.sprintf "%s: malformed event at %s" command msg))
+  | Some msg -> Error (`Msg (Printf.sprintf "%s: malformed %s" command msg))
   | None ->
     if not (Dcn_serve.Session.ok session) then
       Error (`Msg (Printf.sprintf "%s: some committed epochs failed certification" command))
@@ -1341,127 +1363,93 @@ let serve_cmd =
     @@ fun ~after_event ->
     let power = Dcn_power.Model.make ~sigma ~mu:1. ~alpha ~cap () in
     install_drain ();
-    (* The session either lives bare in memory or behind a durable
-       store; everything downstream goes through [apply_event] so the
-       two modes share the outcome path. *)
-    let backend =
+    (* The session lives bare in memory or behind a durable store; this
+       is the one place the two differ.  Either way a batch of events is
+       applied in order and each outcome numbered: by its WAL sequence
+       number behind a store (so after a recovery replies continue the
+       durable sequence, which clients correlate with WAL/checkpoint
+       state), by the count of applied events in memory. *)
+    let session, apply_batch, close, recovery =
       match wal with
       | None ->
-        `Session (Dcn_serve.Session.create ~pool ~graph ~power ~policy ~seed ())
+        let s = Dcn_serve.Session.create ~pool ~graph ~power ~policy ~seed () in
+        let applied = ref 0 in
+        let apply_batch events f =
+          List.iter
+            (fun event ->
+              let out = Dcn_serve.Session.apply s event in
+              incr applied;
+              f ~seq:!applied event out)
+            events
+        in
+        (s, apply_batch, ignore, [])
       | Some dir -> (
         match
           Dcn_durable.Store.open_ ~pool ~dir ~checkpoint_every ~graph ~power
             ~policy ~seed ()
         with
         | Error m -> failwith ("serve: " ^ m)
-        | Ok (store, recovery) ->
-          if recovery.Dcn_durable.Store.recovered then
+        | Ok (store, r) ->
+          let recovery = Dcn_durable.Store.recovery_to_json r in
+          if r.Dcn_durable.Store.recovered then
             Printf.eprintf "[serve] recovered %s: %s\n%!" dir
-              (Json.to_string (Dcn_durable.Store.recovery_to_json recovery));
-          `Store (store, recovery))
+              (Json.to_string recovery);
+          ( Dcn_durable.Store.session store,
+            Dcn_durable.Store.apply_batch store,
+            (fun () -> Dcn_durable.Store.close store),
+            [ ("recovery", recovery) ] ))
     in
-    let session =
-      match backend with
-      | `Session s -> s
-      | `Store (st, _) -> Dcn_durable.Store.session st
+    (* One reply line per applied event, through [write]. *)
+    let answer write ~seq event out =
+      write
+        (Json.Obj
+           (("seq", Json.Int seq)
+            :: ("uptime_ms", Json.float (Dcn_serve.Session.uptime_ms session))
+            :: ("event", Json.Str (Dcn_serve.Event.kind event))
+            ::
+            (match Dcn_serve.Session.outcome_to_json out with
+            | Json.Obj fields -> fields
+            | j -> [ ("outcome", j) ])));
+      after_event ()
     in
-    let apply_event =
-      match backend with
-      | `Session s -> Dcn_serve.Session.apply s
-      | `Store (st, _) -> Dcn_durable.Store.apply st
-    in
-    (* Socket mode applies what is queued as one batch: behind a store
-       that is one WAL write and one fsync for all of it. *)
-    let apply_batch ~first_seq events f =
-      match backend with
-      | `Session s ->
-        List.iteri
-          (fun i event ->
-            f ~seq:(first_seq + i) event (Dcn_serve.Session.apply s event))
-          events
-      | `Store (st, _) -> Dcn_durable.Store.apply_batch st events f
-    in
-    let close_backend () =
-      match backend with
-      | `Session _ -> ()
-      | `Store (st, _) -> Dcn_durable.Store.close st
-    in
-    let recovery_section () =
-      match backend with
-      | `Session _ -> []
-      | `Store (_, r) -> [ ("recovery", Dcn_durable.Store.recovery_to_json r) ]
-    in
-    let outcome_line ~seq event out =
-      Json.Obj
-        (("seq", Json.Int seq)
-         :: ("uptime_ms", Json.float (Dcn_serve.Session.uptime_ms session))
-         :: ("event", Json.Str (Dcn_serve.Event.kind event))
-         ::
-         (match Dcn_serve.Session.outcome_to_json out with
-         | Json.Obj fields -> fields
-         | j -> [ ("outcome", j) ]))
-    in
-    (* [close_backend] writes the final checkpoint — on every clean
-       path including drain, but not on a forced (second-signal) exit:
-       the WAL alone still recovers the committed state. *)
-    Fun.protect ~finally:close_backend @@ fun () ->
-    match socket with
-    | None ->
-      let outcome = ref (0, None) in
-      Observe.run ~command:"serve" ~trace ~report (fun () ->
-          let on_outcome ~seq event out =
-            print_endline (Json.to_string (outcome_line ~seq event out));
-            after_event ()
-          in
-          outcome :=
-            serve_stream
-              ~stop:(fun () -> Atomic.get drain_requested)
-              ~apply:apply_event ~strict ~on_outcome stdin;
-          finish_drain ();
-          let parse_errors, _ = !outcome in
-          [ ("serve", serve_section ~strict ~parse_errors session) ]
-          @ recovery_section ());
-      let parse_errors, fatal = !outcome in
-      serve_session_result ~command:"serve" ~strict ~parse_errors ~fatal
-        session
-    | Some path ->
-      let tstats = ref None in
-      (* After a recovery the reply seq must continue the durable
-         sequence, not restart from 1 — clients correlate replies with
-         WAL/checkpoint state by it. *)
-      let initial_seq =
-        match backend with
-        | `Session _ -> 0
-        | `Store (st, _) -> Dcn_durable.Store.seq st
-      in
-      Observe.run ~command:"serve" ~trace ~report (fun () ->
-          let stats =
-            Dcn_durable.Transport.serve ~idle_timeout ~queue_capacity:queue
-              ~shed_policy ~initial_seq ~socket:path
-              ~drain:(fun () -> Atomic.get drain_requested)
-              ~apply:(fun ~first_seq events answer ->
-                apply_batch ~first_seq events (fun ~seq event out ->
-                    answer (outcome_line ~seq event out);
-                    after_event ()))
-              ()
-          in
-          finish_drain ();
-          tstats := Some stats;
-          [
-            ( "serve",
-              serve_section ~strict
-                ~parse_errors:stats.Dcn_durable.Transport.parse_errors session
-            );
-            ("transport", Dcn_durable.Transport.stats_to_json stats);
-          ]
-          @ recovery_section ());
-      let parse_errors =
-        match !tstats with
-        | Some s -> s.Dcn_durable.Transport.parse_errors
-        | None -> 0
-      in
-      serve_session_result ~command:"serve" ~strict ~parse_errors ~fatal:None
-        session
+    let draining () = Atomic.get drain_requested in
+    let result = ref (0, None) in
+    (* [close] writes the final checkpoint — on every clean path
+       including drain, but not on a forced (second-signal) exit: the
+       WAL alone still recovers the committed state. *)
+    Fun.protect ~finally:close (fun () ->
+        Observe.run ~command:"serve" ~trace ~report (fun () ->
+            let parse_errors, fatal, transport =
+              match socket with
+              | None ->
+                (* The batch of one: the same path as a socket batch. *)
+                let print json = print_endline (Json.to_string json) in
+                let parse_errors, fatal =
+                  read_events ~stop:draining ~command:"serve" ~strict
+                    (fun ~line_no:_ event ->
+                      apply_batch [ event ] (answer print))
+                    stdin
+                in
+                (parse_errors, fatal, [])
+              | Some path ->
+                let stats =
+                  Dcn_durable.Transport.serve ~idle_timeout
+                    ~queue_capacity:queue ~shed_policy ~socket:path
+                    ~drain:draining
+                    ~apply:(fun events reply ->
+                      apply_batch events (answer reply))
+                    ()
+                in
+                ( stats.Dcn_durable.Transport.parse_errors,
+                  None,
+                  [ ("transport", Dcn_durable.Transport.stats_to_json stats) ] )
+            in
+            finish_drain ();
+            result := (parse_errors, fatal);
+            ("serve", serve_section ~strict ~parse_errors session)
+            :: (transport @ recovery)));
+    let parse_errors, fatal = !result in
+    serve_session_result ~command:"serve" ~strict ~parse_errors ~fatal session
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1510,47 +1498,68 @@ let replay_cmd =
     let session =
       Dcn_serve.Session.create ~pool ~graph ~power ~policy ~seed ()
     in
-    let outcome = ref (0, None) in
-    let committed = ref 0 and degraded = ref 0 and rejected = ref 0 in
+    let outcome = ref (0, None) and split = ref [] in
     Observe.run ~command:"replay" ~trace ~report (fun () ->
-        let on_outcome ~seq event out =
-          (match out with
-          | Dcn_serve.Session.Committed _ -> incr committed
-          | Dcn_serve.Session.Degraded _ -> incr degraded
-          | Dcn_serve.Session.Rejected _ -> incr rejected);
-          Format.printf "%4d  %-8s %a@." seq
+        let on_event ~line_no event =
+          let out = Dcn_serve.Session.apply session event in
+          Format.printf "%4d  %-13s %a@." line_no
             (Dcn_serve.Event.kind event)
             Dcn_serve.Session.pp_outcome out;
           after_event ()
         in
-        let ic = open_in events_file in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            outcome :=
-              serve_stream
-                ~apply:(Dcn_serve.Session.apply session)
-                ~strict ~on_outcome ic);
+        outcome :=
+          In_channel.with_open_text events_file
+            (read_events ~command:"replay" ~strict on_event);
         let parse_errors, _ = !outcome in
+        let session_report = Dcn_serve.Session.report session in
+        let count name =
+          match Json.member name session_report with
+          | Some (Json.Int n) -> n
+          | _ -> 0
+        in
         Printf.printf
-          "replay: %d committed, %d degraded, %d rejected, %d malformed \
-           (policy %s, seed %d)\n"
-          !committed !degraded !rejected parse_errors
+          "replay: %d committed, %d degraded, %d rejected, %d malformed; \
+           coflows %d admitted, %d rejected, %d live (policy %s, seed %d)\n"
+          (count "committed") (count "degraded") (count "rejected")
+          parse_errors (count "coflows_admitted") (count "coflows_rejected")
+          (count "coflows")
           (Dcn_resilience.Repair.policy_to_string policy)
           seed;
+        (* All-or-nothing consistency of the final schedule, re-checked
+           from the raw plans against the session's membership table. *)
+        (match Dcn_serve.Session.schedule session with
+        | Some sched ->
+          split :=
+            Dcn_check.Certify.coflow_consistency
+              ~members:(Dcn_serve.Session.active_coflows session)
+              sched;
+          List.iter
+            (fun v ->
+              Format.printf "violation: %a@." Dcn_check.Certify.pp_violation v)
+            !split
+        | None -> ());
         [ ("replay", serve_section ~strict ~parse_errors session) ]);
     let parse_errors, fatal = !outcome in
-    serve_session_result ~command:"replay" ~strict ~parse_errors ~fatal session
+    Result.bind
+      (serve_session_result ~command:"replay" ~strict ~parse_errors ~fatal
+         session)
+      (fun () ->
+        if !split = [] then Ok ()
+        else
+          Error (`Msg "replay: the final schedule splits a committed coflow"))
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
          "Replay a recorded event log through a scheduler session offline — \
           same admission, incremental re-solve and per-epoch certification as \
-          $(b,dcn serve), with a human-readable outcome per event.  \
-          Bit-identical for a given log and --seed at every --jobs level.  \
-          --stats-every/--stats/--metrics stream the same live telemetry as \
-          $(b,dcn serve).")
+          $(b,dcn serve), with a human-readable outcome per event.  Coflow \
+          arrivals admit all-or-nothing and shedding takes whole coflows; the \
+          final schedule's admission consistency is re-checked.  \
+          Bit-identical for a given log and --seed at every --jobs level; \
+          non-zero exit if an epoch fails certification or the final \
+          schedule splits a committed coflow.  --stats-every/--stats/--metrics \
+          stream the same live telemetry as $(b,dcn serve).")
     Term.(
       term_result
         (const run $ topo_t $ alpha_t $ sigma_t $ cap_t $ policy_t $ seed_t
@@ -1611,20 +1620,16 @@ let crash_cmd =
     let module C = Dcn_durable.Crash in
     let power = Dcn_power.Model.make ~sigma ~mu:1. ~alpha ~cap () in
     let events =
-      read_text events_file |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
-      |> List.mapi (fun i line ->
-             match Json.parse line with
-             | Error e ->
-               failwith
-                 (Printf.sprintf "%s: line %d, byte %d: %s" events_file (i + 1)
-                    e.Json.offset e.Json.message)
-             | Ok j -> (
-               match Dcn_serve.Event.of_json j with
-               | Error m ->
-                 failwith
-                   (Printf.sprintf "%s: line %d: %s" events_file (i + 1) m)
-               | Ok e -> e))
+      let events = ref [] in
+      let _, fatal =
+        In_channel.with_open_text events_file
+          (read_events ~command:"crash" ~strict:true (fun ~line_no:_ e ->
+               events := e :: !events))
+      in
+      (match fatal with
+      | Some msg -> failwith (Printf.sprintf "%s: malformed %s" events_file msg)
+      | None -> ());
+      List.rev !events
     in
     let dir =
       match dir with
@@ -1841,86 +1846,6 @@ let coflow_solve_cmd =
        $ coflow_variant_t $ dump_t $ seed_t $ Observe.trace_t
        $ Observe.report_t $ jobs_t))
 
-let coflow_replay_cmd =
-  let events_t =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"EVENTS"
-          ~doc:
-            "An event log: one JSON event per line, including coflow \
-             arrivals/cancels (see $(b,dcn serve)).")
-  in
-  let run graph alpha sigma cap policy seed strict events_file trace report
-      jobs =
-    guard @@ fun () ->
-    Result.join
-    @@ with_jobs jobs
-    @@ fun pool ->
-    let power = Dcn_power.Model.make ~sigma ~mu:1. ~alpha ~cap () in
-    let session =
-      Dcn_serve.Session.create ~pool ~graph ~power ~policy ~seed ()
-    in
-    let outcome = ref (0, None) in
-    Observe.run ~command:"coflow-replay" ~trace ~report (fun () ->
-        let on_outcome ~seq event out =
-          Format.printf "%4d  %-13s %a@." seq
-            (Dcn_serve.Event.kind event)
-            Dcn_serve.Session.pp_outcome out
-        in
-        let ic = open_in events_file in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            outcome :=
-              serve_stream
-                ~apply:(Dcn_serve.Session.apply session)
-                ~strict ~on_outcome ic);
-        let parse_errors, _ = !outcome in
-        let report_json = Dcn_serve.Session.report session in
-        let live = Dcn_serve.Session.active_coflows session in
-        Printf.printf
-          "coflow replay: %d admitted, %d rejected, %d live coflow(s), %d \
-           malformed (policy %s, seed %d)\n"
-          (match Json.member "coflows_admitted" report_json with
-          | Some (Json.Int n) -> n
-          | _ -> 0)
-          (match Json.member "coflows_rejected" report_json with
-          | Some (Json.Int n) -> n
-          | _ -> 0)
-          (List.length live) parse_errors
-          (Dcn_resilience.Repair.policy_to_string policy)
-          seed;
-        (* All-or-nothing consistency of the live schedule, re-checked
-           from the raw plans against the session's membership table. *)
-        (match Dcn_serve.Session.schedule session with
-        | Some sched ->
-          let violations =
-            Dcn_check.Certify.coflow_consistency ~members:live sched
-          in
-          List.iter
-            (fun v ->
-              Format.printf "violation: %a@." Dcn_check.Certify.pp_violation v)
-            violations
-        | None -> ());
-        [ ("coflow-replay", serve_section ~strict ~parse_errors session) ]);
-    let parse_errors, fatal = !outcome in
-    serve_session_result ~command:"coflow-replay" ~strict ~parse_errors ~fatal
-      session
-  in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Replay an event log with coflow arrivals through a scheduler \
-          session: groups admit all-or-nothing (one epoch commits every \
-          member or the coflow is rejected), shedding takes whole coflows, \
-          and the final schedule's admission consistency is re-checked.  \
-          Bit-identical for a given log and --seed at every --jobs level.")
-    Term.(
-      term_result
-        (const run $ topo_t $ alpha_t $ sigma_t $ cap_t $ policy_t $ seed_t
-       $ strict_t $ events_t $ Observe.trace_t $ Observe.report_t $ jobs_t))
-
 let coflow_report_cmd =
   let caps_t =
     Arg.(
@@ -2004,8 +1929,9 @@ let coflow_cmd =
     (Cmd.info "coflow"
        ~doc:
          "Coflow workloads: groups of flows under one collective deadline, \
-          admitted all-or-nothing (solve, replay, report).")
-    [ coflow_solve_cmd; coflow_replay_cmd; coflow_report_cmd ]
+          admitted all-or-nothing (solve, report; replay a coflow event log \
+          with $(b,dcn replay)).")
+    [ coflow_solve_cmd; coflow_report_cmd ]
 
 let stats_cmd =
   let file_t =
@@ -2037,38 +1963,33 @@ let stats_cmd =
       print_string (Dcn_obs.Expose.render_table ~top snap);
       print_newline ()
     in
-    (* Same line discipline as `dcn serve` reading events: malformed
+    (* The same line reader as `dcn serve` reading events: malformed
        stats lines are skipped with a position on stderr, --strict stops
        at the first one.  Lines that are valid JSON but not stats lines
        (interleaved per-event outcomes) are passed over silently. *)
     let process ic =
-      let line_no = ref 0 and seen = ref 0 and fatal = ref None in
-      let last_snap = ref None in
-      (try
-         while !fatal = None do
-           let line = input_line ic in
-           incr line_no;
-           if String.trim line <> "" then
-             let bad msg =
-               if strict then fatal := Some msg
-               else Printf.eprintf "[stats] skipping %s\n%!" msg
-             in
-             match Json.parse line with
-             | Error e ->
-               bad
-                 (Printf.sprintf "line %d, byte %d: %s" !line_no e.Json.offset
-                    e.Json.message)
-             | Ok (Json.Obj fields) when List.mem_assoc "stats" fields -> (
-               match Dcn_obs.Snapshot.of_json (Json.Obj fields) with
-               | Error m -> bad (Printf.sprintf "line %d: %s" !line_no m)
-               | Ok snap ->
-                 incr seen;
-                 if last then last_snap := Some snap else render snap)
-             | Ok _ -> ()
-         done
-       with End_of_file -> ());
+      let seen = ref 0 and last_snap = ref None in
+      let _, fatal =
+        read_lines ~command:"stats" ~strict
+          (fun ~line_no ~line_base:_ line ->
+            match Json.parse line with
+            | Error e ->
+              Error
+                (Printf.sprintf "snapshot at line %d, byte %d: %s" line_no
+                   e.Json.offset e.Json.message)
+            | Ok (Json.Obj fields) when List.mem_assoc "stats" fields -> (
+              match Dcn_obs.Snapshot.of_json (Json.Obj fields) with
+              | Error m ->
+                Error (Printf.sprintf "snapshot at line %d: %s" line_no m)
+              | Ok snap ->
+                incr seen;
+                if last then last_snap := Some snap else render snap;
+                Ok ())
+            | Ok _ -> Ok ())
+          ic
+      in
       (match !last_snap with Some snap -> render snap | None -> ());
-      (!seen, !fatal)
+      (!seen, fatal)
     in
     let seen, fatal =
       if file = "-" then process stdin
@@ -2078,7 +1999,7 @@ let stats_cmd =
     in
     match fatal with
     | Some msg ->
-      Error (`Msg (Printf.sprintf "stats: malformed snapshot at %s" msg))
+      Error (`Msg (Printf.sprintf "stats: malformed %s" msg))
     | None ->
       if seen = 0 then Error (`Msg "stats: no snapshot lines in the stream")
       else Ok ()

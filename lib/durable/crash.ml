@@ -78,9 +78,10 @@ let recertify ~graph ~power session =
 
 let outcome_line o = Json.to_string (Session.outcome_to_json o)
 
-let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
+let run ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
     ~policy ~seed ~kills events =
   if events = [] then invalid_arg "Crash.run: empty event list";
+  if window < 0 then invalid_arg "Crash.run: window must be >= 0";
   let events = Array.of_list events in
   let n = Array.length events in
   let kills = max 1 (min kills n) in
@@ -90,7 +91,7 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
      at every boundary.  Index i = state after events 1..i. *)
   let ref_snap = Array.make (n + 1) "" in
   let ref_out = Array.make (n + 1) "" in
-  let reference = Session.create ?config ?pool ~graph ~power ~policy ~seed () in
+  let reference = Session.create ?pool ~graph ~power ~policy ~seed () in
   ref_snap.(0) <- Json.to_string (Session.snapshot reference);
   for i = 1 to n do
     ref_out.(i) <- outcome_line (Session.apply reference events.(i - 1));
@@ -120,7 +121,7 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
   let wal_before = Array.make (n + 2) "" in
   let ckpt_before = Array.make (n + 2) None in
   (match
-     Store.open_ ?config ?pool ~dir:full_dir ~checkpoint_every ~graph ~power
+     Store.open_ ?pool ~dir:full_dir ~checkpoint_every ~graph ~power
        ~policy ~seed ()
    with
   | Error m -> failwith ("Crash.run: durable pass failed to open: " ^ m)
@@ -204,7 +205,7 @@ let run ?config ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
            | None -> ());
            let row =
              match
-               Store.open_ ?config ?pool ~dir:kill_dir ~checkpoint_every ~graph
+               Store.open_ ?pool ~dir:kill_dir ~checkpoint_every ~graph
                  ~power ~policy ~seed ()
              with
              | Error _ ->

@@ -62,7 +62,6 @@ type t = {
 }
 
 val run :
-  ?config:Dcn_serve.Session.config ->
   ?pool:Dcn_engine.Pool.t ->
   ?window:int ->
   ?checkpoint_every:int ->
@@ -79,7 +78,8 @@ val run :
     clamped to the number of events; [window] (default 5) bounds the
     redelivery check — determinism makes window-equality imply
     full-suffix equality.  [checkpoint_every] defaults to 10.
-    @raise Invalid_argument on an empty event list. *)
+    @raise Invalid_argument on an empty event list or a negative
+    [window]. *)
 
 val to_json : t -> Dcn_engine.Json.t
 val pp_row : Format.formatter -> row -> unit

@@ -51,7 +51,7 @@ let wal_path dir = Filename.concat dir "wal.log"
 
 let ( let* ) = Result.bind
 
-let open_ ?config ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
+let open_ ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
   if checkpoint_every < 1 then
     Error "checkpoint_every must be >= 1"
   else begin
@@ -64,7 +64,7 @@ let open_ ?config ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
       | Checkpoint.Absent -> Ok (None, 0, None)
       | Checkpoint.Invalid m -> Ok (None, 0, Some m)
       | Checkpoint.Loaded { seq; state } -> (
-        match Session.restore ?config ?pool ~graph ~power ~policy state with
+        match Session.restore ?pool ~graph ~power ~policy state with
         | Ok session -> Ok (Some session, seq, None)
         | Error m ->
           (* A fingerprint mismatch is not recoverable by replay either:
@@ -113,7 +113,7 @@ let open_ ?config ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
         match restored with
         | Some s -> s
         | None ->
-          Session.create ?config ?pool ~graph ~power ~policy ~seed ()
+          Session.create ?pool ~graph ~power ~policy ~seed ()
       in
       let replayed = ref 0 in
       List.iter

@@ -16,7 +16,7 @@
     [Session.apply] of every event in the batch.  A crash at
     any byte boundary therefore loses at most an uncommitted suffix of
     the log, never a committed event; because a session is a pure
-    function of [(seed, policy, config, event sequence)], replaying the
+    function of [(seed, policy, event sequence)], replaying the
     recovered log reproduces the committed state {e bit-identically} —
     at-least-once redelivery is exact, not merely idempotent.
 
@@ -46,7 +46,6 @@ type recovery = {
 val recovery_to_json : recovery -> Dcn_engine.Json.t
 
 val open_ :
-  ?config:Dcn_serve.Session.config ->
   ?pool:Dcn_engine.Pool.t ->
   dir:string ->
   checkpoint_every:int ->

@@ -173,18 +173,15 @@ let handle_line t conn ~line_base line =
         (parse_error_reply ~line:conn.line_no ~byte ~offset:(line_base + byte)
            msg)
     in
-    match Json.parse line with
-    | Error e -> bad ~byte:e.Json.offset e.Json.message
-    | Ok json -> (
-      match Event.of_json json with
-      | Error m -> bad ~byte:0 m
-      | Ok event -> (
-        match Pending.offer t.queue { conn; event } with
-        | Pending.Enqueued -> ()
-        | Pending.Shed victim ->
-          t.shed_count <- t.shed_count + 1;
-          reply t victim.conn
-            (shed_reply (Pending.policy t.queue) victim.event)))
+    match Event.of_line line with
+    | Error { offset; message } ->
+      bad ~byte:(Option.value offset ~default:0) message
+    | Ok event -> (
+      match Pending.offer t.queue { conn; event } with
+      | Pending.Enqueued -> ()
+      | Pending.Shed victim ->
+        t.shed_count <- t.shed_count + 1;
+        reply t victim.conn (shed_reply (Pending.policy t.queue) victim.event))
   end
 
 (* Split every complete line out of the connection buffer, keeping the
@@ -265,7 +262,7 @@ let sweep_idle t =
    was empty.  [apply] answers each event, in order, as soon as it is
    applied, and the reply is flushed right away.  This is the only place
    [apply] runs, so WAL order = reply order = the one global sequence. *)
-let apply_batch t ~seq ~apply =
+let apply_batch t ~apply =
   match Pending.pop_all t.queue with
   | [] -> false
   | batch ->
@@ -275,19 +272,20 @@ let apply_batch t ~seq ~apply =
       | [] -> invalid_arg "Transport.serve: more replies than events"
       | { conn; _ } :: rest ->
         waiting := rest;
-        incr seq;
         t.events <- t.events + 1;
         reply t conn json
     in
-    apply ~first_seq:(!seq + 1) (List.map (fun p -> p.event) batch) answer;
+    apply (List.map (fun p -> p.event) batch) answer;
     if !waiting <> [] then
       invalid_arg "Transport.serve: an event of the batch was not answered";
     t.batches <- t.batches + 1;
     true
 
+(* Pending connections the kernel holds before [accept] takes them. *)
+let listen_backlog = 8
+
 let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
-    ?(shed_policy = Repair.Shed_newest) ?(backlog = 8) ?(initial_seq = 0)
-    ~socket ~drain ~apply () =
+    ?(shed_policy = Repair.Shed_newest) ~socket ~drain ~apply () =
   (* A client that closes before reading its reply must surface as
      EPIPE from write(2), not as a SIGPIPE whose default disposition
      kills the whole server.  Guarded for platforms without it. *)
@@ -297,7 +295,7 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd backlog;
+  Unix.listen listen_fd listen_backlog;
   Unix.set_nonblock listen_fd;
   let t =
     {
@@ -316,7 +314,6 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
       disconnects = [];
     }
   in
-  let seq = ref initial_seq in
   let drained = ref false in
   let cleanup () =
     List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
@@ -354,7 +351,7 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
           (* Graceful drain: no new connections, no new reads; finish
              the in-flight backlog so every accepted event is answered
              and its reply handed off, then let the caller checkpoint. *)
-          ignore (apply_batch t ~seq ~apply);
+          ignore (apply_batch t ~apply);
           flush_pending_out t;
           drained := true
         end
@@ -377,7 +374,7 @@ let serve ?(idle_timeout = 30.) ?(queue_capacity = 64)
               t.conns
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
           sweep_idle t;
-          ignore (apply_batch t ~seq ~apply)
+          ignore (apply_batch t ~apply)
         end
       done;
       {

@@ -8,8 +8,9 @@
     JSON event per line and reads one JSON reply line per event, in
     order.  A malformed line earns a positioned error reply
     ([{"error":"parse","line":L,"byte":B,"offset":O,"message":...}] —
-    line numbers and stream offsets are counted per connection, byte
-    offsets come from {!Dcn_engine.Json.parse}) and the connection
+    line numbers and stream offsets are counted per connection, the
+    byte offset comes from {!Dcn_serve.Event.of_line}, 0 for JSON of
+    the wrong shape) and the connection
     stays up; a client that disconnects — cleanly, mid-line, or by
     dying under a write — is dropped with its typed {!disconnect}
     recorded, and never takes the session down with it.
@@ -68,15 +69,9 @@ val serve :
   ?idle_timeout:float ->
   ?queue_capacity:int ->
   ?shed_policy:Dcn_resilience.Repair.shed_policy ->
-  ?backlog:int ->
-  ?initial_seq:int ->
   socket:string ->
   drain:(unit -> bool) ->
-  apply:
-    (first_seq:int ->
-    Dcn_serve.Event.t list ->
-    (Dcn_engine.Json.t -> unit) ->
-    unit) ->
+  apply:(Dcn_serve.Event.t list -> (Dcn_engine.Json.t -> unit) -> unit) ->
   unit ->
   stats
 (** Bind [socket] (an existing socket file is replaced), accept and
@@ -89,14 +84,13 @@ val serve :
     loop — past 1 MiB of undelivered replies (or a bounded grace
     window at drain) it is dropped as [Write_stalled].
 
-    [apply ~first_seq events answer] is called once per batch with the
-    queued events in arrival order; event [i] (0-based) carries the
-    global 1-based sequence number [first_seq + i], counting up from
-    [initial_seq] (default 0 — pass {!Store.seq} so replies resume the
-    durable sequence after recovery).  It must call [answer] exactly
-    once per event, in order, with that event's reply object, as soon
-    as the event is applied — it is the only place session (or
-    {!Store}) state is touched, and calls are strictly sequential.
+    [apply events answer] is called once per batch with the queued
+    events in arrival order.  It must call [answer] exactly once per
+    event, in order, with that event's reply object, as soon as the
+    event is applied — it is the only place session (or {!Store})
+    state is touched, and calls are strictly sequential, so the order
+    of [apply]'s events is the one global sequence (the caller stamps
+    the sequence number, e.g. {!Store.seq}, into the reply).
     [idle_timeout] (default 30 s, [<= 0] disables) bounds silence per
     connection; [queue_capacity] (default 64) bounds the pending queue
     — and with it the batch — under [shed_policy] (default

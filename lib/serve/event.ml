@@ -122,3 +122,13 @@ let of_json json =
     | Json.Str other -> err "unknown event kind %S" other
     | _ -> err "field \"event\" is not a string")
   | _ -> Error "event is not a JSON object"
+
+type line_error = { offset : int option; message : string }
+
+let of_line line =
+  match Json.parse line with
+  | Error e -> Error { offset = Some e.Json.offset; message = e.Json.message }
+  | Ok json -> (
+    match of_json json with
+    | Ok event -> Ok event
+    | Error message -> Error { offset = None; message })

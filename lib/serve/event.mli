@@ -15,9 +15,10 @@
     [of_json] is total: malformed shapes and field values that
     {!Dcn_flow.Flow.make} rejects (non-positive volume, empty window,
     equal endpoints, non-finite numbers) come back as [Error] with a
-    message, never an exception.  Positioned errors (line and byte
-    offset of a malformed stream line) are the transport's job — see
-    {!Dcn_engine.Json.parse} and the [dcn serve]/[dcn replay] loop.
+    message, never an exception.  {!of_line} reads one stream line
+    and keeps the byte offset of a JSON syntax error; line numbers and
+    stream offsets are the reader's job (the socket transport and the
+    [dcn serve]/[dcn replay] loop).
 
     {b Wire note (outcome direction).}  Since the telemetry release the
     per-event outcome lines [dcn serve] writes carry two extra leading
@@ -59,3 +60,14 @@ val flow_of_json : Dcn_engine.Json.t -> (Dcn_flow.Flow.t, string) result
     {!of_json}. *)
 
 val of_json : Dcn_engine.Json.t -> (t, string) result
+
+type line_error = {
+  offset : int option;
+      (** byte within the line where {!Dcn_engine.Json.parse} failed;
+          [None] when the line is JSON of the wrong shape *)
+  message : string;
+}
+
+val of_line : string -> (t, line_error) result
+(** One line of an event stream: {!Dcn_engine.Json.parse}, then
+    {!of_json}.  Total, like both. *)

@@ -17,14 +17,13 @@ module Schedule_delta = Dcn_sched.Schedule_delta
 module Certify = Dcn_check.Certify
 module Repair = Dcn_resilience.Repair
 
-type config = { attempts : int; fw_config : Fw.config; certify : bool }
-
-let default_config =
-  {
-    attempts = 10;
-    fw_config = { Fw.default_config with max_iters = 60; gap_tol = 1e-3 };
-    certify = true;
-  }
+(* The solver settings every session runs with: path redraws per
+   admission round, and the Frank-Wolfe budget of an interval re-solve.
+   Every committed epoch is re-certified.  The snapshot fingerprint
+   records them, so checkpoints stay tied to the settings that wrote
+   them. *)
+let attempts = 10
+let fw_config = { Fw.default_config with max_iters = 60; gap_tol = 1e-3 }
 
 type stats = {
   mutable events : int;
@@ -113,7 +112,6 @@ type t = {
   graph : Graph.t;
   power : Model.t;
   policy : Repair.policy;
-  config : config;
   pool : Pool.t;
   rng : Prng.t;
   (* Flat Frank-Wolfe arenas, reused across every epoch's re-solve. *)
@@ -132,15 +130,11 @@ type t = {
   stats : stats;
 }
 
-let create ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
-    ~policy ~seed () =
-  if config.attempts < 1 then
-    invalid_arg "Session.create: config.attempts must be >= 1";
+let create ?(pool = Pool.sequential) ~graph ~power ~policy ~seed () =
   {
     graph;
     power;
     policy;
-    config;
     pool;
     rng = Prng.create seed;
     workspace = Dcn_mcf.Kernel.Workspace.create ();
@@ -248,7 +242,7 @@ let tiny x = 1e-9 *. Float.max 1. (Float.abs x)
 let resolve_relaxation t ~window inst =
   Trace.span "serve.resolve" @@ fun () ->
   let relax, (rs : Relaxation.reuse_stats) =
-    Relaxation.resolve ~pool:t.pool ~fw_config:t.config.fw_config
+    Relaxation.resolve ~pool:t.pool ~fw_config
       ~workspace:t.workspace ?previous:t.relaxation ~window inst
   in
   Trace.counter "serve.resolved_intervals" (float_of_int rs.resolved);
@@ -266,9 +260,7 @@ let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
 let commit t ~relax ~sched ~inst ~dropped ~retired
     ~(rstats : Relaxation.reuse_stats) =
   let delta = Schedule_delta.diff ~before:t.schedule ~after:(Some sched) in
-  let violations =
-    if t.config.certify then Certify.schedule inst sched else []
-  in
+  let violations = Certify.schedule inst sched in
   (* Members that left the committed set retired or were shed as a whole
      group; either way the membership table tracks live members only,
      and a group with none left is done. *)
@@ -287,15 +279,14 @@ let commit t ~relax ~sched ~inst ~dropped ~retired
   s.reused_intervals <- s.reused_intervals + rstats.reused;
   s.dropped <- s.dropped + List.length dropped;
   s.retired <- s.retired + List.length retired;
-  if t.config.certify then
-    if violations = [] then begin
-      s.certified_epochs <- s.certified_epochs + 1;
-      Dcn_obs.Registry.incr obs_certified
-    end
-    else begin
-      s.uncertified_epochs <- s.uncertified_epochs + 1;
-      Dcn_obs.Registry.incr obs_uncertified
-    end;
+  if violations = [] then begin
+    s.certified_epochs <- s.certified_epochs + 1;
+    Dcn_obs.Registry.incr obs_certified
+  end
+  else begin
+    s.uncertified_epochs <- s.uncertified_epochs + 1;
+    Dcn_obs.Registry.incr obs_uncertified
+  end;
   let detail =
     {
       delta;
@@ -353,7 +344,7 @@ let admit t ?coflow (members : Flow.t list) =
                   Array.of_list (List.map snd cands) ))
               member_ids member_candidates
           in
-          let rngs = Pool.split_rngs (Prng.split t.rng) t.config.attempts in
+          let rngs = Pool.split_rngs (Prng.split t.rng) attempts in
           let horizon = Instance.horizon inst in
           (* A member takes its drawn path; every other candidate keeps
              its committed one. *)
@@ -363,7 +354,7 @@ let admit t ?coflow (members : Flow.t list) =
             | None -> (f, (Option.get (find t f.id)).path)
           in
           let rec try_draw i =
-            if i >= t.config.attempts then None
+            if i >= attempts then None
             else
               let drawn =
                 List.fold_left
@@ -767,10 +758,10 @@ let fingerprint t =
       ("mu", Json.float t.power.Model.mu);
       ("alpha", Json.float t.power.Model.alpha);
       ("cap", Json.float t.power.Model.cap);
-      ("attempts", Json.Int t.config.attempts);
-      ("certify", Json.Bool t.config.certify);
-      ("fw_max_iters", Json.Int t.config.fw_config.Fw.max_iters);
-      ("fw_gap_tol", Json.float t.config.fw_config.Fw.gap_tol);
+      ("attempts", Json.Int attempts);
+      ("certify", Json.Bool true);
+      ("fw_max_iters", Json.Int fw_config.Fw.max_iters);
+      ("fw_gap_tol", Json.float fw_config.Fw.gap_tol);
     ]
 
 let snapshot t =
@@ -874,13 +865,12 @@ let check_fingerprint t j =
              name (Json.to_string got) (Json.to_string want)))
     (Json.to_obj expected)
 
-let restore ?(config = default_config) ?(pool = Pool.sequential) ~graph ~power
-    ~policy json =
+let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
   match
     let version = Json.to_int (Json.get "version" json) in
     if version <> snapshot_version then
       failwith (Printf.sprintf "unsupported snapshot version %d" version);
-    let t = create ~config ~pool ~graph ~power ~policy ~seed:0 () in
+    let t = create ~pool ~graph ~power ~policy ~seed:0 () in
     check_fingerprint t json;
     t.clock <- Json.to_float (Json.get "clock" json);
     (match Int64.of_string_opt (Json.to_str (Json.get "rng" json)) with

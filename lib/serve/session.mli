@@ -39,25 +39,23 @@
     discipline (only {!Dcn_engine.Deadline.Expired} is re-raised, so a
     watchdog budget above a session still works).
 
+    Every session runs with the same solver settings: 10 path redraws
+    per admission round, interval re-solves under {!fw_config}, and
+    every committed epoch certified.
+
     Determinism: a session is a pure function of
-    [(seed, policy, config, event sequence)] — path draws come from a
+    [(seed, policy, event sequence)] — path draws come from a
     pre-split PRNG stream per admission round, and the incremental
     re-solve is index-ordered over the pool — so reports are
     byte-identical at every [--jobs] level. *)
 
-type config = {
-  attempts : int;  (** path redraws per admission round, >= 1 *)
-  fw_config : Dcn_mcf.Frank_wolfe.config;
-  certify : bool;
-      (** re-certify every committed epoch with {!Dcn_check.Certify} *)
-}
-
-val default_config : config
+val fw_config : Dcn_mcf.Frank_wolfe.config
+(** The Frank–Wolfe settings of every interval re-solve: at most 60
+    iterations, duality-gap target 1e-3. *)
 
 type t
 
 val create :
-  ?config:config ->
   ?pool:Dcn_engine.Pool.t ->
   graph:Dcn_topology.Graph.t ->
   power:Dcn_power.Model.t ->
@@ -65,8 +63,7 @@ val create :
   seed:int ->
   unit ->
   t
-(** A fresh session at clock 0 with no committed flows.
-    @raise Invalid_argument if [config.attempts < 1]. *)
+(** A fresh session at clock 0 with no committed flows. *)
 
 type detail = {
   delta : Dcn_sched.Schedule_delta.t;
@@ -144,10 +141,9 @@ val snapshot : t -> Dcn_engine.Json.t
     byte-identical outcomes to the uninterrupted run.  Deterministic —
     wall-clock fields like {!uptime_ms} never enter the snapshot — and
     prefixed by a fingerprint of the session's topology, power model,
-    policy and solver configuration. *)
+    policy and solver settings. *)
 
 val restore :
-  ?config:config ->
   ?pool:Dcn_engine.Pool.t ->
   graph:Dcn_topology.Graph.t ->
   power:Dcn_power.Model.t ->
@@ -155,7 +151,7 @@ val restore :
   Dcn_engine.Json.t ->
   (t, string) result
 (** Rebuild a session from a {!snapshot}.  The caller supplies the same
-    graph/power/policy/config the original session was created with;
+    graph/power/policy the original session was created with;
     the snapshot's fingerprint is checked against them and a mismatch
     is an [Error] (resuming under different parameters would silently
     diverge instead of continuing the committed timeline).  The

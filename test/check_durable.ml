@@ -12,7 +12,11 @@
       final checkpoint covering every committed event;
    4. pipeline the corpus to a fresh server in one write and require
       the same outcome stream, applied in fewer batches than events
-      (group commit: one WAL write and fsync per batch).
+      (group commit: one WAL write and fsync per batch);
+   5. serve the corpus over stdin with a WAL in two runs on one store
+      directory, a malformed line injected into the first: the replies
+      must carry the durable sequence 1..n — past the skipped line and
+      across the recovery — and match the plain stdin stream.
 
    Usage: check_durable.exe DCN_BINARY EVENTS_FILE *)
 
@@ -55,25 +59,48 @@ let status_to_string = function
 
 (* ------------------------- stdin reference ------------------------ *)
 
-let run_stdin ~dcn ~events ~jobs =
+(* `dcn serve` on stdin over [events]: its outcome lines, and its
+   stderr when [err] names a file to collect it in. *)
+let run_stdin ?(args = []) ?err ~dcn ~events ~jobs () =
   let out_path = Filename.temp_file "dcn-durable-stdin" ".out" in
   let in_fd = Unix.openfile events [ Unix.O_RDONLY ] 0 in
   let out_fd =
     Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644
   in
+  let err_fd =
+    match err with
+    | None -> Unix.stderr
+    | Some path ->
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
   let argv =
     Array.of_list
-      ((dcn :: "serve" :: topo_args) @ [ "--jobs"; string_of_int jobs ])
+      ((dcn :: "serve" :: topo_args)
+      @ args @ [ "--jobs"; string_of_int jobs ])
   in
-  let pid = Unix.create_process dcn argv in_fd out_fd Unix.stderr in
+  let pid = Unix.create_process dcn argv in_fd out_fd err_fd in
   Unix.close in_fd;
   Unix.close out_fd;
+  if err <> None then Unix.close err_fd;
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
   | _, st -> fail "stdin serve died with %s" (status_to_string st));
   let lines = event_lines out_path in
   Sys.remove out_path;
   lines
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc text)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* --------------------------- socket mode -------------------------- *)
 
@@ -132,7 +159,7 @@ let () =
   if n < 100 then fail "%s: %d event(s), the gate wants >= 100" events n;
 
   (* Reference stream: stdin mode, sequential. *)
-  let reference = run_stdin ~dcn ~events ~jobs:1 in
+  let reference = run_stdin ~dcn ~events ~jobs:1 () in
   if List.length reference <> n then
     fail "stdin serve answered %d line(s) for %d events"
       (List.length reference) n;
@@ -284,9 +311,62 @@ let () =
   if batches < 1 || batches >= events then
     fail "pipelined server applied %d events in %d batch(es): no group commit"
       events batches;
+
+  (* 5: stdin with a WAL, in two runs on one store directory.  The
+     first run serves the first [half] events with a malformed line
+     after event [bad]; the second recovers from the first's final
+     checkpoint and serves the rest.  Reply seq numbers are the durable
+     sequence (the skipped line takes none, the recovery continues it),
+     so the two runs together must match the plain stdin stream; stderr
+     still names the malformed line by its line number. *)
+  let half = n / 2 and bad = n / 4 in
+  let first = List.filteri (fun i _ -> i < half) lines
+  and second = List.filteri (fun i _ -> i >= half) lines in
+  let part name ls =
+    let path = Filename.concat scratch name in
+    write_file path (String.concat "" (List.map (fun l -> l ^ "\n") ls));
+    path
+  in
+  let malformed = {|{"event":"advance","to":|} in
+  let first =
+    part "first.events"
+      (List.filteri (fun i _ -> i < bad) first
+      @ (malformed :: List.filteri (fun i _ -> i >= bad) first))
+  and second = part "second.events" second in
+  let serve_wal events =
+    let err = Filename.concat scratch "stdin-wal.err" in
+    let args = [ "--wal"; Filename.concat scratch "wal-stdin" ] in
+    let replies = run_stdin ~args ~err ~dcn ~events ~jobs:2 () in
+    (replies, read_file err)
+  in
+  let replies_first, err_first = serve_wal first in
+  let replies_second, err_second = serve_wal second in
+  let replies = replies_first @ replies_second in
+  if List.length replies <> n then
+    fail "stdin --wal answered %d line(s) for %d events" (List.length replies)
+      n;
+  List.iteri
+    (fun i (want, got) ->
+      (match Json.member "seq" (Json.of_string got) with
+      | Some (Json.Int seq) when seq = i + 1 -> ()
+      | _ ->
+        fail "stdin --wal reply %d does not carry seq %d: %s" (i + 1) (i + 1)
+          got);
+      if strip_uptime got <> strip_uptime want then
+        fail
+          "stdin --wal outcome %d diverges from plain stdin:\n\
+          \  stdin:  %s\n\
+          \  --wal:  %s"
+          (i + 1) (strip_uptime want) (strip_uptime got))
+    (List.combine reference replies);
+  if not (contains err_first (Printf.sprintf "line %d" (bad + 1))) then
+    fail "stdin --wal stderr does not name the malformed line %d" (bad + 1);
+  if not (contains err_second "recovered") then
+    fail "the second stdin --wal run did not recover the first one's store";
   rm_rf scratch;
   Printf.printf
     "check-durable: socket stream matches stdin (%d events, --jobs 2 vs 1), \
      mid-line disconnect and reply-to-dead-client survived, SIGTERM drained \
-     cleanly, pipelined corpus matched in %d batch(es)\n"
+     cleanly, pipelined corpus matched in %d batch(es), stdin --wal replies \
+     carry the durable seq across a malformed line and a recovery\n"
     n batches

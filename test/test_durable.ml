@@ -637,6 +637,17 @@ let test_crash_campaign () =
     (Json.to_string (Crash.to_json t))
     (Json.to_string (Crash.to_json t'))
 
+(* A negative redelivery window would compare no outcome after any
+   recovery and still report success: it is refused up front. *)
+let test_crash_rejects_negative_window () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Alcotest.check_raises "window -1"
+    (Invalid_argument "Crash.run: window must be >= 0") (fun () ->
+      ignore
+        (Crash.run ~window:(-1) ~dir ~graph ~power ~policy ~seed:7 ~kills:2
+           (Lazy.force events20)))
+
 let suite =
   [
     ( "durable",
@@ -670,5 +681,7 @@ let suite =
         Alcotest.test_case "pending shed-oldest" `Quick test_pending_shed_oldest;
         Alcotest.test_case "shed policy strings" `Quick test_shed_policy_strings;
         Alcotest.test_case "crash campaign" `Quick test_crash_campaign;
+        Alcotest.test_case "crash rejects a negative window" `Quick
+          test_crash_rejects_negative_window;
       ] );
   ]

@@ -83,32 +83,109 @@ let test_event_of_json_total () =
       | Ok e -> Alcotest.failf "accepted %s as %s" (Json.to_string j) (Event.kind e))
     bad
 
-(* The malformed-stream corpus: every line after the first valid event
-   is rejected in a typed way — Json.parse reports a byte offset for
-   truncated JSON, Event.of_json a message for well-formed JSON of the
-   wrong shape. *)
+(* Serve [text] over a socket [Dcn_durable.Transport] loop in one
+   write, from a client domain that reads [replies] reply lines and then
+   lets the loop drain. *)
+let serve_over_socket ~session text ~replies =
+  let dir = Filename.temp_file "dcn-serve-socket" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let sock = Filename.concat dir "serve.sock" in
+  let finished = Atomic.make false in
+  let client =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) (fun () ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            let rec connect tries =
+              match Unix.connect fd (Unix.ADDR_UNIX sock) with
+              | () -> ()
+              | exception
+                  Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+                when tries > 0 ->
+                Unix.sleepf 0.01;
+                connect (tries - 1)
+            in
+            connect 500;
+            let ic = Unix.in_channel_of_descr fd
+            and oc = Unix.out_channel_of_descr fd in
+            output_string oc text;
+            flush oc;
+            let lines = List.init replies (fun _ -> input_line ic) in
+            Unix.close fd;
+            lines))
+  in
+  let apply events answer =
+    List.iter
+      (fun e -> answer (Session.outcome_to_json (Session.apply session e)))
+      events
+  in
+  ignore
+    (Dcn_durable.Transport.serve ~socket:sock
+       ~drain:(fun () -> Atomic.get finished)
+       ~apply ());
+  let lines = Domain.join client in
+  Sys.rmdir dir;
+  lines
+
+(* The malformed-stream corpus through [Event.of_line]: every line
+   after the first valid event is rejected in a typed way — a byte
+   offset for truncated JSON, none for well-formed JSON of the wrong
+   shape — and the socket transport answers each with exactly that
+   position: its line, the byte within it (0 for a shape error) and
+   its offset in the stream. *)
 let test_truncated_corpus () =
+  let text = read_file "corpus/serve-truncated.events" in
   let lines = corpus_lines "serve-truncated.events" in
   Alcotest.(check int) "fixture lines" 7 (List.length lines);
-  let classify line =
-    match Json.parse line with
-    | Error e ->
-      Alcotest.(check bool) "offset within line" true
-        (e.Json.offset >= 0 && e.Json.offset <= String.length line);
-      `Parse_error
-    | Ok json -> (
-      match Event.of_json json with Ok _ -> `Event | Error _ -> `Bad_shape)
-  in
+  Alcotest.(check bool) "no blank lines" true
+    (text = String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let parsed = List.map Event.of_line lines in
   Alcotest.(check (list string))
     "line classes"
     [ "event"; "parse"; "shape"; "shape"; "shape"; "shape"; "event" ]
     (List.map
-       (fun l ->
-         match classify l with
-         | `Event -> "event"
-         | `Parse_error -> "parse"
-         | `Bad_shape -> "shape")
-       lines)
+       (function
+         | Ok _ -> "event"
+         | Error { Event.offset = Some _; _ } -> "parse"
+         | Error { Event.offset = None; _ } -> "shape")
+       parsed);
+  let base = ref 0 in
+  let expected =
+    List.concat
+      (List.mapi
+         (fun i (line, r) ->
+           let line_base = !base in
+           base := !base + String.length line + 1;
+           match r with
+           | Ok _ -> []
+           | Error { Event.offset; message } ->
+             let byte = Option.value offset ~default:0 in
+             Alcotest.(check bool) "offset within line" true
+               (byte >= 0 && byte <= String.length line);
+             [
+               Json.to_string
+                 (Json.Obj
+                    [
+                      ("error", Json.Str "parse");
+                      ("line", Json.Int (i + 1));
+                      ("byte", Json.Int byte);
+                      ("offset", Json.Int (line_base + byte));
+                      ("message", Json.Str message);
+                    ]);
+             ])
+         (List.combine lines parsed))
+  in
+  let replies =
+    serve_over_socket ~session:(session ()) text ~replies:(List.length lines)
+  in
+  Alcotest.(check (list string))
+    "transport error replies" expected
+    (List.filter
+       (fun r ->
+         match Json.of_string r with
+         | Json.Obj fields -> List.mem_assoc "error" fields
+         | _ -> false)
+       replies)
 
 (* --------------------------- schedule deltas ----------------------- *)
 
@@ -439,7 +516,7 @@ let test_golden_digests () =
    [max_iters] short of the gap target (vanilla Frank-Wolfe, zigzagging
    between warm-start paths, stopped 24 of them there). *)
 let test_warm_resolves_converge () =
-  let max_iters = Session.default_config.Session.fw_config.Dcn_mcf.Frank_wolfe.max_iters in
+  let max_iters = Session.fw_config.Dcn_mcf.Frank_wolfe.max_iters in
   let s =
     Session.create ~graph:(Builders.fat_tree 4)
       ~power:(Model.make ~sigma:0. ~mu:1. ~alpha:2. ())
