@@ -6,6 +6,7 @@ module Instance = Dcn_core.Instance
 module Solution = Dcn_core.Solution
 module Json = Dcn_engine.Json
 module Trace = Dcn_engine.Trace
+module Sweep = Dcn_util.Sweep
 
 type violation =
   | Unknown_flow of { flow : int }
@@ -148,81 +149,145 @@ let violations_to_json vs =
    collect every (start, stop, rate, flow) carried by each link, cut the
    link's own timeline at all slot boundaries, and evaluate each
    elementary segment at its midpoint.  Returns the dynamic energy, the
-   number of active links, and the capacity/exclusivity violations. *)
-let sweep ~cfg ~(power : Model.t) plans =
-  let by_link = Hashtbl.create 64 in
-  List.iter
+   number of active links, and the capacity/exclusivity violations.
+
+   A link's entries run from the last plan to the first, each plan's
+   slots in order; a segment's rate adds its covering entries in that
+   order.  An entry covers the segments whose midpoint lies in
+   [start, stop), one range of them, so each segment visits only the
+   entries covering it. *)
+let sweep ~cfg ~(power : Model.t) (sched : Schedule.t) =
+  let plans = Array.of_list sched.Schedule.plans in
+  let m = Graph.num_links sched.Schedule.graph in
+  let carried (s : Schedule.slot) = s.rate > 0. && s.stop > s.start in
+  (* Entries of link l at [offset.(l), offset.(l + 1)). *)
+  let offset = Array.make (m + 1) 0 in
+  Array.iter
     (fun (p : Schedule.plan) ->
-      List.iter
-        (fun link ->
-          let entries = try Hashtbl.find by_link link with Not_found -> [] in
-          let mine =
-            List.filter_map
-              (fun (s : Schedule.slot) ->
-                if s.rate > 0. && s.stop > s.start then
-                  Some (s.start, s.stop, s.rate, p.flow.Flow.id)
-                else None)
-              p.slots
-          in
-          Hashtbl.replace by_link link (mine @ entries))
-        p.path)
+      let k = List.length (List.filter carried p.slots) in
+      List.iter (fun l -> offset.(l + 1) <- offset.(l + 1) + k) p.path)
     plans;
-  let links = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) by_link []) in
-  let dynamic = ref 0. in
+  for l = 1 to m do
+    offset.(l) <- offset.(l) + offset.(l - 1)
+  done;
+  let total = offset.(m) in
+  let e_start = Array.make total 0. and e_stop = Array.make total 0. in
+  let e_rate = Array.make total 0. and e_flow = Array.make total 0 in
+  let fill = Array.sub offset 0 m in
+  for i = Array.length plans - 1 downto 0 do
+    let p = plans.(i) in
+    List.iter
+      (fun l ->
+        List.iter
+          (fun (s : Schedule.slot) ->
+            if carried s then begin
+              let x = fill.(l) in
+              e_start.(x) <- s.start;
+              e_stop.(x) <- s.stop;
+              e_rate.(x) <- s.rate;
+              e_flow.(x) <- p.flow.Flow.id;
+              fill.(l) <- x + 1
+            end)
+          p.slots)
+      p.path
+  done;
+  (* Each link's distinct slot boundaries, link [l]'s at [cut_lo.(l)]
+     onwards in one array, and its segments between consecutive ones,
+     [seg_lo.(l)] onwards in one numbering over all links. *)
+  let cuts = Array.make (2 * total) 0. in
+  let n_cuts = Array.make m 0 in
+  for l = 0 to m - 1 do
+    let lo = offset.(l) and n = offset.(l + 1) - offset.(l) in
+    Array.blit e_start lo cuts (2 * lo) n;
+    Array.blit e_stop lo cuts ((2 * lo) + n) n;
+    n_cuts.(l) <- Sweep.sort_distinct cuts ~pos:(2 * lo) ~len:(2 * n)
+  done;
+  let cut_lo = Array.make (m + 1) 0 and seg_lo = Array.make (m + 1) 0 in
+  for l = 0 to m - 1 do
+    Array.blit cuts (2 * offset.(l)) cuts cut_lo.(l) n_cuts.(l);
+    cut_lo.(l + 1) <- cut_lo.(l) + n_cuts.(l);
+    seg_lo.(l + 1) <- seg_lo.(l) + max 0 (n_cuts.(l) - 1)
+  done;
+  let segments = seg_lo.(m) in
+  let seg_link = Array.make segments 0 and seg_cut = Array.make segments 0 in
+  let mids = Array.make segments 0. in
+  for l = 0 to m - 1 do
+    for g = seg_lo.(l) to seg_lo.(l + 1) - 1 do
+      let c = cut_lo.(l) + (g - seg_lo.(l)) in
+      seg_link.(g) <- l;
+      seg_cut.(g) <- c;
+      mids.(g) <- 0.5 *. (cuts.(c) +. cuts.(c + 1))
+    done
+  done;
+  (* Entry [x] of link [l] covers the link's segments whose midpoint
+     lies in [start, stop): one range, since midpoints ascend. *)
+  let first = Array.make total 0 and last = Array.make total 0 in
+  for l = 0 to m - 1 do
+    let lo = seg_lo.(l) and hi = seg_lo.(l + 1) in
+    for x = offset.(l) to offset.(l + 1) - 1 do
+      first.(x) <- Sweep.first_true ~lo ~hi (fun g -> e_start.(x) <= mids.(g));
+      last.(x) <- Sweep.first_true ~lo ~hi (fun g -> not (mids.(g) < e_stop.(x))) - 1
+    done
+  done;
+  (* A float array cell: a float ref updated inside the closure below
+     would box every sum. *)
+  let dynamic = [| 0. |] in
   let active = ref 0 in
   let violations = ref [] in
   let cap_tol = cfg.eps *. Float.max 1. power.Model.cap in
-  List.iter
-    (fun link ->
-      let entries = Hashtbl.find by_link link in
-      let cuts =
-        List.concat_map (fun (a, b, _, _) -> [ a; b ]) entries
-        |> List.sort_uniq compare |> Array.of_list
-      in
-      let link_active = ref false in
-      let over = ref None in
-      (* worst segment *)
-      let conflict = ref None in
-      for k = 0 to Array.length cuts - 2 do
-        let t0 = cuts.(k) and t1 = cuts.(k + 1) in
-        let len = t1 -. t0 in
-        if len > 0. then begin
-          let mid = 0.5 *. (t0 +. t1) in
-          let rate = ref 0. in
-          let first_flow = ref None in
-          List.iter
-            (fun (a, b, r, f) ->
-              if a <= mid && mid < b then begin
-                rate := !rate +. r;
-                match !first_flow with
-                | None -> first_flow := Some f
-                | Some f0 when f0 <> f && !conflict = None ->
-                  conflict := Some (Link_conflict { link; at = t0; flows = (f0, f) })
-                | Some _ -> ()
-              end)
-            entries;
-          if !rate > 0. then begin
-            link_active := true;
-            dynamic := !dynamic +. (Model.dynamic power !rate *. len)
-          end;
-          if !rate > power.Model.cap +. cap_tol then
-            match !over with
-            | Some (_, _, worst) when worst >= !rate -> ()
-            | _ -> over := Some (t0, t1, !rate)
-        end
-      done;
-      if !link_active then incr active;
-      (match !over with
-      | Some (lo, hi, rate) when cfg.check_capacity ->
-        violations :=
-          Capacity_exceeded { link; window = (lo, hi); rate; cap = power.Model.cap }
-          :: !violations
-      | _ -> ());
-      match !conflict with
-      | Some c when cfg.exclusive -> violations := c :: !violations
-      | _ -> ())
-    links;
-  (!dynamic, !active, List.rev !violations)
+  let link_active = ref false in
+  let over = ref None in
+  (* worst segment *)
+  let conflict = ref None in
+  let finish link =
+    if !link_active then incr active;
+    (match !over with
+    | Some (lo, hi, rate) when cfg.check_capacity ->
+      violations :=
+        Capacity_exceeded { link; window = (lo, hi); rate; cap = power.Model.cap }
+        :: !violations
+    | _ -> ());
+    (match !conflict with
+    | Some c when cfg.exclusive -> violations := c :: !violations
+    | _ -> ());
+    link_active := false;
+    over := None;
+    conflict := None
+  in
+  (* Entries are grouped by link and in entry order within it, so the
+     covering entries of a segment come in entry order. *)
+  Sweep.iter_active ~segments ~first ~last (fun g covering n_covering ->
+      let link = seg_link.(g) in
+      if g > 0 && seg_link.(g - 1) <> link then finish seg_link.(g - 1);
+      let t0 = cuts.(seg_cut.(g)) and t1 = cuts.(seg_cut.(g) + 1) in
+      let len = t1 -. t0 in
+      if len > 0. then begin
+        let rate = ref 0. in
+        for c = 0 to n_covering - 1 do
+          rate := !rate +. e_rate.(covering.(c))
+        done;
+        (* The first covering entry of another flow than the first. *)
+        if Option.is_none !conflict && n_covering > 0 then begin
+          let f0 = e_flow.(covering.(0)) in
+          let c = ref 1 in
+          while !c < n_covering && e_flow.(covering.(!c)) = f0 do
+            incr c
+          done;
+          if !c < n_covering then
+            conflict :=
+              Some (Link_conflict { link; at = t0; flows = (f0, e_flow.(covering.(!c))) })
+        end;
+        if !rate > 0. then begin
+          link_active := true;
+          dynamic.(0) <- dynamic.(0) +. (Model.dynamic power !rate *. len)
+        end;
+        if !rate > power.Model.cap +. cap_tol then
+          match !over with
+          | Some (_, _, worst) when worst >= !rate -> ()
+          | _ -> over := Some (t0, t1, !rate)
+      end);
+  if segments > 0 then finish seg_link.(segments - 1);
+  (dynamic.(0), !active, List.rev !violations)
 
 let close x y ~rtol = Float.abs (x -. y) <= rtol *. Float.max 1. (Float.max (Float.abs x) (Float.abs y))
 
@@ -240,12 +305,16 @@ let schedule ?(config = default) ?reported_energy ?lower_bound inst
     add (Horizon_mismatch { expected = (it0, it1); got = (st0, st1) });
   (* Per-plan structure: known flow, connecting simple path, windows,
      volume. *)
-  let planned = Hashtbl.create 16 in
+  let planned = Hashtbl.create 64 in
+  let known = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Flow.t) -> if not (Hashtbl.mem known f.id) then Hashtbl.add known f.id f)
+    inst.Instance.flows;
   List.iter
     (fun (p : Schedule.plan) ->
       let id = p.flow.Flow.id in
       Hashtbl.replace planned id ();
-      match Instance.find_flow_opt inst id with
+      match Hashtbl.find_opt known id with
       | None -> add (Unknown_flow { flow = id })
       | Some f ->
         if not (Graph.is_path g ~src:f.src ~dst:f.dst p.path) || p.path = [] then
@@ -272,7 +341,7 @@ let schedule ?(config = default) ?reported_energy ?lower_bound inst
   (* Full timeline sweep: capacity, exclusivity, dynamic energy, active
      links — then Eq. (5) re-integration and the cross-checks. *)
   let dynamic, active, sweep_violations =
-    sweep ~cfg ~power:inst.Instance.power sched.Schedule.plans
+    sweep ~cfg ~power:inst.Instance.power sched
   in
   List.iter add sweep_violations;
   let idle =

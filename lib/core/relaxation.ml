@@ -71,11 +71,11 @@ let piecewise_of power =
     alpha = power.Model.alpha;
   }
 
-(* One interval's F-MCF program.  [warm] supplies a previous fractional
-   routing per flow (an empty list means cold-start that flow). *)
-let solve_interval ~g ~power ~tl ~flows ~fw_config ~workspace ~warm k =
+(* One interval's F-MCF program over its [active] flows.  [warm]
+   supplies a previous fractional routing per flow (an empty list means
+   cold-start that flow). *)
+let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm k =
   let bounds = Timeline.bounds tl k in
-  let active = Timeline.active tl flows k in
   match active with
   | [] ->
     let s =
@@ -177,7 +177,16 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
     Option.bind previous (fun p ->
         Option.map (Array.get p.intervals) (Timeline.index_at p.timeline mid))
   in
-  let ids_of_paths fps = List.sort_uniq compare (List.map fst fps) in
+  let ids_of_paths fps = List.sort_uniq Int.compare (List.map fst fps) in
+  (* The same flow ids in the same order: the usual case, since an
+     interval's paths are listed in the order of its active flows. *)
+  let rec same_order (fs : Flow.t list) fps =
+    match (fs, fps) with
+    | [], [] -> true
+    | f :: fs, (id, _) :: fps -> f.id = id && same_order fs fps
+    | _ -> false
+  in
+  let active = Timeline.active_by_interval tl flows in
   let solve_one k =
     let lo, hi = Timeline.bounds tl k in
     let mid = 0.5 *. (lo +. hi) in
@@ -193,11 +202,12 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
         match prev with
         | None -> None
         | Some p ->
-          let active_ids =
-            List.sort_uniq compare
-              (List.map (fun (f : Flow.t) -> f.Flow.id) (Timeline.active tl flows k))
+          let same_ids () =
+            List.sort_uniq Int.compare
+              (List.map (fun (f : Flow.t) -> f.Flow.id) active.(k))
+            = ids_of_paths p.flow_paths
           in
-          if active_ids = ids_of_paths p.flow_paths then Some p else None
+          if same_order active.(k) p.flow_paths || same_ids () then Some p else None
     in
     match reusable with
     | Some p -> ({ p with index = k; bounds = (lo, hi) }, true)
@@ -207,7 +217,8 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
         | None -> []
         | Some p -> Option.value ~default:[] (List.assoc_opt f.id p.flow_paths)
       in
-      (solve_interval ~g ~power ~tl ~flows ~fw_config ~workspace ~warm k, false)
+      ( solve_interval ~g ~power ~tl ~active:active.(k) ~fw_config ~workspace ~warm k,
+        false )
   in
   let results =
     Dcn_engine.Pool.map pool solve_one

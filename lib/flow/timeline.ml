@@ -2,11 +2,14 @@ type t = { points : float array }
 
 let make flows =
   if flows = [] then invalid_arg "Timeline.make: empty flow list";
-  let raw =
-    List.concat_map (fun f -> [ f.Flow.release; f.Flow.deadline ]) flows
-  in
-  let sorted = List.sort_uniq compare raw in
-  { points = Array.of_list sorted }
+  let n = List.length flows in
+  let points = Array.make (2 * n) 0. in
+  List.iteri
+    (fun i (f : Flow.t) ->
+      points.(2 * i) <- f.release;
+      points.((2 * i) + 1) <- f.deadline)
+    flows;
+  { points = Array.sub points 0 (Dcn_util.Sweep.sort_distinct points ~pos:0 ~len:(2 * n)) }
 
 let breakpoints t = t.points
 
@@ -34,9 +37,28 @@ let lambda t =
   done;
   (t1 -. t0) /. !shortest
 
-let active t flows k =
-  let lo, hi = bounds t k in
-  List.filter (fun f -> Flow.spans_interval f ~lo ~hi) flows
+(* A flow spans interval k when its release is at most t_k and its
+   deadline at least t_(k+1) (both up to Approx's slack); each test is
+   monotone in k, so the flow spans one range of intervals. *)
+let active_by_interval t flows =
+  let k_max = num_intervals t in
+  let buckets = Array.make k_max [] in
+  List.iter
+    (fun (f : Flow.t) ->
+      let first =
+        Dcn_util.Sweep.first_true ~lo:0 ~hi:k_max (fun k ->
+            Dcn_util.Approx.leq f.release t.points.(k))
+      in
+      let last =
+        Dcn_util.Sweep.first_true ~lo:0 ~hi:k_max (fun k ->
+            not (Dcn_util.Approx.geq f.deadline t.points.(k + 1)))
+        - 1
+      in
+      for k = first to last do
+        buckets.(k) <- f :: buckets.(k)
+      done)
+    (List.rev flows);
+  buckets
 
 let interval_indices_of t f =
   let acc = ref [] in

@@ -33,8 +33,10 @@ val lambda : t -> float
 (** [(t_K - t_0) / min_k |I_k|] — the interval-skew factor in the
     approximation ratio (Theorem 6). *)
 
-val active : t -> Flow.t list -> int -> Flow.t list
-(** Flows whose span contains interval [k], in input order. *)
+val active_by_interval : t -> Flow.t list -> Flow.t list array
+(** Entry [k]: the flows whose span contains interval [k]
+    ({!Flow.spans_interval}), in input order.  One pass, O(n log K)
+    plus the size of the result. *)
 
 val interval_indices_of : t -> Flow.t -> int list
 (** Indices of the intervals covered by the flow's span, ascending.  The

@@ -15,6 +15,11 @@ val of_slots : (float * float * float) list -> t
     Zero-length or zero-rate slots are ignored.  @raise Invalid_argument
     on negative rate or [stop < start]. *)
 
+val of_slot_arrays :
+  start:float array -> stop:float array -> rate:float array -> pos:int -> len:int -> t
+(** {!of_slots} of the slots [pos .. pos + len - 1] of three parallel
+    arrays. *)
+
 val segments : t -> (float * float * float) list
 (** Maximal constant segments [(start, stop, rate)] with positive rate,
     chronological, non-overlapping. *)

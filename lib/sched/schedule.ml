@@ -80,32 +80,61 @@ let link_profile t link =
   Profile.of_slots slots
 
 let profiles t =
-  let tbl = link_slot_table t in
-  let links = Hashtbl.fold (fun l _ acc -> l :: acc) tbl [] in
-  let links = List.sort compare links in
-  Array.of_list
-    (List.filter_map
-       (fun l ->
-         let entries = Hashtbl.find tbl l in
-         let profile =
-           Profile.of_slots (List.map (fun (a, b, r, _) -> (a, b, r)) entries)
-         in
-         if Profile.is_idle profile then None else Some (l, profile))
-       links)
+  (* Slots carried by each link, link l's at [offset.(l)] onwards in
+     three flat arrays; a profile sorts its own slots, so their order
+     within a link does not matter. *)
+  let m = Graph.num_links t.graph in
+  let offset = Array.make (m + 1) 0 in
+  List.iter
+    (fun p ->
+      let k = List.length p.slots in
+      List.iter (fun l -> offset.(l + 1) <- offset.(l + 1) + k) p.path)
+    t.plans;
+  for l = 1 to m do
+    offset.(l) <- offset.(l) + offset.(l - 1)
+  done;
+  let start = Array.make offset.(m) 0. and stop = Array.make offset.(m) 0. in
+  let rate = Array.make offset.(m) 0. in
+  let fill = Array.sub offset 0 m in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun l ->
+          List.iter
+            (fun s ->
+              let x = fill.(l) in
+              start.(x) <- s.start;
+              stop.(x) <- s.stop;
+              rate.(x) <- s.rate;
+              fill.(l) <- x + 1)
+            p.slots)
+        p.path)
+    t.plans;
+  let acc = ref [] in
+  for l = m - 1 downto 0 do
+    let len = offset.(l + 1) - offset.(l) in
+    if len > 0 then begin
+      let profile = Profile.of_slot_arrays ~start ~stop ~rate ~pos:offset.(l) ~len in
+      if not (Profile.is_idle profile) then acc := (l, profile) :: !acc
+    end
+  done;
+  Array.of_list !acc
 
 let active_links t = Array.to_list (Array.map fst (profiles t))
 
-let idle_energy t =
+let idle_of t ps =
   let t0, t1 = t.horizon in
-  let n_active = Array.length (profiles t) in
-  float_of_int n_active *. t.power.Model.sigma *. (t1 -. t0)
+  float_of_int (Array.length ps) *. t.power.Model.sigma *. (t1 -. t0)
 
-let dynamic_energy t =
-  Array.fold_left
-    (fun acc (_, p) -> acc +. Profile.dynamic_energy t.power p)
-    0. (profiles t)
+let dynamic_of t ps =
+  Array.fold_left (fun acc (_, p) -> acc +. Profile.dynamic_energy t.power p) 0. ps
 
-let energy t = idle_energy t +. dynamic_energy t
+let idle_energy t = idle_of t (profiles t)
+let dynamic_energy t = dynamic_of t (profiles t)
+
+let energy t =
+  let ps = profiles t in
+  idle_of t ps +. dynamic_of t ps
 
 let max_link_rate t =
   Array.fold_left (fun acc (_, p) -> Float.max acc (Profile.max_rate p)) 0. (profiles t)

@@ -33,23 +33,21 @@ let plans = function
   | None -> []
   | Some (s : Schedule.t) -> s.Schedule.plans
 
+let by_plan_id plans =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace tbl (plan_id p) p) plans;
+  tbl
+
 let diff ~before ~after =
   let old_plans = plans before in
   let new_plans = plans after in
-  let added =
-    List.filter
-      (fun p -> not (List.exists (fun q -> plan_id q = plan_id p) old_plans))
-      new_plans
-  in
-  let removed =
-    List.filter
-      (fun p -> not (List.exists (fun q -> plan_id q = plan_id p) new_plans))
-      old_plans
-  in
+  let old_ids = by_plan_id old_plans and new_ids = by_plan_id new_plans in
+  let added = List.filter (fun p -> not (Hashtbl.mem old_ids (plan_id p))) new_plans in
+  let removed = List.filter (fun p -> not (Hashtbl.mem new_ids (plan_id p))) old_plans in
   let changed =
     List.filter_map
       (fun (p : Schedule.plan) ->
-        match List.find_opt (fun q -> plan_id q = plan_id p) new_plans with
+        match Hashtbl.find_opt new_ids (plan_id p) with
         | Some q when not (equal_plan p q) -> Some { before = p; after = q }
         | _ -> None)
       old_plans

@@ -127,6 +127,9 @@ type t = {
      one interval-density plan per flow, ascending id (built from the
      sorted candidate list).  [None] when drained. *)
   mutable schedule : Schedule.t option;
+  (* Eq. (5) energy of [schedule] (0 when drained), computed once per
+     committed epoch and certified against the re-integration. *)
+  mutable energy : float;
   stats : stats;
 }
 
@@ -143,6 +146,7 @@ let create ?(pool = Pool.sequential) ~graph ~power ~policy ~seed () =
     coflows = [];
     relaxation = None;
     schedule = None;
+    energy = 0.;
     stats =
       {
         events = 0;
@@ -256,24 +260,37 @@ let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
       (Float.min lo f.release, Float.max hi f.deadline))
     from flows
 
+let diff ~before ~after =
+  Trace.span "serve.delta" @@ fun () -> Schedule_delta.diff ~before ~after
+
+let instance t flows =
+  Trace.span "serve.instance" @@ fun () ->
+  Instance.make_result ~graph:t.graph ~power:t.power ~flows
+
 (* Absorb a committed epoch: mutate the session, account, certify. *)
 let commit t ~relax ~sched ~inst ~dropped ~retired
     ~(rstats : Relaxation.reuse_stats) =
-  let delta = Schedule_delta.diff ~before:t.schedule ~after:(Some sched) in
-  let violations = Certify.schedule inst sched in
+  let delta = diff ~before:t.schedule ~after:(Some sched) in
+  let energy = Schedule.energy sched in
+  let violations = Certify.schedule ~reported_energy:energy inst sched in
   (* Members that left the committed set retired or were shed as a whole
      group; either way the membership table tracks live members only,
      and a group with none left is done. *)
-  t.coflows <-
-    List.filter_map
-      (fun (cid, ms) ->
-        let live =
-          List.filter (fun id -> Option.is_some (Schedule.find_plan sched id)) ms
-        in
-        if live = [] then None else Some (cid, live))
-      t.coflows;
+  if t.coflows <> [] then begin
+    let planned = Hashtbl.create 64 in
+    List.iter
+      (fun (p : Schedule.plan) -> Hashtbl.replace planned p.flow.id ())
+      sched.Schedule.plans;
+    t.coflows <-
+      List.filter_map
+        (fun (cid, ms) ->
+          let live = List.filter (Hashtbl.mem planned) ms in
+          if live = [] then None else Some (cid, live))
+        t.coflows
+  end;
   t.relaxation <- Some relax;
   t.schedule <- Some sched;
+  t.energy <- energy;
   let s = t.stats in
   s.resolved_intervals <- s.resolved_intervals + rstats.resolved;
   s.reused_intervals <- s.reused_intervals + rstats.reused;
@@ -295,7 +312,7 @@ let commit t ~relax ~sched ~inst ~dropped ~retired
       violations;
       resolved_intervals = rstats.resolved;
       reused_intervals = rstats.reused;
-      energy = Schedule.energy sched;
+      energy;
     }
   in
   if dropped = [] then Committed detail else Degraded detail
@@ -323,10 +340,12 @@ let shed_set t (victim : Flow.t) candidate =
 let admit t ?coflow (members : Flow.t list) =
   let member_ids = List.map (fun (f : Flow.t) -> f.Flow.id) members in
   let is_new id = List.mem id member_ids in
+  let committed = Hashtbl.create 64 in
+  List.iter
+    (fun (p : Schedule.plan) -> Hashtbl.replace committed p.flow.id p.path)
+    (plans t);
   let rec go candidate dropped window =
-    match
-      Instance.make_result ~graph:t.graph ~power:t.power ~flows:candidate
-    with
+    match instance t candidate with
     | Error e -> Rejected { reason = Instance.error_to_string e }
     | Ok inst -> (
       let relax, rstats = resolve_relaxation t ~window inst in
@@ -334,6 +353,7 @@ let admit t ?coflow (members : Flow.t list) =
         List.map (Random_schedule.candidate_paths relax) members
       in
       let draw =
+        Trace.span "serve.draw" @@ fun () ->
         if List.mem [] member_candidates then None
         else
           let prepared =
@@ -351,7 +371,7 @@ let admit t ?coflow (members : Flow.t list) =
           let route drawn (f : Flow.t) =
             match List.assoc_opt f.id drawn with
             | Some path -> (f, path)
-            | None -> (f, (Option.get (find t f.id)).path)
+            | None -> (f, Hashtbl.find committed f.id)
           in
           let rec try_draw i =
             if i >= attempts then None
@@ -501,10 +521,11 @@ let withdraw t ~cancelled ~retired =
   let s = t.stats in
   match rest with
   | [] ->
-    let delta = Schedule_delta.diff ~before:t.schedule ~after:None in
+    let delta = diff ~before:t.schedule ~after:None in
     t.coflows <- [];
     t.relaxation <- None;
     t.schedule <- None;
+    t.energy <- 0.;
     s.cancelled <- s.cancelled + List.length cancelled;
     s.retired <- s.retired + List.length retired;
     Committed
@@ -518,9 +539,7 @@ let withdraw t ~cancelled ~retired =
         energy = 0.;
       }
   | _ -> (
-    match
-      Instance.make_result ~graph:t.graph ~power:t.power ~flows:(flows_of rest)
-    with
+    match instance t (flows_of rest) with
     | Error e -> Rejected { reason = Instance.error_to_string e }
     | Ok inst ->
       let relax, rstats =
@@ -574,14 +593,13 @@ let on_advance t to_ =
       (* Nothing completed: the committed schedule stands unchanged. *)
       Committed
         {
-          delta = Schedule_delta.diff ~before:t.schedule ~after:t.schedule;
+          delta = diff ~before:t.schedule ~after:t.schedule;
           dropped = [];
           retired = [];
           violations = [];
           resolved_intervals = 0;
           reused_intervals = 0;
-          energy =
-            (match t.schedule with None -> 0. | Some sc -> Schedule.energy sc);
+          energy = t.energy;
         }
     | _ -> withdraw t ~cancelled:[] ~retired
   end
@@ -673,9 +691,7 @@ let report t =
       ("clock", Json.float t.clock);
       ("policy", Json.Str (Repair.policy_to_string t.policy));
       ("flows", Json.Int (List.length (plans t)));
-      ( "energy",
-        Json.float
-          (match t.schedule with None -> 0. | Some sc -> Schedule.energy sc) );
+      ("energy", Json.float t.energy);
       ("events", Json.Int s.events);
       ("committed", Json.Int s.committed);
       ("degraded", Json.Int s.degraded);
@@ -972,11 +988,13 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
               cost = Json.to_float (Json.get "cost" rj);
               lb = Json.to_float (Json.get "lb" rj);
             };
-        t.schedule <-
-          Some
-            (Schedule.of_densities ~graph ~power
-               ~horizon:(Instance.horizon inst)
-               (List.map (fun (f : Flow.t) -> (f, List.assoc f.id paths)) flows))));
+        let sched =
+          Schedule.of_densities ~graph ~power
+            ~horizon:(Instance.horizon inst)
+            (List.map (fun (f : Flow.t) -> (f, List.assoc f.id paths)) flows)
+        in
+        t.schedule <- Some sched;
+        t.energy <- Schedule.energy sched));
     t
   with
   | t -> Ok t

@@ -75,7 +75,10 @@ type detail = {
       (** certification of the new committed schedule; [[]] = certified *)
   resolved_intervals : int;  (** timeline intervals re-solved this epoch *)
   reused_intervals : int;  (** intervals reused from the previous epoch *)
-  energy : float;  (** Eq. (5) energy of the committed schedule; 0 if none *)
+  energy : float;
+      (** Eq. (5) energy of the committed schedule, 0 if none; computed
+          once per committed epoch, and certified against
+          {!Dcn_check.Certify}'s re-integration (its solver clause) *)
 }
 
 type outcome =

@@ -30,18 +30,36 @@ type report = {
   events : int;
 }
 
+module Sweep = Dcn_util.Sweep
+
 let run (sched : Schedule.t) =
   let power = sched.power in
   let plans = Array.of_list sched.plans in
   let n = Array.length plans in
   let m = Graph.num_links sched.graph in
+  let paths = Array.map (fun (p : Schedule.plan) -> Array.of_list p.path) plans in
+  (* Every slot in (plan, slot) order: owner, start, stop, rate. *)
+  let ns =
+    Array.fold_left (fun acc (p : Schedule.plan) -> acc + List.length p.slots) 0 plans
+  in
+  let owner = Array.make ns 0 in
+  let start = Array.make ns 0. and stop = Array.make ns 0. and rate = Array.make ns 0. in
+  let j = ref 0 in
+  Array.iteri
+    (fun i (p : Schedule.plan) ->
+      List.iter
+        (fun (s : Schedule.slot) ->
+          owner.(!j) <- i;
+          start.(!j) <- s.start;
+          stop.(!j) <- s.stop;
+          rate.(!j) <- s.rate;
+          incr j)
+        p.slots)
+    plans;
   (* Event times: every slot boundary. *)
   let times =
-    Array.to_list plans
-    |> List.concat_map (fun (p : Schedule.plan) ->
-           List.concat_map (fun (s : Schedule.slot) -> [ s.start; s.stop ]) p.slots)
-    |> List.sort_uniq compare
-    |> Array.of_list
+    let all = Array.append start stop in
+    Array.sub all 0 (Sweep.sort_distinct all ~pos:0 ~len:(2 * ns))
   in
   let delivered = Array.make n 0. in
   let completion = Array.make n None in
@@ -51,39 +69,85 @@ let run (sched : Schedule.t) =
   let dyn = Array.make m 0. in
   let rates = Array.make m 0. in
   let events = max 0 (Array.length times - 1) in
-  for k = 0 to events - 1 do
-    let t0 = times.(k) and t1 = times.(k + 1) in
-    let len = t1 -. t0 in
-    if len > 0. then begin
-      Array.fill rates 0 m 0.;
-      Array.iteri
-        (fun i (p : Schedule.plan) ->
-          List.iter
-            (fun (s : Schedule.slot) ->
-              (* Slots are closed-open against the segment midpoint. *)
-              if s.start <= t0 +. 1e-12 && s.stop >= t1 -. 1e-12 && s.rate > 0. then begin
-                delivered.(i) <- delivered.(i) +. (s.rate *. len);
-                List.iter (fun l -> rates.(l) <- rates.(l) +. s.rate) p.path
-              end)
-            p.slots)
-        plans;
-      Array.iteri
-        (fun i (p : Schedule.plan) ->
-          if
-            completion.(i) = None
-            && delivered.(i) >= p.flow.Flow.volume -. (1e-9 *. Float.max 1. p.flow.Flow.volume)
-          then completion.(i) <- Some t1)
-        plans;
-      for l = 0 to m - 1 do
-        if rates.(l) > 0. then begin
-          busy_time.(l) <- busy_time.(l) +. len;
-          volume.(l) <- volume.(l) +. (rates.(l) *. len);
-          peak.(l) <- Float.max peak.(l) rates.(l);
-          dyn.(l) <- dyn.(l) +. (Model.dynamic power rates.(l) *. len)
-        end
-      done
+  (* A slot is active on segment [k] = [t_k, t_(k+1)] when it covers it
+     up to 1e-12 at both ends.  Both tests are monotone in [k], so the
+     segments a slot covers are one range. *)
+  let first = Array.make ns events and last = Array.make ns (-1) in
+  for j = 0 to ns - 1 do
+    if rate.(j) > 0. then begin
+      first.(j) <-
+        Sweep.first_true ~lo:0 ~hi:events (fun k -> start.(j) <= times.(k) +. 1e-12);
+      last.(j) <-
+        Sweep.first_true ~lo:0 ~hi:events (fun k ->
+            not (stop.(j) >= times.(k + 1) -. 1e-12))
+        - 1
     end
   done;
+  let touched = Array.make m 0 and n_touched = ref 0 in
+  let stamp = Array.make m (-1) in
+  (* A link's rate repeats over the many segments its own traffic does
+     not change; the power of the last rate is kept per link rather
+     than recomputed (the same rate gives the same bits). *)
+  let last_rate = Array.make m (-1.) and last_power = Array.make m 0. in
+  let first_segment = ref true in
+  (* Plan [i] completes at the end of segment [k] once its volume is
+     through. *)
+  let check_completion i k =
+    let p = plans.(i) in
+    if
+      completion.(i) = None
+      && delivered.(i) >= p.flow.Flow.volume -. (1e-9 *. Float.max 1. p.flow.Flow.volume)
+    then completion.(i) <- Some times.(k + 1)
+  in
+  (* Active slots come in (plan, slot) order, so every sum adds in the
+     order of a scan over all plans. *)
+  Sweep.iter_active ~segments:events ~first ~last (fun k active n_active ->
+      let t0 = times.(k) and t1 = times.(k + 1) in
+      let len = t1 -. t0 in
+      if len > 0. then begin
+        n_touched := 0;
+        for a = 0 to n_active - 1 do
+          let j = active.(a) in
+          let i = owner.(j) in
+          delivered.(i) <- delivered.(i) +. (rate.(j) *. len);
+          let path = paths.(i) in
+          for h = 0 to Array.length path - 1 do
+            let l = path.(h) in
+            if stamp.(l) <> k then begin
+              stamp.(l) <- k;
+              rates.(l) <- 0.;
+              touched.(!n_touched) <- l;
+              incr n_touched
+            end;
+            rates.(l) <- rates.(l) +. rate.(j)
+          done
+        done;
+        (* Only an active plan's delivery moved; the first segment checks
+           every plan once. *)
+        if !first_segment then begin
+          first_segment := false;
+          for i = 0 to n - 1 do
+            check_completion i k
+          done
+        end
+        else
+          for a = 0 to n_active - 1 do
+            check_completion owner.(active.(a)) k
+          done;
+        for x = 0 to !n_touched - 1 do
+          let l = touched.(x) in
+          if rates.(l) > 0. then begin
+            busy_time.(l) <- busy_time.(l) +. len;
+            volume.(l) <- volume.(l) +. (rates.(l) *. len);
+            if rates.(l) > peak.(l) then peak.(l) <- rates.(l);
+            if rates.(l) <> last_rate.(l) then begin
+              last_rate.(l) <- rates.(l);
+              last_power.(l) <- Model.dynamic power rates.(l)
+            end;
+            dyn.(l) <- dyn.(l) +. (last_power.(l) *. len)
+          end
+        done
+      end);
   let flow_stats =
     Array.to_list
       (Array.mapi

@@ -1,0 +1,104 @@
+(* Allocation budget of a session's commit-path bookkeeping (the
+   @check-commit alias).
+
+   Rebuilds the steady-100 serving state: servebench's seeded generator
+   (workload.ml, copied in by test/dune, so the event sequence is the
+   benchmark's own) drives an in-process session in closed loop for 600
+   events at seed 5 on fat-tree k=4, about 100 committed flows.  Then it
+   counts the minor-heap words of each per-epoch pass over the committed
+   set and checks them against fixed budgets.  Minor words are a pure
+   function of the code and the event sequence, so unlike wall time the
+   budget is exact on every host.
+
+   Usage: check_commit.exe [--print]
+   Exits 0 when every count is within its budget, 1 otherwise. *)
+
+module Session = Dcn_serve.Session
+module Schedule = Dcn_sched.Schedule
+module Schedule_delta = Dcn_sched.Schedule_delta
+module Certify = Dcn_check.Certify
+module Relaxation = Dcn_core.Relaxation
+module Instance = Dcn_core.Instance
+
+let seed = 5
+let events = 600
+let warm = 100
+
+(* Budgets: the words this implementation measures plus about 25%
+   headroom.  The list-scanning passes they replaced allocated 2.4x
+   (re-solve) to 15x (fluid replay) as much; the delta's words hardly
+   moved, since its cost was comparisons rather than allocation.
+   EXPERIMENTS.md E20 has the before/after table. *)
+let budgets =
+  [
+    ("Certify.schedule", 59_600.);
+    ("Fluid.run", 19_000.);
+    ("Schedule.energy", 30_800.);
+    ("Schedule_delta.diff", 1_550.);
+    ("resolve, nothing dirty", 21_600.);
+    ("apply, mean over events 101-600", 181_000.);
+  ]
+
+(* [f ()] and the minor words it allocated. *)
+let counted f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+let () =
+  let print = Array.exists (( = ) "--print") Sys.argv in
+  let spec = Workload.steady_100 in
+  let graph = Dcn_topology.Builders.fat_tree 4 in
+  let power = Dcn_power.Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:spec.cap () in
+  let session = Session.create ~graph ~power ~policy:spec.policy ~seed () in
+  let gen = Workload.create spec ~graph ~seed in
+  let apply_words = ref 0. and before = ref None in
+  for i = 1 to events do
+    let event = Workload.next gen in
+    if i = events then before := Session.schedule session;
+    let outcome, cost = counted (fun () -> Session.apply session event) in
+    if i > warm then apply_words := !apply_words +. cost;
+    Workload.observe gen event (Session.outcome_to_json outcome)
+  done;
+  let sched = Option.get (Session.schedule session) in
+  let flows = Session.active_flows session in
+  let inst = Instance.make ~graph ~power ~flows in
+  let relax = Relaxation.solve ~fw_config:Session.fw_config inst in
+  let _, t1 = Instance.horizon inst in
+  let outside = (t1 +. 1., t1 +. 2.) in
+  let resolve () =
+    let r, stats = Relaxation.resolve ~fw_config:Session.fw_config ~previous:relax ~window:outside inst in
+    if stats.Relaxation.resolved <> 0 then failwith "an interval outside the window was re-solved";
+    r
+  in
+  (* One warm-up call each, so lazily built tables are not counted. *)
+  let measure f =
+    ignore (f ());
+    snd (counted f)
+  in
+  let counts =
+    [
+      ("Certify.schedule", measure (fun () -> Certify.schedule inst sched));
+      ("Fluid.run", measure (fun () -> Dcn_sim.Fluid.run sched));
+      ("Schedule.energy", measure (fun () -> Schedule.energy sched));
+      ( "Schedule_delta.diff",
+        measure (fun () -> Schedule_delta.diff ~before:!before ~after:(Some sched)) );
+      ("resolve, nothing dirty", measure resolve);
+      ("apply, mean over events 101-600", !apply_words /. float_of_int (events - warm));
+    ]
+  in
+  Printf.printf "check_commit: steady-100 seed %d after %d events: %d committed flows, %d intervals\n"
+    seed events (List.length flows)
+    (Array.length relax.Relaxation.intervals);
+  let failed = ref false in
+  List.iter
+    (fun (name, got) ->
+      let budget = List.assoc name budgets in
+      let ok = got <= budget in
+      if not ok then failed := true;
+      if print || not ok then
+        Printf.printf "check_commit: %-34s %9.0f words (budget %.0f)%s\n" name got budget
+          (if ok then "" else "  OVER BUDGET"))
+    counts;
+  if !failed then exit 1
+  else Printf.printf "check_commit: all %d counts within budget\n" (List.length counts)

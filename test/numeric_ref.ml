@@ -4,13 +4,15 @@
 
      minimise    sum_i  h_i * w_i^alpha * tau_i^(1 - alpha)
      subject to  sum_{i in S_c} tau_i <= len_c      for each constraint c
-                 lo <= tau_i <= span_i
+                 0 < tau_i < span_i
 
    (tau_i = w_i / s_i; constraints are the per-link interval-demand
-   conditions).  Quadratic-penalty method with backtracking gradient
-   descent — deliberately different machinery from the combinatorial
-   algorithms it checks.  The result is scaled into the feasible region,
-   so it is a true upper bound on the optimum and converges to it. *)
+   conditions).  Log-barrier interior-point method with Newton steps —
+   deliberately different machinery from the combinatorial algorithms it
+   checks.  Every iterate is strictly feasible, so the result is a true
+   upper bound on the optimum, and the barrier's duality gap bounds its
+   excess: the outer loop stops once that gap is below 1e-10 of the
+   energy. *)
 
 type item = { volume : float; span : float; hops : int }
 
@@ -19,9 +21,9 @@ type constraint_row = { length : float; members : int list }
 let solve ~alpha ~items ~constraints =
   let items = Array.of_list items in
   let n = Array.length items in
-  let constraints = Array.of_list constraints in
-  let lo = 1e-5 in
+  let rows = Array.of_list constraints in
   let coef i = float_of_int items.(i).hops *. (items.(i).volume ** alpha) in
+  let span i = items.(i).span in
   let energy tau =
     let acc = ref 0. in
     for i = 0 to n - 1 do
@@ -29,64 +31,109 @@ let solve ~alpha ~items ~constraints =
     done;
     !acc
   in
-  let penalized rho tau =
-    let pen = ref 0. in
-    Array.iter
-      (fun c ->
-        let used = List.fold_left (fun acc i -> acc +. tau.(i)) 0. c.members in
-        let viol = used -. c.length in
-        if viol > 0. then pen := !pen +. (viol *. viol))
-      constraints;
-    energy tau +. (rho *. !pen)
+  let slack tau c =
+    c.length -. List.fold_left (fun acc i -> acc +. tau.(i)) 0. c.members
   in
-  let project tau =
-    Array.mapi (fun i x -> Float.max lo (Float.min items.(i).span x)) tau
+  let strictly_feasible tau =
+    Array.for_all (fun c -> slack tau c > 0.) rows
+    && Array.for_all Fun.id (Array.mapi (fun i x -> x > 0. && x < span i) tau)
   in
-  let tau = ref (project (Array.map (fun it -> it.span /. 2.) items)) in
-  let rho = ref 10. in
-  for _round = 1 to 10 do
-    for _iter = 1 to 400 do
-      let grad = Array.make n 0. in
+  (* Barrier objective t * energy - sum of logs of every slack. *)
+  let barrier t tau =
+    let acc = ref (t *. energy tau) in
+    Array.iter (fun c -> acc := !acc -. log (slack tau c)) rows;
+    Array.iteri (fun i x -> acc := !acc -. log x -. log (span i -. x)) tau;
+    !acc
+  in
+  (* Strictly feasible start: every execution time a common fraction of
+     its span, small enough to leave slack in every row. *)
+  let s0 =
+    Array.fold_left
+      (fun acc c ->
+        let need = List.fold_left (fun a i -> a +. span i) 0. c.members in
+        if need > 0. then Float.min acc (c.length /. need) else acc)
+      1. rows
+  in
+  let tau = Array.init n (fun i -> 0.5 *. s0 *. span i) in
+  let m = float_of_int (Array.length rows + (2 * n)) in
+  let t = ref (m /. Float.max 1e-12 (energy tau)) in
+  (* Newton's method on the barrier objective for each t. *)
+  let centre t =
+    let rec step k =
+      let g = Array.make n 0. and h = Array.make_matrix n n 0. in
       for i = 0 to n - 1 do
-        grad.(i) <- (1. -. alpha) *. coef i *. (!tau.(i) ** (-.alpha))
+        let x = tau.(i) and u = span i -. tau.(i) in
+        g.(i) <- (t *. (1. -. alpha) *. coef i *. (x ** -.alpha)) -. (1. /. x) +. (1. /. u);
+        h.(i).(i) <-
+          (t *. alpha *. (alpha -. 1.) *. coef i *. (x ** (-.alpha -. 1.)))
+          +. (1. /. (x *. x)) +. (1. /. (u *. u))
       done;
       Array.iter
         (fun c ->
-          let used = List.fold_left (fun acc i -> acc +. !tau.(i)) 0. c.members in
-          let viol = used -. c.length in
-          if viol > 0. then
-            List.iter (fun i -> grad.(i) <- grad.(i) +. (2. *. !rho *. viol)) c.members)
-        constraints;
-      let here = penalized !rho !tau in
-      let gnorm2 = Array.fold_left (fun acc g -> acc +. (g *. g)) 0. grad in
-      if gnorm2 > 0. then begin
-        (* Backtracking line search with an Armijo-style acceptance. *)
-        let step = ref (1. /. sqrt gnorm2) in
-        let accepted = ref false in
-        while (not !accepted) && !step > 1e-14 do
-          let candidate =
-            project (Array.mapi (fun i x -> x -. (!step *. grad.(i))) !tau)
-          in
-          if penalized !rho candidate < here then begin
-            tau := candidate;
-            accepted := true
-          end
-          else step := !step /. 2.
+          let s = slack tau c in
+          List.iter
+            (fun i ->
+              g.(i) <- g.(i) +. (1. /. s);
+              List.iter (fun j -> h.(i).(j) <- h.(i).(j) +. (1. /. (s *. s))) c.members)
+            c.members)
+        rows;
+      (* Solve h d = -g by Gaussian elimination with partial pivoting. *)
+      let d = Array.map (fun x -> -.x) g in
+      for col = 0 to n - 1 do
+        let piv = ref col in
+        for r = col + 1 to n - 1 do
+          if Float.abs h.(r).(col) > Float.abs h.(!piv).(col) then piv := r
+        done;
+        let tmp = h.(col) in
+        h.(col) <- h.(!piv);
+        h.(!piv) <- tmp;
+        let tmp = d.(col) in
+        d.(col) <- d.(!piv);
+        d.(!piv) <- tmp;
+        for r = col + 1 to n - 1 do
+          let f = h.(r).(col) /. h.(col).(col) in
+          for j = col to n - 1 do
+            h.(r).(j) <- h.(r).(j) -. (f *. h.(col).(j))
+          done;
+          d.(r) <- d.(r) -. (f *. d.(col))
         done
+      done;
+      for r = n - 1 downto 0 do
+        for j = r + 1 to n - 1 do
+          d.(r) <- d.(r) -. (h.(r).(j) *. d.(j))
+        done;
+        d.(r) <- d.(r) /. h.(r).(r)
+      done;
+      let slope = Array.fold_left ( +. ) 0. (Array.mapi (fun i gi -> gi *. d.(i)) g) in
+      (* Newton decrement small: centred. *)
+      if -.slope > 1e-12 && k < 200 then begin
+        let here = barrier t tau in
+        let try_at a = Array.mapi (fun i x -> x +. (a *. d.(i))) tau in
+        let rec search a =
+          if a < 1e-20 then None
+          else
+            let cand = try_at a in
+            if strictly_feasible cand && barrier t cand <= here +. (0.25 *. a *. slope) then
+              Some cand
+            else search (a /. 2.)
+        in
+        match search 1. with
+        | Some cand ->
+          Array.blit cand 0 tau 0 n;
+          step (k + 1)
+        | None -> ()
       end
-    done;
-    rho := !rho *. 10.
-  done;
-  (* Scale into the feasible region: shorter executions are faster and
-     hence feasible; energy only grows, so this is a valid upper bound. *)
-  let theta =
-    Array.fold_left
-      (fun acc c ->
-        let used = List.fold_left (fun s i -> s +. !tau.(i)) 0. c.members in
-        if used > 0. then Float.min acc (c.length /. used) else acc)
-      1. constraints
+    in
+    step 0
   in
-  energy (Array.map (fun x -> Float.max lo (x *. theta)) !tau)
+  (* Outer loop: the barrier's duality gap is m / t; stop when it is a
+     1e-10 fraction of the energy. *)
+  while m /. !t > 1e-10 *. energy tau do
+    centre !t;
+    t := !t *. 10.
+  done;
+  centre !t;
+  energy tau
 
 (* Per-link interval-demand constraints for a routed instance: for every
    link, for every window [release, deadline] drawn from the flows on

@@ -212,7 +212,8 @@ let test_timeline_active () =
   let f1 = mk ~id:1 ~release:2. ~deadline:4. () in
   let f2 = mk ~id:2 ~release:1. ~deadline:3. () in
   let tl = Timeline.make [ f1; f2 ] in
-  let ids k = List.map (fun (f : Flow.t) -> f.id) (Timeline.active tl [ f1; f2 ] k) in
+  let active = Timeline.active_by_interval tl [ f1; f2 ] in
+  let ids k = List.map (fun (f : Flow.t) -> f.id) active.(k) in
   Alcotest.(check (list int)) "I1 only f2" [ 2 ] (ids 0);
   Alcotest.(check (list int)) "I2 both" [ 1; 2 ] (ids 1);
   Alcotest.(check (list int)) "I3 only f1" [ 1 ] (ids 2)
