@@ -12,13 +12,11 @@
    { "command": "...", <sections>, "metrics": [...], "counters": {...} }
    v}
 
-   Counter accounting is unified in the metrics registry: the wrapper
-   enables {!Dcn_obs.Registry}, stage timings are registry counters,
-   and every [Trace.counter] emission feeds the registry through the
-   counter hook.  The envelope's ["counters"] object still reads
-   {!Trace.counters} — the trace is the record of {e this} command's
-   emissions, and its totals are deterministic where the registry also
-   carries wall-time metrics. *)
+   The wrapper enables {!Dcn_obs.Registry}, where stage timings are
+   counters.  The envelope's ["counters"] object reads {!Trace.counters}:
+   the trace is the record of {e this} command's emissions, and its
+   totals are deterministic where the registry also carries wall-time
+   metrics.  Trace counters do not feed the registry. *)
 
 open Cmdliner
 module Trace = Dcn_engine.Trace

@@ -145,7 +145,7 @@ let violations_to_json vs =
 
 (* ------------------------- the certificate ------------------------- *)
 
-(* Per-link activity sweep, independent of [Schedule.link_profile]:
+(* Per-link activity sweep, independent of [Schedule.profiles]:
    collect every (start, stop, rate, flow) carried by each link, cut the
    link's own timeline at all slot boundaries, and evaluate each
    elementary segment at its midpoint.  Returns the dynamic energy, the

@@ -75,8 +75,8 @@ let pp_cross ppf = function
 
 (* ----------------------------- helpers ----------------------------- *)
 
-let fuzz_fw_config =
-  { Frank_wolfe.default_config with max_iters = 60; gap_tol = 1e-3 }
+(* Random-Schedule redraws per instance. *)
+let rs_attempts = 10
 
 let rtol = 1e-6
 let close a b = Float.abs (a -. b) <= rtol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
@@ -87,7 +87,7 @@ let flow_ids inst =
 let sorted_ids ids = List.sort_uniq compare ids
 
 (* Metadata consistency clauses, per solver. *)
-let meta_checks inst (sol : Solution.t) ~rs_attempts =
+let meta_checks inst (sol : Solution.t) =
   let add, get =
     let acc = ref [] in
     ( (fun what ->
@@ -156,13 +156,13 @@ let mcf_reproducibility inst (sol : Solution.t) =
 let exact_gate inst =
   Instance.num_flows inst <= 4 && Graph.num_cables inst.Instance.graph <= 10
 
-let run ?(rs_attempts = 10) ?(fw_config = fuzz_fw_config) ?exact ~solver_seed
-    ~label inst =
+let run ~solver_seed ~label inst =
   Trace.span ~fields:[ ("label", Json.Str label) ] "check.oracle" @@ fun () ->
   (* The oracle certifies everything itself; suppress any installed
      selfcheck hook so a violation is recorded rather than thrown
      mid-solve. *)
   Selfcheck.without @@ fun () ->
+  let fw_config = Frank_wolfe.resolve_config in
   let relaxation = Relaxation.solve ~fw_config inst in
   let lb = (Lower_bound.of_relaxation relaxation).Lower_bound.value in
   let rngs = Pool.split_rngs (Prng.create solver_seed) 2 in
@@ -186,11 +186,8 @@ let run ?(rs_attempts = 10) ?(fw_config = fuzz_fw_config) ?exact ~solver_seed
   let online =
     Online.solve ~instance:inst ~workspace:(ws ()) ~deadline:never ()
   in
-  let want_exact =
-    match exact with Some b -> b | None -> exact_gate inst
-  in
   let exact_result =
-    if not want_exact then None
+    if not (exact_gate inst) then None
     else match Exact.search inst with
       | r -> Some r
       | exception Invalid_argument _ -> None
@@ -278,7 +275,7 @@ let run ?(rs_attempts = 10) ?(fw_config = fuzz_fw_config) ?exact ~solver_seed
   List.iter (fun v -> add v) (mcf_reproducibility inst sp);
   (* Metadata consistency. *)
   List.iter
-    (fun sol -> List.iter (fun v -> add v) (meta_checks inst sol ~rs_attempts))
+    (fun sol -> List.iter (fun v -> add v) (meta_checks inst sol))
     solutions;
   let all_ids = flow_ids inst in
   if
@@ -320,12 +317,10 @@ let run ?(rs_attempts = 10) ?(fw_config = fuzz_fw_config) ?exact ~solver_seed
     Trace.counter "check.cross_violations" (float_of_int (List.length cross));
   { label; lower_bound = lb; results; cross }
 
-let run_case ?rs_attempts ?fw_config (case : Gen.case) =
-  run ?rs_attempts ?fw_config ~solver_seed:case.Gen.solver_seed
-    ~label:case.Gen.label case.Gen.instance
-
-let run_batch ?pool ?rs_attempts ?fw_config cases =
-  let f case = run_case ?rs_attempts ?fw_config case in
+let run_batch ?pool cases =
+  let f (case : Gen.case) =
+    run ~solver_seed:case.Gen.solver_seed ~label:case.Gen.label case.Gen.instance
+  in
   match pool with
   | None -> Array.map f cases
   | Some pool -> Pool.map pool f cases

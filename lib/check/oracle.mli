@@ -56,29 +56,16 @@ val violation_kinds : t -> string list
 
 val pp_cross : Format.formatter -> cross_violation -> unit
 
-val run :
-  ?rs_attempts:int ->
-  ?fw_config:Dcn_mcf.Frank_wolfe.config ->
-  ?exact:bool ->
-  solver_seed:int ->
-  label:string ->
-  Dcn_core.Instance.t ->
-  t
-(** Deterministic given its arguments.  [exact] defaults to an
-    auto-gate (few flows, tiny graph); the exhaustive solver is skipped
-    when its enumeration budget would blow up.  [rs_attempts] defaults
-    to 10; [fw_config] to a fuzzing-speed Frank–Wolfe setting. *)
+val run : solver_seed:int -> label:string -> Dcn_core.Instance.t -> t
+(** Deterministic given its arguments.  The exhaustive solver runs only
+    on tiny instances (few flows, tiny graph), where its enumeration
+    budget is certainly small.  Random-Schedule draws up to 10 paths,
+    and every Frank–Wolfe solve runs under
+    {!Dcn_mcf.Frank_wolfe.resolve_config}. *)
 
-val run_case : ?rs_attempts:int -> ?fw_config:Dcn_mcf.Frank_wolfe.config -> Gen.case -> t
-
-val run_batch :
-  ?pool:Dcn_engine.Pool.t ->
-  ?rs_attempts:int ->
-  ?fw_config:Dcn_mcf.Frank_wolfe.config ->
-  Gen.case array ->
-  t array
-(** One {!run_case} per case, fanned over the pool; results are in case
-    order and bit-identical for every pool size. *)
+val run_batch : ?pool:Dcn_engine.Pool.t -> Gen.case array -> t array
+(** {!run} per case, fanned over the pool; results are in case order
+    and bit-identical for every pool size. *)
 
 val to_json : t -> Dcn_engine.Json.t
 

@@ -25,12 +25,9 @@
 
 type variant = Baseline | Energy_aware
 
-val variant_name : variant -> string
-(** ["sigma-greedy"] / ["sigma-energy"] — the labels reports carry. *)
-
 val variant_of_string : string -> (variant, string) result
-(** Accepts the {!variant_name} forms plus ["baseline"] and
-    ["energy"]. *)
+(** Accepts the labels reports carry, ["sigma-greedy"] and
+    ["sigma-energy"], plus ["baseline"] and ["energy"]. *)
 
 type decision = {
   coflow : int;
@@ -41,7 +38,8 @@ type decision = {
 }
 
 type t = {
-  variant : string;  (** {!variant_name} of the variant that ran *)
+  variant : string;
+      (** the variant that ran: ["sigma-greedy"] or ["sigma-energy"] *)
   solver : string;  (** underlying solver, e.g. ["random-schedule"] *)
   order : int list;  (** coflow ids in sigma order *)
   decisions : decision list;  (** one per coflow, sigma order *)

@@ -26,8 +26,6 @@ type error =
 
 exception Invalid of error
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 val validate :

@@ -15,8 +15,8 @@ type group = Solution.mcf_group = {
 
 let eps = 1e-9
 
-(* Rate assignment solves program (P1) exactly, in the YDS
-   time-debit formulation: per link, a scheduled flow j with rate s_j
+(* Rate assignment runs the critical-interval iteration on program
+   (P1), in the YDS time-debit formulation: per link, a scheduled flow j with rate s_j
    owes w_j / s_j units of time inside its span, and the availability of
    a window [a, b] is its length minus the debts of the scheduled flows
    whose spans lie inside it — precisely the left-hand side of (P1)'s
@@ -24,7 +24,12 @@ let eps = 1e-9
    deadlines of ALL flows on the link (scheduled and pending), which is
    what makes the per-link process equal to classic YDS; cross-link
    coupling enters only through the shared rates (the same [s_i] is
-   debited on every link of the path), exactly as in (P1).
+   debited on every link of the path), exactly as in (P1).  The greedy
+   is not exact on coupled routes: it gives a critical group one common
+   rate, where (P1)'s optimum may split it.  On line:4 seed 1236 (test
+   core/most_critical_first) its energy 130.94 is 2.3% above a feasible
+   virtual-circuit schedule's 127.97; against a converged numeric (P1)
+   optimum it was 2.1-2.9% above on 12 of 6000 seeded instances.
 
    Constructing concrete transmission slots (the virtual-circuit
    realisation) is a separate best-effort phase afterwards; under heavy

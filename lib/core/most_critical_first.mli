@@ -16,12 +16,15 @@
     optimality for DCFS under the virtual-circuit assumption of
     Section III-A).
 
-    Rates are computed by solving program (P1) exactly, in the YDS
-    time-debit formulation: a scheduled flow debits [w_j / s_j] time
+    Rates come from the critical-interval iteration on program (P1),
+    in the YDS time-debit formulation: a scheduled flow debits [w_j / s_j] time
     units from every window of every link of its path that contains its
     span — precisely the left-hand sides of (P1)'s interval constraints,
     with no cross-link slot coupling (the paper calls the result "the
-    lower bound of the energy consumption by SP routing").  Concrete
+    lower bound of the energy consumption by SP routing").  The
+    iteration is not an exact (P1) solver on coupled routes: it can
+    stay a few percent above the optimum (2.3% on the pinned line:4
+    seed 1236 case in the tests).  Concrete
     transmission slots for the virtual-circuit realisation are packed
     afterwards, greedily in group/EDF order avoiding busy time on all
     path links; when heavy congestion admits no consistent placement the

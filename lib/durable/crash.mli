@@ -36,8 +36,6 @@ type tear_kind =
   | Chop  (** next record truncated mid-line (torn write) *)
   | Flip  (** one byte of the next record flipped (bit rot) *)
 
-val tear_kind_to_string : tear_kind -> string
-
 type row = {
   kill : int;  (** event boundary the crash strikes after (1-based) *)
   tear : tear_kind;

@@ -90,9 +90,6 @@ val apply : t -> Dcn_serve.Event.t -> Dcn_serve.Session.outcome
 (** The batch of one: WAL-append + fsync, then [Session.apply], then a
     checkpoint if due. *)
 
-val checkpoint_now : t -> unit
-(** Force a checkpoint of the current committed state. *)
-
 val close : t -> unit
 (** Final checkpoint + close the WAL.  The store must not be used
     afterwards. *)

@@ -42,8 +42,6 @@ type disconnect =
           or it never took its final replies during drain *)
   | Read_failed of string  (** read(2) error other than EOF *)
 
-val disconnect_to_string : disconnect -> string
-
 type stats = {
   accepted : int;  (** connections accepted over the loop's lifetime *)
   events : int;  (** events applied *)

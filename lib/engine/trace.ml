@@ -103,17 +103,7 @@ let event ?(fields = []) name =
     let span = match st.stack with [] -> None | s :: _ -> Some s in
     add t st (Event { span; name; fields })
 
-(* A process-global listener for counter emissions, independent of any
-   installed trace: the metrics registry subscribes here so trace
-   counters feed live telemetry without double bookkeeping.  Fires
-   before the trace so a hook observes every delta even when no
-   collector is installed. *)
-let counter_hook : (string -> float -> unit) option Atomic.t = Atomic.make None
-
-let set_counter_hook h = Atomic.set counter_hook h
-
 let counter name delta =
-  (match Atomic.get counter_hook with None -> () | Some h -> h name delta);
   match Atomic.get current with
   | None -> ()
   | Some t -> add t (domain_state t) (Counter { name; delta })

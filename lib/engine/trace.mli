@@ -77,18 +77,11 @@ val event : ?fields:field list -> string -> unit
     emitting domain. *)
 
 val counter : string -> float -> unit
-(** [counter name delta] accumulates into a named counter; totals are
-    summed per name in {!to_json} (and by {!counter_total}).  Every
-    call is also forwarded to the hook installed by
-    {!set_counter_hook}, whether or not a trace is installed. *)
-
-val set_counter_hook : (string -> float -> unit) option -> unit
-(** Install (or clear, with [None]) a process-global listener invoked
-    by every {!counter} emission before — and independently of — any
-    installed trace.  The metrics registry ([Dcn_obs.Registry]) uses
-    this to fold trace counters into live telemetry without a second
-    tally path.  With neither a hook nor a trace installed, {!counter}
-    still costs only branch checks. *)
+(** [counter name delta] accumulates into a named counter of the
+    installed trace; totals are summed per name in {!to_json} (and by
+    {!counter_total}).  Without a trace it is one branch.  Trace
+    counters are records of a traced run only: live telemetry counts
+    through its own handles in [Dcn_obs.Registry]. *)
 
 val records : t -> record list
 (** Everything emitted so far, in sequence order. *)

@@ -8,26 +8,25 @@ module Json = Dcn_engine.Json
 
 type params = {
   alpha : float;
-  sigma : float;
   fat_tree_k : int;
   flow_counts : int list;
   seeds : int list;
-  rs_attempts : int;
-  fw_config : Dcn_mcf.Frank_wolfe.config;
 }
 
 let experiment_fw_config =
   { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40; gap_tol = 1e-3 }
 
+(* Pure speed scaling, as in the paper's Figure 2, and the
+   Random-Schedule redraw budget. *)
+let sigma = 0.
+let rs_attempts = 20
+
 let default_params ~alpha =
   {
     alpha;
-    sigma = 0.;
     fat_tree_k = 8;
     flow_counts = [ 40; 80; 120; 160; 200 ];
     seeds = List.init 10 (fun i -> 1000 + i);
-    rs_attempts = 20;
-    fw_config = experiment_fw_config;
   }
 
 let quick_params ~alpha =
@@ -62,12 +61,12 @@ type run_sample = {
 }
 
 let run_one params ~graph ~n ~seed =
-  let power = Model.make ~sigma:params.sigma ~mu:1. ~alpha:params.alpha () in
+  let power = Model.make ~sigma ~mu:1. ~alpha:params.alpha () in
   let rng = Prng.create seed in
   let flows = Workload.paper_random ~rng ~graph ~n () in
   let inst = Dcn_core.Instance.make ~graph ~power ~flows in
   let rs_config =
-    { Dcn_core.Random_schedule.attempts = params.rs_attempts; fw_config = params.fw_config }
+    { Dcn_core.Random_schedule.attempts = rs_attempts; fw_config = experiment_fw_config }
   in
   let rs =
     Dcn_core.Random_schedule.solve ~config:rs_config ~instance:inst
@@ -168,7 +167,7 @@ let render result =
   in
   Printf.sprintf
     "Figure 2 (alpha = %g, sigma = %g, fat-tree k = %d, %d seeds)\nEnergies normalised by the fractional lower bound.\n%s"
-    result.params.alpha result.params.sigma result.params.fat_tree_k
+    result.params.alpha sigma result.params.fat_tree_k
     (List.length result.params.seeds)
     (Table.render ~headers ~rows ())
 
@@ -180,11 +179,11 @@ let to_json result =
         Json.Obj
           [
             ("alpha", Json.float p.alpha);
-            ("sigma", Json.float p.sigma);
+            ("sigma", Json.float sigma);
             ("fat_tree_k", Json.Int p.fat_tree_k);
             ("flow_counts", Json.List (List.map (fun n -> Json.Int n) p.flow_counts));
             ("seeds", Json.List (List.map (fun s -> Json.Int s) p.seeds));
-            ("rs_attempts", Json.Int p.rs_attempts);
+            ("rs_attempts", Json.Int rs_attempts);
           ] );
       ( "points",
         Json.List
@@ -212,7 +211,7 @@ let to_csv result =
     (fun p ->
       Buffer.add_string buf
         (Printf.sprintf "%g,%g,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
-           result.params.alpha result.params.sigma result.params.fat_tree_k
+           result.params.alpha sigma result.params.fat_tree_k
            (List.length result.params.seeds)
            p.n p.lb p.rs p.rs_sd p.sp_mcf p.sp_mcf_sd p.rs_refined))
     result.points;

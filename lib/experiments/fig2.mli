@@ -16,13 +16,13 @@
 
 type params = {
   alpha : float;
-  sigma : float;  (** 0 in the paper's Figure 2 (pure speed scaling) *)
   fat_tree_k : int;  (** 8 = the paper's network *)
   flow_counts : int list;
   seeds : int list;
-  rs_attempts : int;
-  fw_config : Dcn_mcf.Frank_wolfe.config;
 }
+(** Every cell runs with [sigma = 0], as in the paper's Figure 2 (pure
+    speed scaling), and Random-Schedule draws up to 20 paths under
+    {!experiment_fw_config}. *)
 
 val experiment_fw_config : Dcn_mcf.Frank_wolfe.config
 (** Frank–Wolfe settings used across experiments: 40 iterations,
@@ -31,7 +31,7 @@ val experiment_fw_config : Dcn_mcf.Frank_wolfe.config
 
 val default_params : alpha:float -> params
 (** The paper's setting: k = 8, counts [40; 80; 120; 160; 200], ten
-    seeds, [sigma = 0]. *)
+    seeds. *)
 
 val quick_params : alpha:float -> params
 (** Smaller network (k = 4), counts up to 60, three seeds — for smoke

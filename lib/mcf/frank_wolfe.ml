@@ -14,14 +14,11 @@ type problem = {
 
 type engine = Kernel | Reference
 
-type config = {
-  max_iters : int;
-  gap_tol : float;
-  penalty : float;
-  engine : engine;
-}
+type config = { max_iters : int; gap_tol : float; engine : engine }
 
-let default_config = { max_iters = 200; gap_tol = 1e-4; penalty = 1e3; engine = Kernel }
+let default_config = { max_iters = 200; gap_tol = 1e-4; engine = Kernel }
+let resolve_config = { default_config with max_iters = 60; gap_tol = 1e-3 }
+let penalty = 1e3
 
 type piecewise = {
   threshold : float;
@@ -218,9 +215,9 @@ let reference_impl ~config ~warm_start problem =
   @@ fun () ->
   let pen x =
     let o = overload ~cap:problem.capacity x in
-    config.penalty *. o *. o
+    penalty *. o *. o
   in
-  let pen_deriv x = 2. *. config.penalty *. overload ~cap:problem.capacity x in
+  let pen_deriv x = 2. *. penalty *. overload ~cap:problem.capacity x in
   let pc x = problem.cost x +. pen x in
   let pc_deriv x = problem.cost_deriv x +. pen_deriv x in
   (* Commodities grouped by source so one Dijkstra serves them all. *)
@@ -515,7 +512,6 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   let sigma = pw.sigma and mu = pw.mu and alpha = pw.alpha in
   let am = alpha *. mu in
   let alpha1 = alpha -. 1. in
-  let penalty = config.penalty in
   let pen2 = 2. *. penalty in
   (* Commodity vectors. *)
   let com_src = a.Kernel.com_src

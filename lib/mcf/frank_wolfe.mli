@@ -66,13 +66,21 @@ type engine =
 type config = {
   max_iters : int;  (** default 200 *)
   gap_tol : float;  (** relative duality-gap target, default 1e-4 *)
-  penalty : float;  (** capacity-penalty coefficient, default 1e3 *)
   engine : engine;  (** default [Kernel] *)
 }
 (** Solver settings.  The line search has no setting: it is exact up to
     fixed tolerances (see {!exact_step}). *)
 
 val default_config : config
+
+val resolve_config : config
+(** The budget of an interval re-solve: 60 iterations, relative gap
+    1e-3.  Serving sessions, schedule repair, the watchdog and the
+    differential oracle all solve with it. *)
+
+val penalty : float
+(** The capacity-penalty coefficient, 1e3: the objective adds
+    [penalty * overload^2] per link. *)
 
 type piecewise = {
   threshold : float;  (** [r_hat]: the envelope's linear/curved kink *)

@@ -166,42 +166,16 @@ let observe h v =
 
 (* ------------------------------ lifecycle ------------------------- *)
 
-(* Trace counters fold into registry counters of the same name; the
-   name -> handle map is an immutable [Map] swapped by CAS so the hook
-   is safe to call from any domain without a lock. *)
-module SMap = Map.Make (String)
-
-let hook_ids : counter SMap.t Atomic.t = Atomic.make SMap.empty
-
-let trace_hook name delta =
-  let c =
-    match SMap.find_opt name (Atomic.get hook_ids) with
-    | Some c -> c
-    | None ->
-      let c = counter ~help:"trace counter total" name in
-      let rec publish () =
-        let m = Atomic.get hook_ids in
-        if not (Atomic.compare_and_set hook_ids m (SMap.add name c m)) then
-          publish ()
-      in
-      publish ();
-      c
-  in
-  add c delta
-
 let reset () = Atomic.incr generation
 
 let enable () =
   if not (Atomic.get enabled) then begin
     reset ();
     Atomic.set started_at (Unix.gettimeofday ());
-    Atomic.set enabled true;
-    Dcn_engine.Trace.set_counter_hook (Some trace_hook)
+    Atomic.set enabled true
   end
 
-let disable () =
-  Dcn_engine.Trace.set_counter_hook None;
-  Atomic.set enabled false
+let disable () = Atomic.set enabled false
 
 let on () = Atomic.get enabled
 

@@ -56,14 +56,15 @@ val histogram : ?help:string -> ?labels:(string * string) list -> string -> hist
 (** {1 Lifecycle} *)
 
 val enable : unit -> unit
-(** Turn the hot path on, zero all totals, record the start time for
-    {!uptime_ms}, and install the {!Dcn_engine.Trace.set_counter_hook}
-    listener so every [Trace.counter] emission also feeds a registry
-    counter of the same name.  Idempotent while already enabled. *)
+(** Turn the hot path on, zero all totals and record the start time for
+    {!uptime_ms}.  Only updates through registered handles count: the
+    registry's metric set does not depend on whether a
+    [Dcn_engine.Trace] is installed.  Idempotent while already
+    enabled. *)
 
 val disable : unit -> unit
-(** Turn the hot path back into a one-branch no-op and remove the trace
-    counter hook.  Registrations survive. *)
+(** Turn the hot path back into a one-branch no-op.  Registrations
+    survive. *)
 
 val on : unit -> bool
 

@@ -34,8 +34,8 @@ let of_snapshot snap =
   let outcomes = committed + degraded + rejected in
   let apply = Snapshot.dist snap "serve.apply_ms" in
   let q f = Option.map f apply in
-  let resolved = c "serve.resolved_intervals" in
-  let reused = c "serve.reused_intervals" in
+  let resolved = c "relaxation.intervals_solved" in
+  let reused = c "relaxation.intervals_reused" in
   let energy = Snapshot.gauge_value snap "serve.energy" in
   let energy_lb = Snapshot.gauge_value snap "serve.energy_lb" in
   let minor_words = Snapshot.counter_total snap "serve.apply_minor_words" in

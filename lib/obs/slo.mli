@@ -21,8 +21,11 @@ type t = {
   apply_p50_ms : float option;
   apply_p90_ms : float option;
   apply_p99_ms : float option;
-  resolved_intervals : int;  (** intervals re-solved from scratch *)
-  reused_intervals : int;  (** intervals reused verbatim *)
+  resolved_intervals : int;
+      (** intervals re-solved from scratch
+          ([relaxation.intervals_solved]) *)
+  reused_intervals : int;
+      (** intervals reused verbatim ([relaxation.intervals_reused]) *)
   reuse_ratio : float option;
       (** reused / (resolved + reused); [None] before any resolve *)
   min_slack : float option;

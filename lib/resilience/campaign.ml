@@ -12,6 +12,8 @@ type row = {
   outcome : Repair.outcome;
 }
 
+(* No violations on the repaired schedule (vacuously true when there is
+   nothing left to certify); [false] for [Irreparable]. *)
 let row_certified row =
   match row.outcome with
   | Repair.Repaired d | Repair.Degraded d -> d.Repair.violations = []
@@ -36,7 +38,7 @@ let ok t =
          | _ -> row_certified row)
        t.rows
 
-let run_scenario ~watchdog ~repair ~policy (s : Fault.scenario) =
+let run_scenario ?budget_ms ~policy (s : Fault.scenario) =
   Trace.span ~fields:[ ("label", Json.Str s.Fault.label) ] "resilience.scenario"
   @@ fun () ->
   (* The scenario's own streams: commit solve and repair never share
@@ -44,11 +46,11 @@ let run_scenario ~watchdog ~repair ~policy (s : Fault.scenario) =
   let rngs = Pool.split_rngs (Prng.create s.Fault.solver_seed) 2 in
   let committed =
     Dcn_core.Selfcheck.without (fun () ->
-        Watchdog.solve ~config:watchdog ~rng:rngs.(0) s.Fault.instance)
+        Watchdog.solve ?budget_ms ~rng:rngs.(0) s.Fault.instance)
   in
   let outcome =
     match
-      Repair.repair ~config:repair ~policy ~rng:rngs.(1)
+      Repair.repair ~policy ~rng:rngs.(1)
         ~committed:committed.Watchdog.schedule ~event:s.Fault.event
         s.Fault.instance
     with
@@ -58,15 +60,9 @@ let run_scenario ~watchdog ~repair ~policy (s : Fault.scenario) =
   in
   { index = s.Fault.index; label = s.Fault.label; event = s.Fault.event; committed; outcome }
 
-let run ?pool ?budget_ms ?(watchdog = Watchdog.default_config)
-    ?(repair = Repair.default_config) ~policy ~seed ~n () =
-  let watchdog =
-    match budget_ms with
-    | None -> watchdog
-    | Some ms -> { watchdog with Watchdog.budget_ms = Some ms }
-  in
+let run ?pool ?budget_ms ~policy ~seed ~n () =
   let scenarios = Fault.campaign ~seed ~n in
-  let f = run_scenario ~watchdog ~repair ~policy in
+  let f = run_scenario ?budget_ms ~policy in
   let rows =
     match pool with
     | None -> Array.map f scenarios

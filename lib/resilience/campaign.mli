@@ -19,10 +19,6 @@ type row = {
   outcome : Repair.outcome;
 }
 
-val row_certified : row -> bool
-(** No violations on the repaired schedule (vacuously true when there
-    is nothing left to certify); [false] for [Irreparable]. *)
-
 type t = {
   seed : int;
   policy : Repair.policy;
@@ -39,14 +35,12 @@ val ok : t -> bool
 val run :
   ?pool:Dcn_engine.Pool.t ->
   ?budget_ms:float ->
-  ?watchdog:Watchdog.config ->
-  ?repair:Repair.config ->
   policy:Repair.policy ->
   seed:int ->
   n:int ->
   unit ->
   t
-(** [budget_ms] overrides [watchdog.budget_ms] for the commit phase.
+(** [budget_ms] is the {!Watchdog} budget of the commit phase.
     Repairs degrade on their own; should an enclosing ambient deadline
     ({!Dcn_engine.Deadline}) expire inside one, the row folds into
     [Irreparable] rather than raising.

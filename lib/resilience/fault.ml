@@ -18,17 +18,6 @@ let kind = function
   | Degradation _ -> "degradation"
   | Burst _ -> "burst"
 
-let pp_event ppf = function
-  | Cable_cut { at; cables } ->
-    Format.fprintf ppf "cable cut at t=%g: links %s" at
-      (String.concat "," (List.map string_of_int cables))
-  | Degradation { at; cables; factor } ->
-    Format.fprintf ppf "degradation at t=%g: links %s at %g capacity" at
-      (String.concat "," (List.map string_of_int cables))
-      factor
-  | Burst { at; flows } ->
-    Format.fprintf ppf "burst at t=%g: %d flow(s)" at (List.length flows)
-
 let event_to_json e =
   let links cables = Json.List (List.map (fun l -> Json.Int l) cables) in
   let fields =

@@ -33,8 +33,6 @@ val at : event -> float
 val kind : event -> string
 (** Stable tag: ["cable_cut"], ["degradation"] or ["burst"]. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val event_to_json : event -> Dcn_engine.Json.t
 
 val draw : rng:Dcn_util.Prng.t -> Dcn_core.Instance.t -> event

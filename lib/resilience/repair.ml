@@ -94,18 +94,10 @@ let outcome_to_json o =
         ("salvaged", Json.float salvaged);
       ]
 
-type config = {
-  attempts : int;
-  fw_config : Dcn_mcf.Frank_wolfe.config;
-  volume_eps : float;
-}
-
-let default_config =
-  {
-    attempts = 10;
-    fw_config = { Dcn_mcf.Frank_wolfe.default_config with max_iters = 60; gap_tol = 1e-3 };
-    volume_eps = 1e-6;
-  }
+(* Random-Schedule redraws per admission round, and the relative slack
+   below which a residual counts as delivered. *)
+let attempts = 10
+let volume_eps = 1e-6
 
 (* Volume a plan delivers strictly before [t]. *)
 let delivered_before (plan : Schedule.plan) t =
@@ -202,7 +194,7 @@ let obs_outcome =
       | Irreparable _ -> irreparable);
     r
 
-let repair ?(config = default_config) ~policy ~rng ~committed ~event inst =
+let repair ~policy ~rng ~committed ~event inst =
   obs_outcome
   @@ Trace.span
     ~fields:[ ("event", Json.Str (Fault.kind event)) ]
@@ -224,7 +216,7 @@ let repair ?(config = default_config) ~policy ~rng ~committed ~event inst =
         in
         salvaged := !salvaged +. done_;
         let rem = f.volume -. done_ in
-        if rem <= config.volume_eps *. f.volume then None
+        if rem <= volume_eps *. f.volume then None
         else
           Some
             (Flow.make ~id:f.id ~src:f.src ~dst:f.dst ~volume:rem
@@ -271,7 +263,7 @@ let repair ?(config = default_config) ~policy ~rng ~committed ~event inst =
         match
           Random_schedule.solve
             ~config:
-              { Random_schedule.attempts = config.attempts; fw_config = config.fw_config }
+              { Random_schedule.attempts; fw_config = Dcn_mcf.Frank_wolfe.resolve_config }
             ~instance:residual
             ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.split rng) ())
             ~deadline:Deadline.never ()

@@ -90,17 +90,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val outcome_to_json : outcome -> Dcn_engine.Json.t
 
-type config = {
-  attempts : int;  (** Random-Schedule redraws per admission round *)
-  fw_config : Dcn_mcf.Frank_wolfe.config;
-  volume_eps : float;
-      (** relative slack below which a residual counts as delivered *)
-}
-
-val default_config : config
-
 val repair :
-  ?config:config ->
   policy:policy ->
   rng:Dcn_util.Prng.t ->
   committed:Dcn_sched.Schedule.t ->
@@ -108,5 +98,7 @@ val repair :
   Dcn_core.Instance.t ->
   outcome
 (** Deterministic given [(rng, committed, event, instance, policy)].
-    Solvers run sequentially so repairs parallelise at the campaign
-    level without nesting pools. *)
+    The re-solve draws up to 10 paths per admission round under
+    {!Dcn_mcf.Frank_wolfe.resolve_config}; a residual within 1e-6 of
+    its volume counts as delivered.  Solvers run sequentially so
+    repairs parallelise at the campaign level without nesting pools. *)

@@ -28,21 +28,8 @@ let timed_out answer =
     (fun a -> if a.status = Timed_out then Some a.stage else None)
     answer.attempts
 
-type config = {
-  budget_ms : float option;
-  rs_attempts : int;
-  fw_config : Dcn_mcf.Frank_wolfe.config;
-  exact : bool option;
-}
-
-let default_config =
-  {
-    budget_ms = None;
-    rs_attempts = 10;
-    fw_config =
-      { Dcn_mcf.Frank_wolfe.default_config with max_iters = 60; gap_tol = 1e-3 };
-    exact = None;
-  }
+(* Random-Schedule redraws in the approximation stage. *)
+let rs_attempts = 10
 
 let status_to_string = function
   | Answered -> "answered"
@@ -75,14 +62,14 @@ let guarded deadline stage f =
     Trace.event ~fields:[ ("stage", Json.Str stage) ] "watchdog.timeout";
     (None, { stage; status = Timed_out })
 
-let solve ?(config = default_config) ~rng inst =
+let solve ?budget_ms ~rng inst =
   Dcn_obs.Registry.incr obs_solves;
   Trace.span "watchdog.solve" @@ fun () ->
   (* Honour an enclosing budget: the guarded stages run under the
      tighter of the watchdog's own deadline and the ambient one. *)
   let deadline =
     let own =
-      match config.budget_ms with
+      match budget_ms with
       | None -> Deadline.never
       | Some ms -> Deadline.after ~ms
     in
@@ -109,11 +96,8 @@ let solve ?(config = default_config) ~rng inst =
       ~feasible:sol.Solution.feasible
   in
   (* Stage 1: exhaustive optimum, where gated in. *)
-  let exact_wanted =
-    match config.exact with Some b -> b | None -> exact_gate inst
-  in
   let exact_answer =
-    if not exact_wanted then begin
+    if not (exact_gate inst) then begin
       record { stage = "exact"; status = Skipped };
       None
     end
@@ -145,8 +129,8 @@ let solve ?(config = default_config) ~rng inst =
             (Random_schedule.solve
                ~config:
                  {
-                   Random_schedule.attempts = config.rs_attempts;
-                   fw_config = config.fw_config;
+                   Random_schedule.attempts = rs_attempts;
+                   fw_config = Dcn_mcf.Frank_wolfe.resolve_config;
                  }
                ~instance:inst
                ~workspace:(Solver_api.workspace ~rng:(Prng.split rng) ())

@@ -37,20 +37,14 @@ type answer = {
 val timed_out : answer -> string list
 (** Stages whose budget expired, in chain order. *)
 
-type config = {
-  budget_ms : float option;  (** [None]: no deadline, stages run to completion *)
-  rs_attempts : int;
-  fw_config : Dcn_mcf.Frank_wolfe.config;
-  exact : bool option;
-      (** force the exhaustive stage on/off; [None] gates it by size
-          as {!Dcn_check.Oracle} does *)
-}
-
-val default_config : config
-
 val solve :
-  ?config:config -> rng:Dcn_util.Prng.t -> Dcn_core.Instance.t -> answer
-(** Deterministic for a fixed [(config, rng, instance)] {e outcome
+  ?budget_ms:float -> rng:Dcn_util.Prng.t -> Dcn_core.Instance.t -> answer
+(** Without [budget_ms] there is no deadline and the stages run to
+    completion.  The exhaustive stage is gated by size as
+    {!Dcn_check.Oracle} does; Random-Schedule draws up to 10 paths under
+    {!Dcn_mcf.Frank_wolfe.resolve_config}.
+
+    Deterministic for a fixed [(budget_ms, rng, instance)] {e outcome
     structure} under a 0 ms or absent budget; with a finite positive
     budget the stage that answers may vary with machine speed, which
     is the point of a watchdog.

@@ -38,7 +38,8 @@ val make :
   plan list ->
   t
 (** Structural validation only (paths connect the right endpoints, slots
-    are well-formed); semantic checks live in {!Check}.
+    are well-formed); deadlines, volumes, capacity and exclusivity are
+    certified by [Dcn_check.Certify].
     @raise Invalid_argument on a malformed plan or duplicate flow ids. *)
 
 val of_densities :
@@ -71,9 +72,6 @@ val find_plan : t -> int -> plan option
     schedules plan-by-plan, use {!Schedule_delta.diff} rather than
     paired lookups. *)
 
-val link_profile : t -> Dcn_topology.Graph.link -> Profile.t
-(** Aggregate rate profile of one link. *)
-
 val profiles : t -> (Dcn_topology.Graph.link * Profile.t) array
 (** Profiles of all links that carry traffic. *)
 
@@ -91,29 +89,3 @@ val energy : t -> float
     [Phi_f]. *)
 
 val max_link_rate : t -> float
-
-module Check : sig
-  type violation =
-    | Wrong_volume of { flow : int; delivered : float; expected : float }
-    | Slot_outside_span of { flow : int; start : float; stop : float }
-    | Over_capacity of { link : int; rate : float; cap : float }
-    | Link_conflict of { link : int; at : float }
-        (** two flows transmit simultaneously on a link — only a
-            violation for virtual-circuit schedules *)
-
-  val pp_violation : Format.formatter -> violation -> unit
-
-  val deadlines : ?eps:float -> t -> violation list
-  (** Every flow delivers its volume inside its span ([eps] defaults to
-      [1e-6], a relative volume tolerance). *)
-
-  val capacity : ?eps:float -> t -> violation list
-  (** No link rate exceeds the power model's cap. *)
-
-  val exclusive : ?eps:float -> t -> violation list
-  (** No two flows overlap on a link (virtual-circuit property). *)
-
-  val all : ?eps:float -> exclusive:bool -> t -> violation list
-
-  val is_feasible : ?eps:float -> exclusive:bool -> t -> bool
-end

@@ -18,12 +18,11 @@ module Certify = Dcn_check.Certify
 module Repair = Dcn_resilience.Repair
 
 (* The solver settings every session runs with: path redraws per
-   admission round, and the Frank-Wolfe budget of an interval re-solve.
+   admission round, and [Fw.resolve_config] for an interval re-solve.
    Every committed epoch is re-certified.  The snapshot fingerprint
    records them, so checkpoints stay tied to the settings that wrote
    them. *)
 let attempts = 10
-let fw_config = { Fw.default_config with max_iters = 60; gap_tol = 1e-3 }
 
 type stats = {
   mutable events : int;
@@ -46,9 +45,10 @@ type stats = {
    caller's domain with values that are pure functions of the event
    sequence (except wall time and allocation, which are genuinely
    nondeterministic), so snapshot totals stay bit-identical at every
-   [--jobs].  [serve.resolved_intervals]/[serve.reused_intervals] reach
-   the registry through the [Trace.counter] hook instead — the
-   emissions in [resolve_relaxation] below are unconditional. *)
+   [--jobs].  Interval re-solves and reuses are counted by
+   [Relaxation.resolve]'s own handles; the [serve.resolved_intervals]/
+   [serve.reused_intervals] trace counters in [resolve_relaxation]
+   below only record them in a trace. *)
 let obs_events = Dcn_obs.Registry.counter ~help:"events applied" "serve.events"
 
 let obs_committed =
@@ -246,7 +246,7 @@ let tiny x = 1e-9 *. Float.max 1. (Float.abs x)
 let resolve_relaxation t ~window inst =
   Trace.span "serve.resolve" @@ fun () ->
   let relax, (rs : Relaxation.reuse_stats) =
-    Relaxation.resolve ~pool:t.pool ~fw_config
+    Relaxation.resolve ~pool:t.pool ~fw_config:Fw.resolve_config
       ~workspace:t.workspace ?previous:t.relaxation ~window inst
   in
   Trace.counter "serve.resolved_intervals" (float_of_int rs.resolved);
@@ -776,8 +776,8 @@ let fingerprint t =
       ("cap", Json.float t.power.Model.cap);
       ("attempts", Json.Int attempts);
       ("certify", Json.Bool true);
-      ("fw_max_iters", Json.Int fw_config.Fw.max_iters);
-      ("fw_gap_tol", Json.float fw_config.Fw.gap_tol);
+      ("fw_max_iters", Json.Int Fw.resolve_config.max_iters);
+      ("fw_gap_tol", Json.float Fw.resolve_config.gap_tol);
     ]
 
 let snapshot t =

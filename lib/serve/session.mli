@@ -40,18 +40,15 @@
     watchdog budget above a session still works).
 
     Every session runs with the same solver settings: 10 path redraws
-    per admission round, interval re-solves under {!fw_config}, and
-    every committed epoch certified.
+    per admission round, interval re-solves under
+    {!Dcn_mcf.Frank_wolfe.resolve_config}, and every committed epoch
+    certified.
 
     Determinism: a session is a pure function of
     [(seed, policy, event sequence)] — path draws come from a
     pre-split PRNG stream per admission round, and the incremental
     re-solve is index-ordered over the pool — so reports are
     byte-identical at every [--jobs] level. *)
-
-val fw_config : Dcn_mcf.Frank_wolfe.config
-(** The Frank–Wolfe settings of every interval re-solve: at most 60
-    iterations, duality-gap target 1e-3. *)
 
 type t
 

@@ -4,11 +4,9 @@
     so exact equality is meaningless; every feasibility check in the
     project compares through these helpers with an explicit tolerance. *)
 
-val default_eps : float
-(** [1e-9]; absolute tolerance used when none is supplied. *)
-
 val equal : ?eps:float -> float -> float -> bool
-(** Absolute-difference equality. *)
+(** Absolute-difference equality; [eps] defaults to [1e-9], as in
+    {!leq} and {!geq}. *)
 
 val close_rel : ?rtol:float -> float -> float -> bool
 (** Relative closeness: [|a - b| <= rtol * max(1, |a|, |b|)].

@@ -8,8 +8,6 @@ let copy g = { state = g.state }
 
 let state g = g.state
 
-let of_state s = { state = s }
-
 let set_state g s = g.state <- s
 
 (* splitmix64 finaliser: mixes the incremented counter into an output. *)

@@ -18,13 +18,10 @@ val copy : t -> t
     future stream as [g]. *)
 
 val state : t -> int64
-(** The full 64-bit internal state.  Together with {!of_state} this
+(** The full 64-bit internal state.  Together with {!set_state} this
     makes a generator checkpointable: persisting [state g] and later
-    resuming from [of_state] continues the exact stream, which durable
-    serving relies on for bit-identical crash recovery. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a persisted {!state}. *)
+    restoring it continues the exact stream, which durable serving
+    relies on for bit-identical crash recovery. *)
 
 val set_state : t -> int64 -> unit
 (** Overwrite [g]'s state in place (restore into an existing handle). *)

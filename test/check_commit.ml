@@ -63,11 +63,11 @@ let () =
   let sched = Option.get (Session.schedule session) in
   let flows = Session.active_flows session in
   let inst = Instance.make ~graph ~power ~flows in
-  let relax = Relaxation.solve ~fw_config:Session.fw_config inst in
+  let relax = Relaxation.solve ~fw_config:Dcn_mcf.Frank_wolfe.resolve_config inst in
   let _, t1 = Instance.horizon inst in
   let outside = (t1 +. 1., t1 +. 2.) in
   let resolve () =
-    let r, stats = Relaxation.resolve ~fw_config:Session.fw_config ~previous:relax ~window:outside inst in
+    let r, stats = Relaxation.resolve ~fw_config:Dcn_mcf.Frank_wolfe.resolve_config ~previous:relax ~window:outside inst in
     if stats.Relaxation.resolved <> 0 then failwith "an interval outside the window was re-solved";
     r
   in

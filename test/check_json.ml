@@ -367,6 +367,16 @@ let check_kernel_trace path =
   if counter_total "fw.ls_evals" < 1. then
     fail "%s: no fw.ls_evals counter — line-search cost untraced" path
 
+(* Family names of a Prometheus exposition's [# TYPE] lines, sorted. *)
+let prom_families text =
+  List.filter_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; family; _ ] -> Some family
+      | _ -> None)
+    (String.split_on_char '\n' text)
+  |> List.sort_uniq compare
+
 (* Snapshot stream + Prometheus exposition of `dcn replay --stats-every
    --stats --metrics` (the @check-stats alias): every line a version-1
    snapshot with strictly increasing seq and monotone uptime, the final
@@ -374,7 +384,7 @@ let check_kernel_trace path =
    absorbed, apply latencies observed, interval reuse (losing it means
    the incremental path went dark), zero uncertified epochs — and the
    Prometheus file passing the strict text-exposition validator with
-   the serving families present. *)
+   the serving families present.  Returns the exposition's families. *)
 let check_stats snapshots prom =
   let module Snapshot = Dcn_obs.Snapshot in
   let module Slo = Dcn_obs.Slo in
@@ -429,20 +439,30 @@ let check_stats snapshots prom =
   (match Dcn_obs.Expose.validate_prometheus text with
   | Ok () -> ()
   | Error m -> fail "%s: invalid Prometheus exposition: %s" prom m);
+  let have = prom_families text in
   List.iter
     (fun family ->
-      if not (List.exists (fun l ->
-          String.length l > String.length family + 7
-          && String.sub l 0 7 = "# TYPE "
-          && String.sub l 7 (String.length family) = family)
-          (String.split_on_char '\n' text))
-      then fail "%s: family %S missing from exposition" prom family)
+      if not (List.mem family have) then
+        fail "%s: family %S missing from exposition" prom family)
     [
       "dcn_serve_events_total";
       "dcn_serve_apply_ms";
       "dcn_fw_iterations_total";
+      "dcn_relaxation_intervals_solved_total";
       "dcn_relaxation_intervals_reused_total";
-    ]
+    ];
+  have
+
+(* The same stream and exposition from a traced run: tracing records a
+   run, it adds no metric family to the registry. *)
+let check_stats_traced ~untraced snapshots prom =
+  let traced = check_stats snapshots prom in
+  let only a b = List.filter (fun f -> not (List.mem f b)) a in
+  match (only traced untraced, only untraced traced) with
+  | [], [] -> ()
+  | extra, missing ->
+    fail "%s: metric families differ from the untraced run: extra [%s], missing [%s]"
+      prom (String.concat " " extra) (String.concat " " missing)
 
 (* Report of `dcn crash EVENTS --report FILE` (the @check-durable
    alias): a crash-injection campaign against the durable store — the
@@ -536,9 +556,12 @@ let () =
   | [| _; "--kernel"; trace |] ->
     check_kernel_trace trace;
     print_endline "check-json: kernel trace OK"
-  | [| _; "--stats"; snapshots; prom |] ->
-    check_stats snapshots prom;
-    print_endline "check-json: stats stream and Prometheus exposition OK"
+  | [| _; "--stats"; snapshots; prom; traced_snapshots; traced_prom |] ->
+    let untraced = check_stats snapshots prom in
+    check_stats_traced ~untraced traced_snapshots traced_prom;
+    print_endline
+      "check-json: stats streams and Prometheus expositions OK, traced = untraced \
+       families"
   | [| _; "--durable"; report |] ->
     check_durable report;
     print_endline "check-json: crash campaign report OK"
@@ -559,6 +582,7 @@ let () =
       \       check_json.exe --resilience RESILIENCE-REPORT.json\n\
       \       check_json.exe --serve SERVE-REPORT.json\n\
       \       check_json.exe --kernel KERNEL-TRACE.json\n\
-      \       check_json.exe --stats SNAPSHOTS.jsonl METRICS.prom\n\
+      \       check_json.exe --stats SNAPSHOTS.jsonl METRICS.prom \
+       TRACED-SNAPSHOTS.jsonl TRACED-METRICS.prom\n\
       \       check_json.exe --durable CRASH-REPORT.json";
     exit 2

@@ -37,7 +37,7 @@ let failf fmt =
       Printf.eprintf "check_kernel: FAIL %s\n%!" s)
     fmt
 
-let fw_config = { Fw.default_config with max_iters = 60; gap_tol = 1e-3 }
+let fw_config = Fw.resolve_config
 let reference_config = { fw_config with Fw.engine = Fw.Reference }
 
 let bits = Int64.bits_of_float

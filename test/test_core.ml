@@ -11,6 +11,16 @@ module Flow = Dcn_flow.Flow
 module Model = Dcn_power.Model
 module Schedule = Dcn_sched.Schedule
 module Prng = Dcn_util.Prng
+module Certify = Dcn_check.Certify
+
+(* What [Certify] finds in a solver's schedule.  [~capacity:false]
+   leaves windows and volumes (the deadline claim); [~partial:true]
+   lets refused flows go unplanned. *)
+let violations ?(exclusive = false) ?(capacity = true) ?(partial = false) inst
+    (sol : Solution.t) =
+  Certify.schedule
+    ~config:{ Certify.default with exclusive; check_capacity = capacity; partial }
+    inst sol.Solution.schedule
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -116,9 +126,10 @@ let test_mcf_example1_energy () =
     (Schedule.energy res.Solution.schedule)
 
 let test_mcf_schedule_feasible () =
-  let res = Baselines.sp_mcf (example1 ()) in
-  Alcotest.(check bool) "deadlines + exclusivity" true
-    (Schedule.Check.is_feasible ~exclusive:true res.Solution.schedule)
+  let inst = example1 () in
+  let res = Baselines.sp_mcf inst in
+  Alcotest.(check int) "deadlines + exclusivity" 0
+    (List.length (violations ~exclusive:true inst res))
 
 let test_mcf_single_flow_density () =
   (* Alone on its path, a flow runs at its density (Lemma 2). *)
@@ -173,23 +184,27 @@ let test_mcf_matches_p1_example1 () =
     true
     (Float.abs (res.Solution.energy -. reference) /. reference < 0.01)
 
+(* Two or three flows on line:4 under x^2, drawn from [seed]. *)
+let p1_line_instance seed =
+  let rng = Prng.create seed in
+  let graph = Builders.line 4 in
+  let n = 2 + Prng.int rng 2 in
+  let flows =
+    List.init n (fun id ->
+        let src = Prng.int rng 3 in
+        let dst = src + 1 + Prng.int rng (3 - src) in
+        let r = Prng.uniform rng ~lo:0. ~hi:6. in
+        let d = r +. 1. +. Prng.uniform rng ~lo:0. ~hi:4. in
+        Flow.make ~id ~src ~dst ~volume:(1. +. Prng.float rng 9.) ~release:r
+          ~deadline:d)
+  in
+  Instance.make ~graph ~power:Model.quadratic ~flows
+
 let prop_mcf_close_to_p1 =
   QCheck.Test.make ~name:"most-critical-first: tracks the (P1) numeric optimum" ~count:8
     QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
     (fun seed ->
-      let rng = Prng.create seed in
-      let graph = Builders.line 4 in
-      let n = 2 + Prng.int rng 2 in
-      let flows =
-        List.init n (fun id ->
-            let src = Prng.int rng 3 in
-            let dst = src + 1 + Prng.int rng (3 - src) in
-            let r = Prng.uniform rng ~lo:0. ~hi:6. in
-            let d = r +. 1. +. Prng.uniform rng ~lo:0. ~hi:4. in
-            Flow.make ~id ~src ~dst ~volume:(1. +. Prng.float rng 9.) ~release:r
-              ~deadline:d)
-      in
-      let inst = Instance.make ~graph ~power:Model.quadratic ~flows in
+      let inst = p1_line_instance seed in
       let routing = Baselines.shortest_path_routing inst in
       let res = Most_critical_first.solve_routed inst ~routing in
       let reference = p1_reference ~alpha:2. inst ~routing in
@@ -228,6 +243,49 @@ let mcf_p1_seed_cases =
         (fun () -> Alcotest.(check bool) "within [0.9, 1.02] of (P1)" true (mcf_tracks_p1_fat_tree seed)))
     [ 133; 356; 414 ]
 
+(* MCF is not (P1)-optimal on coupled routes.  On line seed 1236 flow 0
+   (links 2, 4) shares link 2 with flow 2 (links 0, 2) and link 4 with
+   flow 1; MCF gives flows 0 and 2 one common rate.  A virtual circuit
+   that runs flow 2 until flow 0's release, flow 0 until t = 5.202, then
+   flows 1 and 2 to their deadlines certifies exclusive at 127.97, 2.3%
+   below MCF's 130.94, so "tracks the (P1) numeric optimum" fails on
+   this seed. *)
+let test_mcf_above_circuit_line_1236 () =
+  let inst = p1_line_instance 1236 in
+  let f id = Option.get (Instance.find_flow_opt inst id) in
+  let routing = Baselines.shortest_path_routing inst in
+  let handover = 5.202 in
+  let plan id spans =
+    let f = f id in
+    let busy = List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0. spans in
+    let rate = f.Flow.volume /. busy in
+    {
+      Schedule.flow = f;
+      path = routing id;
+      slots = List.map (fun (start, stop) -> { Schedule.start; stop; rate }) spans;
+    }
+  in
+  let r0 = (f 0).Flow.release in
+  let circuit =
+    Schedule.make ~graph:inst.Instance.graph ~power:inst.Instance.power
+      ~horizon:(Instance.horizon inst)
+      [
+        plan 0 [ (r0, handover) ];
+        plan 1 [ (handover, (f 1).Flow.deadline) ];
+        plan 2 [ ((f 2).Flow.release, r0); (handover, (f 2).Flow.deadline) ];
+      ]
+  in
+  let energy = Schedule.energy circuit in
+  Alcotest.(check (list string)) "circuit certifies exclusive" []
+    (List.map Certify.kind
+       (Certify.schedule
+          ~config:{ Certify.default with exclusive = true }
+          ~reported_energy:energy inst circuit));
+  Alcotest.(check (float 5e-3)) "circuit energy" 127.97 energy;
+  let mcf = (Most_critical_first.solve_routed inst ~routing).Solution.energy in
+  Alcotest.(check (float 5e-3)) "MCF energy" 130.94 mcf;
+  Alcotest.(check bool) "MCF over 2% above the circuit" true (mcf > 1.02 *. energy)
+
 let test_mcf_idle_energy_accounting () =
   (* sigma > 0: every directed link on some route pays sigma over the
      whole horizon, used or not at a given moment. *)
@@ -255,7 +313,7 @@ let prop_mcf_schedule_feasible =
       let inst = Instance.make ~graph ~power:Model.quadratic ~flows in
       let res = Baselines.sp_mcf inst in
       (not (Solution.placement_complete res))
-      || Schedule.Check.is_feasible ~exclusive:true res.Solution.schedule)
+      || violations ~exclusive:true inst res = [])
 
 (* ------------------------------------------------------------------ *)
 (* Random-Schedule                                                    *)
@@ -297,7 +355,7 @@ let test_rs_schedule_meets_deadlines () =
   let inst, rng = small_instance 17 in
   let rs = rs_solve ~rng inst in
   Alcotest.(check int) "no deadline violations" 0
-    (List.length (Schedule.Check.deadlines rs.Solution.schedule))
+    (List.length (violations ~capacity:false inst rs))
 
 let prop_rs_theorem4_deadlines =
   QCheck.Test.make ~name:"random-schedule: every deadline met (Theorem 4)" ~count:15
@@ -305,7 +363,7 @@ let prop_rs_theorem4_deadlines =
     (fun seed ->
       let inst, rng = small_instance ~n:(4 + (seed mod 8)) seed in
       let rs = rs_solve ~rng inst in
-      Schedule.Check.deadlines rs.Solution.schedule = [])
+      violations ~capacity:false inst rs = [])
 
 let prop_rs_at_least_lb =
   QCheck.Test.make ~name:"random-schedule: energy >= fractional lower bound" ~count:15
@@ -335,7 +393,7 @@ let test_rs_refine_feasible () =
   let rs = rs_solve ~rng inst in
   let refined = Random_schedule.refine inst rs in
   Alcotest.(check bool) "refined schedule meets deadlines" true
-    (Schedule.Check.deadlines refined.Solution.schedule = [])
+    (violations ~capacity:false inst refined = [])
 
 (* ------------------------------------------------------------------ *)
 (* Relaxation / Lower bound                                           *)
@@ -389,7 +447,7 @@ let test_relaxation_gap_interval () =
   let rng = Prng.create 3 in
   let rs = rs_solve ~relaxation:relax ~rng inst in
   Alcotest.(check int) "deadline violations" 0
-    (List.length (Schedule.Check.deadlines rs.Solution.schedule))
+    (List.length (violations ~capacity:false inst rs))
 
 let test_rs_reuses_relaxation () =
   let inst, _ = small_instance 67 in
@@ -587,7 +645,7 @@ let test_ear_deadlines () =
   let inst, _ = small_instance 59 in
   let ear = ear_solve inst in
   Alcotest.(check int) "no deadline violations" 0
-    (List.length (Schedule.Check.deadlines ear.Solution.schedule))
+    (List.length (violations ~capacity:false inst ear))
 
 let prop_ear_above_lb =
   QCheck.Test.make ~name:"greedy-ear: energy at least the fractional LB" ~count:10
@@ -643,7 +701,7 @@ let prop_online_accepted_feasible =
       let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:20 () in
       let inst = Instance.make ~graph ~power ~flows in
       let online = online_solve inst in
-      Schedule.Check.is_feasible ~exclusive:false online.Solution.schedule)
+      violations ~partial:true inst online = [])
 
 (* ------------------------------------------------------------------ *)
 (* Bounds                                                             *)
@@ -802,6 +860,8 @@ let suite =
         Alcotest.test_case "matches (P1) numeric (Example 1)" `Quick
           test_mcf_matches_p1_example1;
         Alcotest.test_case "idle energy accounting" `Quick test_mcf_idle_energy_accounting;
+        Alcotest.test_case "above a feasible circuit, line seed 1236" `Quick
+          test_mcf_above_circuit_line_1236;
         qt prop_mcf_close_to_p1;
         qt prop_mcf_close_to_p1_fat_tree;
         qt prop_mcf_schedule_feasible;

@@ -128,7 +128,6 @@ let test_fig2_jobs_invariant () =
       (Dcn_experiments.Fig2.quick_params ~alpha:2.) with
       Dcn_experiments.Fig2.flow_counts = [ 10; 20 ];
       seeds = [ 1001; 1002 ];
-      rs_attempts = 5;
     }
   in
   let render jobs =

@@ -407,7 +407,7 @@ let test_ls_penalty_kink () =
      theta = 1/2 - 1/(4p); the step must land there, not overshoot to
      the all-or-nothing point. *)
   let g, direct, _ = triangle () in
-  let penalty = Frank_wolfe.default_config.Frank_wolfe.penalty in
+  let penalty = Frank_wolfe.penalty in
   let kink = 0.5 -. (1. /. (4. *. penalty)) in
   List.iter
     (fun (engine, piecewise) ->

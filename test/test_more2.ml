@@ -134,7 +134,9 @@ let test_rs_link_rates_are_density_sums () =
   let inst = Dcn_core.Instance.make ~graph ~power:Model.quadratic ~flows:[ f1; f2 ] in
   let rng = Prng.create 1 in
   let rs = Dcn_core.Random_schedule.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
-  let profile = Schedule.link_profile rs.Dcn_core.Solution.schedule 0 in
+  let profile =
+    List.assoc 0 (Array.to_list (Schedule.profiles rs.Dcn_core.Solution.schedule))
+  in
   check_float "outside overlap" 1. (Dcn_sched.Profile.rate_at profile 0.5);
   check_float "during overlap D1+D2" 4. (Dcn_sched.Profile.rate_at profile 2.);
   check_float "after overlap" 1. (Dcn_sched.Profile.rate_at profile 3.5)
@@ -204,11 +206,11 @@ let test_bounds_single_flow_lambda_one () =
   check_float "lambda 1" 1. b.Dcn_core.Bounds.lambda;
   check_float "D = density" 0.5 b.Dcn_core.Bounds.max_density
 
-(* --- Check.all composition ----------------------------------------------- *)
+(* --- certificate modes ---------------------------------------------------- *)
 
 let test_check_all_modes () =
-  (* Interval-density style: exclusive check flags it, non-exclusive
-     passes. *)
+  (* Interval-density style: the exclusive certificate flags it, the
+     default one passes. *)
   let graph = Builders.line 2 in
   let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:2. ~release:0. ~deadline:2. in
   let p = Option.get (Dcn_topology.Paths.shortest_path graph ~src:0 ~dst:1) in
@@ -219,10 +221,9 @@ let test_check_all_modes () =
     Schedule.make ~graph ~power:Model.quadratic ~horizon:(0., 2.)
       [ plan (mk 0); plan (mk 1) ]
   in
-  Alcotest.(check bool) "fluid-feasible" true
-    (Schedule.Check.is_feasible ~exclusive:false s);
-  Alcotest.(check bool) "not circuit-feasible" false
-    (Schedule.Check.is_feasible ~exclusive:true s)
+  Alcotest.(check (list string)) "fluid-feasible" [] (Test_sched.kinds (Test_sched.certify s));
+  Alcotest.(check (list string)) "not circuit-feasible" [ "link_conflict" ]
+    (Test_sched.kinds (Test_sched.certify ~exclusive:true s))
 
 let suite =
   [

@@ -299,8 +299,8 @@ let test_slo_derivation () =
   c "serve.committed" 6;
   c "serve.degraded" 2;
   c "serve.rejected" 2;
-  c "serve.resolved_intervals" 30;
-  c "serve.reused_intervals" 10;
+  c "relaxation.intervals_solved" 30;
+  c "relaxation.intervals_reused" 10;
   c ~labels:[ ("engine", "kernel") ] "fw.iterations" 100;
   c ~labels:[ ("engine", "reference") ] "fw.iterations" 25;
   c "serve.certified" 8;

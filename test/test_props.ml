@@ -105,9 +105,9 @@ let prop_split_lb_invariant =
       in
       Float.abs (lb1 -. lb2) /. Float.max 1. lb1 < 0.03)
 
-(* The fluid simulator and the static checker agree on capacity. *)
+(* The fluid simulator and the certificate agree on capacity. *)
 let prop_sim_checker_capacity_agree =
-  QCheck.Test.make ~name:"fluid sim: capacity verdict matches Schedule.Check" ~count:15
+  QCheck.Test.make ~name:"fluid sim: capacity verdict matches Certify" ~count:15
     seed_gen (fun seed ->
       let graph = Builders.fat_tree 4 in
       let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1.2 () in
@@ -117,7 +117,11 @@ let prop_sim_checker_capacity_agree =
       let rs = Random_schedule.solve ~config:{ Random_schedule.attempts = 3; fw_config = quick_fw } ~instance:inst ~workspace:(Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
       let s = rs.Solution.schedule in
       let sim = Dcn_sim.Fluid.run s in
-      sim.Dcn_sim.Fluid.capacity_respected = (Schedule.Check.capacity s = []))
+      sim.Dcn_sim.Fluid.capacity_respected
+      = not
+          (List.exists
+             (function Dcn_check.Certify.Capacity_exceeded _ -> true | _ -> false)
+             (Dcn_check.Certify.schedule inst s)))
 
 (* Greedy-EAR is never (materially) worse than deterministic SP under
    pure speed scaling: SP is in EAR's search space for every flow, so

@@ -30,9 +30,6 @@ let corpus name =
   in
   (inst, sched)
 
-let quick_repair =
-  { Repair.default_config with attempts = 5 }
-
 (* ------------------------- fault determinism ----------------------- *)
 
 let test_fault_campaign_deterministic () =
@@ -79,7 +76,7 @@ let test_fault_events_well_formed () =
 
 let repair_certified ~policy inst committed event =
   match
-    Repair.repair ~config:quick_repair ~policy ~rng:(Prng.create 11) ~committed
+    Repair.repair ~policy ~rng:(Prng.create 11) ~committed
       ~event inst
   with
   | Repair.Repaired d | Repair.Degraded d ->
@@ -106,7 +103,7 @@ let test_repair_cable_cut_corpus () =
   | None -> Alcotest.fail "expected a residual instance");
   (* Reject_new refuses to shed a pre-fault flow: irreparable. *)
   match
-    Repair.repair ~config:quick_repair ~policy:Repair.Reject_new
+    Repair.repair ~policy:Repair.Reject_new
       ~rng:(Prng.create 11) ~committed ~event:cut inst
   with
   | Repair.Irreparable _ -> ()
@@ -152,7 +149,7 @@ let test_repair_never_raises () =
       List.iter
         (fun policy ->
           let outcome =
-            Repair.repair ~config:quick_repair ~policy ~rng:(Prng.create 3)
+            Repair.repair ~policy ~rng:(Prng.create 3)
               ~committed ~event:s.Fault.event s.Fault.instance
           in
           match outcome with
@@ -169,8 +166,7 @@ let test_repair_never_raises () =
 
 let test_watchdog_zero_budget_falls_back () =
   let inst, _ = corpus "pass" in
-  let config = { Watchdog.default_config with budget_ms = Some 0. } in
-  let answer = Watchdog.solve ~config ~rng:(Prng.create 1) inst in
+  let answer = Watchdog.solve ~budget_ms:0. ~rng:(Prng.create 1) inst in
   Alcotest.(check string) "greedy answers" "greedy-ear" answer.Watchdog.algorithm;
   Alcotest.(check (list string))
     "guarded stages expired"
@@ -178,7 +174,7 @@ let test_watchdog_zero_budget_falls_back () =
     (Watchdog.timed_out answer);
   Alcotest.(check bool) "feasible" true answer.Watchdog.feasible;
   (* Deterministic: the same structure every run. *)
-  let again = Watchdog.solve ~config ~rng:(Prng.create 99) inst in
+  let again = Watchdog.solve ~budget_ms:0. ~rng:(Prng.create 99) inst in
   Alcotest.(check string) "same json"
     (Json.to_string (Watchdog.answer_to_json answer))
     (Json.to_string (Watchdog.answer_to_json again));

@@ -1,10 +1,11 @@
 (* Tests for Dcn_sched: rate profiles, schedule energy accounting
-   (Eq. 5) and the feasibility checkers. *)
+   (Eq. 5), and feasibility as certified by Dcn_check.Certify. *)
 
 open Dcn_sched
 module Builders = Dcn_topology.Builders
 module Flow = Dcn_flow.Flow
 module Model = Dcn_power.Model
+module Certify = Dcn_check.Certify
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -176,15 +177,25 @@ let test_schedule_duplicate_flows () =
        false
      with Invalid_argument _ -> true)
 
+(* Certify a bare schedule against the instance of its own flows. *)
+let certify ?(exclusive = false) (s : Schedule.t) =
+  let inst =
+    Dcn_core.Instance.make ~graph:s.graph ~power:s.power
+      ~flows:(List.map (fun (p : Schedule.plan) -> p.flow) s.plans)
+  in
+  Certify.schedule ~config:{ Certify.default with exclusive } inst s
+
+let kinds vs = List.sort_uniq compare (List.map Certify.kind vs)
+
 let test_check_deadlines_ok () =
   let s = simple_schedule () in
-  Alcotest.(check int) "no violations" 0 (List.length (Schedule.Check.deadlines s))
+  Alcotest.(check (list string)) "no violations" [] (kinds (certify s))
 
 let test_check_wrong_volume () =
   let s = simple_schedule ~rate:0.5 () in
   (* delivers 2 of 4 *)
-  match Schedule.Check.deadlines s with
-  | [ Schedule.Check.Wrong_volume { flow = 0; delivered = d; expected = 4. } ] ->
+  match certify s with
+  | [ Certify.Volume_mismatch { flow = 0; delivered = d; expected = 4. } ] ->
     check_float "half delivered" 2. d
   | other -> Alcotest.failf "unexpected: %d violations" (List.length other)
 
@@ -198,18 +209,20 @@ let test_check_slot_outside_span () =
     }
   in
   let s = Schedule.make ~graph:line3 ~power:Model.quadratic ~horizon:(0., 4.) [ plan ] in
-  Alcotest.(check bool) "slot-outside-span reported" true
+  Alcotest.(check bool) "slot-outside-window reported" true
     (List.exists
-       (function Schedule.Check.Slot_outside_span _ -> true | _ -> false)
-       (Schedule.Check.deadlines s))
+       (function
+         | Certify.Slot_outside_window { flow = 0; start = 0.; stop = 4. } -> true
+         | _ -> false)
+       (certify s))
 
 let test_check_capacity () =
   let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:0.5 () in
   let s = simple_schedule ~power () in
-  Alcotest.(check int) "both links over capacity" 2
-    (List.length (Schedule.Check.capacity s));
-  Alcotest.(check bool) "not feasible" false
-    (Schedule.Check.is_feasible ~exclusive:false s)
+  Alcotest.(check (list int)) "both links over capacity" [ 0; 2 ]
+    (List.filter_map
+       (function Certify.Capacity_exceeded { link; _ } -> Some link | _ -> None)
+       (certify s))
 
 let test_check_exclusive () =
   let f1 = flow ~id:0 ~dst:1 ~volume:2. () in
@@ -222,33 +235,36 @@ let test_check_exclusive () =
         { Schedule.flow = f2; path = p; slots = slots2 };
       ]
   in
+  let conflicts s = kinds (certify ~exclusive:true s) in
   let overlapping =
     mk
       [ { Schedule.start = 0.; stop = 2.; rate = 1. } ]
       [ { Schedule.start = 1.; stop = 3.; rate = 1. } ]
   in
-  Alcotest.(check bool) "conflict detected" true
-    (Schedule.Check.exclusive overlapping <> []);
+  Alcotest.(check (list string)) "conflict detected" [ "link_conflict" ]
+    (conflicts overlapping);
   let serial =
     mk
       [ { Schedule.start = 0.; stop = 2.; rate = 1. } ]
       [ { Schedule.start = 2.; stop = 4.; rate = 1. } ]
   in
-  Alcotest.(check int) "serial is exclusive" 0
-    (List.length (Schedule.Check.exclusive serial));
-  (* Non-adjacent overlap: a long slot must conflict with a later short
-     one even when another same-flow slot sits between them. *)
+  Alcotest.(check (list string)) "serial is exclusive" [] (conflicts serial);
+  (* A long slot conflicts with a later short one it covers, at the
+     short slot's start. *)
   let long_vs_short =
     mk
-      [ { Schedule.start = 0.; stop = 4.; rate = 1. } ]
-      [ { Schedule.start = 2.5; stop = 3.; rate = 1. } ]
+      [ { Schedule.start = 0.; stop = 4.; rate = 0.5 } ]
+      [ { Schedule.start = 2.5; stop = 3.; rate = 4. } ]
   in
-  Alcotest.(check bool) "long-slot conflict found" true
-    (Schedule.Check.exclusive long_vs_short <> [])
+  match certify ~exclusive:true long_vs_short with
+  | [ Certify.Link_conflict { at; flows = a, b; _ } ] ->
+    check_float "long-slot conflict found" 2.5 at;
+    Alcotest.(check (list int)) "between the two flows" [ 0; 1 ] (List.sort compare [ a; b ])
+  | other -> Alcotest.failf "long vs short: %d violations" (List.length other)
 
 let test_interval_density_style () =
   (* Random-Schedule style: two flows share a link at their densities;
-     exclusive check must flag it, other checks pass. *)
+     the exclusive certificate must flag it, the default one passes. *)
   let f1 = flow ~id:0 ~dst:1 ~volume:4. () in
   let f2 = flow ~id:1 ~dst:1 ~volume:8. () in
   let p = path_of line3 ~src:0 ~dst:1 in
@@ -270,11 +286,11 @@ let test_interval_density_style () =
     Schedule.make ~graph:line3 ~power:Model.quadratic ~horizon:(0., 4.)
       [ plan f1; plan f2 ]
   in
-  Alcotest.(check int) "deadline violations" 0 (List.length (Schedule.Check.deadlines s));
+  Alcotest.(check (list string)) "no violations" [] (kinds (certify s));
   (* link rate = 1 + 2 = 3 for 4s on one link: energy = 9 * 4 = 36 *)
   check_float "energy" 36. (Schedule.energy s);
-  Alcotest.(check bool) "not exclusive (by design)" true
-    (Schedule.Check.exclusive s <> [])
+  Alcotest.(check (list string)) "not exclusive (by design)" [ "link_conflict" ]
+    (kinds (certify ~exclusive:true s))
 
 (* ------------------------------------------------------------------ *)
 (* Quantize                                                           *)

@@ -516,7 +516,7 @@ let test_golden_digests () =
    [max_iters] short of the gap target (vanilla Frank-Wolfe, zigzagging
    between warm-start paths, stopped 24 of them there). *)
 let test_warm_resolves_converge () =
-  let max_iters = Session.fw_config.Dcn_mcf.Frank_wolfe.max_iters in
+  let max_iters = Dcn_mcf.Frank_wolfe.resolve_config.Dcn_mcf.Frank_wolfe.max_iters in
   let s =
     Session.create ~graph:(Builders.fat_tree 4)
       ~power:(Model.make ~sigma:0. ~mu:1. ~alpha:2. ())
