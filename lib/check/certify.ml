@@ -6,7 +6,7 @@ module Instance = Dcn_core.Instance
 module Solution = Dcn_core.Solution
 module Json = Dcn_engine.Json
 module Trace = Dcn_engine.Trace
-module Sweep = Dcn_util.Sweep
+module Link_state = Dcn_sched.Link_state
 
 type violation =
   | Unknown_flow of { flow : int }
@@ -145,209 +145,104 @@ let violations_to_json vs =
 
 (* ------------------------- the certificate ------------------------- *)
 
-(* Per-link activity sweep, independent of [Schedule.profiles]:
-   collect every (start, stop, rate, flow) carried by each link, cut the
-   link's own timeline at all slot boundaries, and evaluate each
-   elementary segment at its midpoint.  Returns the dynamic energy, the
-   number of active links, and the capacity/exclusivity violations.
+(* Per-plan structure: known flow, connecting simple path, windows,
+   volume. *)
+let plan_violations cfg g known (p : Schedule.plan) =
+  let id = p.flow.Flow.id in
+  match known id with
+  | None -> [ Unknown_flow { flow = id } ]
+  | Some (f : Flow.t) ->
+    let acc = ref [] in
+    let add v = acc := v :: !acc in
+    if not (Graph.is_path g ~src:f.src ~dst:f.dst p.path) || p.path = [] then
+      add (Bad_path { flow = id });
+    if cfg.check_volume then begin
+      let tol = cfg.eps *. Float.max 1. f.volume in
+      List.iter
+        (fun (s : Schedule.slot) ->
+          if s.rate > 0. && (s.start < f.release -. cfg.eps || s.stop > f.deadline +. cfg.eps)
+          then add (Slot_outside_window { flow = id; start = s.start; stop = s.stop }))
+        p.slots;
+      let got = Schedule.delivered p in
+      if Float.abs (got -. f.volume) > tol then
+        add (Volume_mismatch { flow = id; delivered = got; expected = f.volume })
+    end;
+    List.rev !acc
 
-   A link's entries run from the last plan to the first, each plan's
-   slots in order; a segment's rate adds its covering entries in that
-   order.  An entry covers the segments whose midpoint lies in
-   [start, stop), one range of them, so each segment visits only the
-   entries covering it. *)
-let sweep ~cfg ~(power : Model.t) (sched : Schedule.t) =
-  let plans = Array.of_list sched.Schedule.plans in
-  let m = Graph.num_links sched.Schedule.graph in
-  let carried (s : Schedule.slot) = s.rate > 0. && s.stop > s.start in
-  (* Entries of link l at [offset.(l), offset.(l + 1)). *)
-  let offset = Array.make (m + 1) 0 in
-  Array.iter
+(* The per-link state of the planned slots, plus each plan's own
+   verdict keyed by flow id.  Link sweeps come from [Link_state]: each
+   link's timeline cut at its slot boundaries, each elementary segment
+   evaluated at its midpoint. *)
+type state = {
+  config : config;
+  links : Link_state.t;
+  verdicts : (int, violation list) Hashtbl.t;  (* non-empty ones only *)
+}
+
+let state ?(config = default) ~links power =
+  { config; links = Link_state.create ~links power; verdicts = Hashtbl.create 16 }
+
+let links st = st.links
+
+let add_plan st g known ~rank (p : Schedule.plan) =
+  Link_state.add st.links (Schedule.entry ~rank p);
+  match plan_violations st.config g known p with
+  | [] -> ()
+  | vs -> Hashtbl.replace st.verdicts p.flow.Flow.id vs
+
+let remove_plan st id =
+  Hashtbl.remove st.verdicts id;
+  Link_state.remove st.links id
+
+let update st inst ~added ~removed =
+  List.iter (remove_plan st) removed;
+  List.iter
     (fun (p : Schedule.plan) ->
-      let k = List.length (List.filter carried p.slots) in
-      List.iter (fun l -> offset.(l + 1) <- offset.(l + 1) + k) p.path)
-    plans;
-  for l = 1 to m do
-    offset.(l) <- offset.(l) + offset.(l - 1)
-  done;
-  let total = offset.(m) in
-  let e_start = Array.make total 0. and e_stop = Array.make total 0. in
-  let e_rate = Array.make total 0. and e_flow = Array.make total 0 in
-  let fill = Array.sub offset 0 m in
-  for i = Array.length plans - 1 downto 0 do
-    let p = plans.(i) in
-    List.iter
-      (fun l ->
-        List.iter
-          (fun (s : Schedule.slot) ->
-            if carried s then begin
-              let x = fill.(l) in
-              e_start.(x) <- s.start;
-              e_stop.(x) <- s.stop;
-              e_rate.(x) <- s.rate;
-              e_flow.(x) <- p.flow.Flow.id;
-              fill.(l) <- x + 1
-            end)
-          p.slots)
-      p.path
-  done;
-  (* Each link's distinct slot boundaries, link [l]'s at [cut_lo.(l)]
-     onwards in one array, and its segments between consecutive ones,
-     [seg_lo.(l)] onwards in one numbering over all links. *)
-  let cuts = Array.make (2 * total) 0. in
-  let n_cuts = Array.make m 0 in
-  for l = 0 to m - 1 do
-    let lo = offset.(l) and n = offset.(l + 1) - offset.(l) in
-    Array.blit e_start lo cuts (2 * lo) n;
-    Array.blit e_stop lo cuts ((2 * lo) + n) n;
-    n_cuts.(l) <- Sweep.sort_distinct cuts ~pos:(2 * lo) ~len:(2 * n)
-  done;
-  let cut_lo = Array.make (m + 1) 0 and seg_lo = Array.make (m + 1) 0 in
-  for l = 0 to m - 1 do
-    Array.blit cuts (2 * offset.(l)) cuts cut_lo.(l) n_cuts.(l);
-    cut_lo.(l + 1) <- cut_lo.(l) + n_cuts.(l);
-    seg_lo.(l + 1) <- seg_lo.(l) + max 0 (n_cuts.(l) - 1)
-  done;
-  let segments = seg_lo.(m) in
-  let seg_link = Array.make segments 0 and seg_cut = Array.make segments 0 in
-  let mids = Array.make segments 0. in
-  for l = 0 to m - 1 do
-    for g = seg_lo.(l) to seg_lo.(l + 1) - 1 do
-      let c = cut_lo.(l) + (g - seg_lo.(l)) in
-      seg_link.(g) <- l;
-      seg_cut.(g) <- c;
-      mids.(g) <- 0.5 *. (cuts.(c) +. cuts.(c + 1))
-    done
-  done;
-  (* Entry [x] of link [l] covers the link's segments whose midpoint
-     lies in [start, stop): one range, since midpoints ascend. *)
-  let first = Array.make total 0 and last = Array.make total 0 in
-  for l = 0 to m - 1 do
-    let lo = seg_lo.(l) and hi = seg_lo.(l + 1) in
-    for x = offset.(l) to offset.(l + 1) - 1 do
-      first.(x) <- Sweep.first_true ~lo ~hi (fun g -> e_start.(x) <= mids.(g));
-      last.(x) <- Sweep.first_true ~lo ~hi (fun g -> not (mids.(g) < e_stop.(x))) - 1
-    done
-  done;
-  (* A float array cell: a float ref updated inside the closure below
-     would box every sum. *)
-  let dynamic = [| 0. |] in
-  let active = ref 0 in
-  let violations = ref [] in
-  let cap_tol = cfg.eps *. Float.max 1. power.Model.cap in
-  let link_active = ref false in
-  let over = ref None in
-  (* worst segment *)
-  let conflict = ref None in
-  let finish link =
-    if !link_active then incr active;
-    (match !over with
-    | Some (lo, hi, rate) when cfg.check_capacity ->
-      violations :=
-        Capacity_exceeded { link; window = (lo, hi); rate; cap = power.Model.cap }
-        :: !violations
-    | _ -> ());
-    (match !conflict with
-    | Some c when cfg.exclusive -> violations := c :: !violations
-    | _ -> ());
-    link_active := false;
-    over := None;
-    conflict := None
-  in
-  (* Entries are grouped by link and in entry order within it, so the
-     covering entries of a segment come in entry order. *)
-  Sweep.iter_active ~segments ~first ~last (fun g covering n_covering ->
-      let link = seg_link.(g) in
-      if g > 0 && seg_link.(g - 1) <> link then finish seg_link.(g - 1);
-      let t0 = cuts.(seg_cut.(g)) and t1 = cuts.(seg_cut.(g) + 1) in
-      let len = t1 -. t0 in
-      if len > 0. then begin
-        let rate = ref 0. in
-        for c = 0 to n_covering - 1 do
-          rate := !rate +. e_rate.(covering.(c))
-        done;
-        (* The first covering entry of another flow than the first. *)
-        if Option.is_none !conflict && n_covering > 0 then begin
-          let f0 = e_flow.(covering.(0)) in
-          let c = ref 1 in
-          while !c < n_covering && e_flow.(covering.(!c)) = f0 do
-            incr c
-          done;
-          if !c < n_covering then
-            conflict :=
-              Some (Link_conflict { link; at = t0; flows = (f0, e_flow.(covering.(!c))) })
-        end;
-        if !rate > 0. then begin
-          link_active := true;
-          dynamic.(0) <- dynamic.(0) +. (Model.dynamic power !rate *. len)
-        end;
-        if !rate > power.Model.cap +. cap_tol then
-          match !over with
-          | Some (_, _, worst) when worst >= !rate -> ()
-          | _ -> over := Some (t0, t1, !rate)
-      end);
-  if segments > 0 then finish seg_link.(segments - 1);
-  (dynamic.(0), !active, List.rev !violations)
+      add_plan st inst.Instance.graph (Instance.find_flow_opt inst) ~rank:p.flow.Flow.id p)
+    added
 
 let close x y ~rtol = Float.abs (x -. y) <= rtol *. Float.max 1. (Float.max (Float.abs x) (Float.abs y))
 
-let schedule ?(config = default) ?reported_energy ?lower_bound inst
-    (sched : Schedule.t) =
-  Trace.span "check.certify" @@ fun () ->
-  let cfg = config in
+let check ?reported_energy ?lower_bound st inst (sched : Schedule.t) =
+  let cfg = st.config in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let g = inst.Instance.graph in
   (* Horizon: the idle-power window must be the instance's. *)
   let it0, it1 = Instance.horizon inst in
   let st0, st1 = sched.Schedule.horizon in
   if Float.abs (st0 -. it0) > cfg.eps || Float.abs (st1 -. it1) > cfg.eps then
     add (Horizon_mismatch { expected = (it0, it1); got = (st0, st1) });
-  (* Per-plan structure: known flow, connecting simple path, windows,
-     volume. *)
-  let planned = Hashtbl.create 64 in
-  let known = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Flow.t) -> if not (Hashtbl.mem known f.id) then Hashtbl.add known f.id f)
-    inst.Instance.flows;
-  List.iter
-    (fun (p : Schedule.plan) ->
-      let id = p.flow.Flow.id in
-      Hashtbl.replace planned id ();
-      match Hashtbl.find_opt known id with
-      | None -> add (Unknown_flow { flow = id })
-      | Some f ->
-        if not (Graph.is_path g ~src:f.src ~dst:f.dst p.path) || p.path = [] then
-          add (Bad_path { flow = id });
-        if cfg.check_volume then begin
-          let tol = cfg.eps *. Float.max 1. f.volume in
-          List.iter
-            (fun (s : Schedule.slot) ->
-              if
-                s.rate > 0.
-                && (s.start < f.release -. cfg.eps || s.stop > f.deadline +. cfg.eps)
-              then add (Slot_outside_window { flow = id; start = s.start; stop = s.stop }))
-            p.slots;
-          let got = Schedule.delivered p in
-          if Float.abs (got -. f.volume) > tol then
-            add (Volume_mismatch { flow = id; delivered = got; expected = f.volume })
-        end)
-    sched.Schedule.plans;
+  if Hashtbl.length st.verdicts > 0 then
+    List.iter
+      (fun (p : Schedule.plan) ->
+        Option.iter (List.iter add) (Hashtbl.find_opt st.verdicts p.flow.Flow.id))
+      sched.Schedule.plans;
   if (not cfg.partial) && cfg.check_volume then
     List.iter
       (fun (f : Flow.t) ->
-        if not (Hashtbl.mem planned f.id) then add (Missing_flow { flow = f.id }))
+        if not (Link_state.mem st.links f.id) then add (Missing_flow { flow = f.id }))
       inst.Instance.flows;
-  (* Full timeline sweep: capacity, exclusivity, dynamic energy, active
-     links — then Eq. (5) re-integration and the cross-checks. *)
-  let dynamic, active, sweep_violations =
-    sweep ~cfg ~power:inst.Instance.power sched
-  in
-  List.iter add sweep_violations;
-  let idle =
-    float_of_int active *. inst.Instance.power.Model.sigma *. (st1 -. st0)
-  in
-  let recomputed = idle +. dynamic in
+  (* Every link's sweep, in link order: capacity, exclusivity, dynamic
+     energy and active links — then Eq. (5) re-integration and the
+     cross-checks. *)
+  let power = inst.Instance.power in
+  let cap_tol = cfg.eps *. Float.max 1. power.Model.cap in
+  let dynamic = ref 0. and active = ref 0 in
+  for link = 0 to Link_state.links st.links - 1 do
+    let s = Link_state.sweep st.links link in
+    if Array.length s.terms > 0 then incr active;
+    for i = 0 to Array.length s.terms - 1 do
+      dynamic := !dynamic +. s.terms.(i)
+    done;
+    let lo, hi, rate = s.peak in
+    if cfg.check_capacity && rate > power.Model.cap +. cap_tol then
+      add (Capacity_exceeded { link; window = (lo, hi); rate; cap = power.Model.cap });
+    match s.conflict with
+    | Some (at, a, b) when cfg.exclusive -> add (Link_conflict { link; at; flows = (a, b) })
+    | _ -> ()
+  done;
+  let idle = float_of_int !active *. power.Model.sigma *. (st1 -. st0) in
+  let recomputed = idle +. !dynamic in
   (match reported_energy with
   | Some e when not (close e recomputed ~rtol:cfg.energy_rtol) ->
     add (Energy_mismatch { source = "solver"; reported = e; recomputed })
@@ -367,6 +262,23 @@ let schedule ?(config = default) ?reported_energy ?lower_bound inst
   if result <> [] then
     Trace.counter "check.violations" (float_of_int (List.length result));
   result
+
+(* The full pass: the incremental state built from empty, plans ranked
+   by position, instance flows found by hash (the first of a repeated
+   id). *)
+let schedule ?config ?reported_energy ?lower_bound inst (sched : Schedule.t) =
+  Trace.span "check.certify" @@ fun () ->
+  let st =
+    state ?config ~links:(Graph.num_links sched.Schedule.graph) inst.Instance.power
+  in
+  let known = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Flow.t) -> if not (Hashtbl.mem known f.id) then Hashtbl.add known f.id f)
+    inst.Instance.flows;
+  List.iteri
+    (fun rank p -> add_plan st inst.Instance.graph (Hashtbl.find_opt known) ~rank p)
+    sched.Schedule.plans;
+  check ?reported_energy ?lower_bound st inst sched
 
 let solution ?(eps = default.eps) ?lower_bound inst (sol : Solution.t) =
   let lower_bound =

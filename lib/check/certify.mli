@@ -1,8 +1,11 @@
 (** Independent certification of solver output.
 
     Given an instance and a schedule (or a full {!Dcn_core.Solution.t}),
-    re-derive every property the paper's theorems promise — from the raw
-    slots, sharing no code with the solvers' own accounting:
+    re-derive every property the paper's theorems promise from the raw
+    slots.  The per-link timeline sweep is kept in
+    {!Dcn_sched.Link_state} beside the profiles [Schedule.energy] reads
+    (they share the per-link slot lists, not the arithmetic), and
+    {!Dcn_sim.Fluid.run} re-integrates the whole schedule on its own:
 
     - path endpoints and connectivity in the {e instance's} graph;
     - transmission windows: every slot inside its flow's
@@ -77,7 +80,50 @@ val schedule :
   Dcn_core.Instance.t ->
   Dcn_sched.Schedule.t ->
   violation list
-(** Certify a bare schedule against its instance. *)
+(** Certify a bare schedule against its instance: {!check} on the
+    {!state} of all its plans, ranked by position. *)
+
+(** {2 Incremental certification}
+
+    A certificate kept across a stream of schedule changes.  Its state
+    holds the schedule's {!Dcn_sched.Link_state} and each plan's own
+    verdict (path, windows, volume), keyed by flow id.  {!update}
+    re-checks only the added plans and marks only the links on the
+    added and removed plans' paths stale; {!check} re-sweeps those
+    links, reads every other link's cached sweep, and runs the horizon,
+    coverage, energy, fluid and lower-bound clauses in full.  The
+    result is {!schedule}'s, bit for bit, provided the state's plans
+    are the schedule's, ascend by flow id in the schedule (the state
+    ranks by flow id), and the instance gives every kept plan the flow
+    it gave when that plan was added. *)
+
+type state
+
+val state : ?config:config -> links:int -> Dcn_power.Model.t -> state
+(** An empty certificate over links [0 .. links - 1]; the power model
+    is the instance's. *)
+
+val links : state -> Dcn_sched.Link_state.t
+(** The per-link state, for the energy and capacity functions it
+    also serves. *)
+
+val update :
+  state ->
+  Dcn_core.Instance.t ->
+  added:Dcn_sched.Schedule.plan list ->
+  removed:int list ->
+  unit
+(** Remove the plans of the listed flow ids, then add the plans,
+    checking each against the instance. *)
+
+val check :
+  ?reported_energy:float ->
+  ?lower_bound:float ->
+  state ->
+  Dcn_core.Instance.t ->
+  Dcn_sched.Schedule.t ->
+  violation list
+(** The certificate of the schedule the state holds. *)
 
 val coflow_consistency :
   members:(int * int list) list -> Dcn_sched.Schedule.t -> violation list

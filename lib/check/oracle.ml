@@ -16,6 +16,7 @@ module Exact = Dcn_core.Exact
 module Relaxation = Dcn_core.Relaxation
 module Lower_bound = Dcn_core.Lower_bound
 module Selfcheck = Dcn_core.Selfcheck
+module Schedule = Dcn_sched.Schedule
 
 type solver_result = {
   solver : string;
@@ -30,6 +31,7 @@ type cross_violation =
   | Mcf_not_reproducible of { solver : string; energy : float; resolved : float }
   | Meta_inconsistent of { solver : string; what : string }
   | Kernel_divergence of { what : string; kernel : float; reference : float }
+  | Incremental_divergence of { solver : string; step : int; what : string }
 
 type t = {
   label : string;
@@ -47,6 +49,7 @@ let cross_kind = function
   | Mcf_not_reproducible _ -> "cross_mcf_not_reproducible"
   | Meta_inconsistent _ -> "cross_meta_inconsistent"
   | Kernel_divergence _ -> "cross_kernel_divergence"
+  | Incremental_divergence _ -> "cross_incremental_divergence"
 
 let violation_kinds t =
   let per_solver =
@@ -72,11 +75,12 @@ let pp_cross ppf = function
     Format.fprintf ppf
       "flat-kernel Frank-Wolfe diverges from the reference engine on %s: %h <> %h"
       what kernel reference
+  | Incremental_divergence { solver; step; what } ->
+    Format.fprintf ppf
+      "%s: the incremental certificate differs from the full one in its %s after %d change(s)"
+      solver what step
 
 (* ----------------------------- helpers ----------------------------- *)
-
-(* Random-Schedule redraws per instance. *)
-let rs_attempts = 10
 
 let rtol = 1e-6
 let close a b = Float.abs (a -. b) <= rtol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
@@ -109,7 +113,7 @@ let meta_checks inst (sol : Solution.t) =
     let path_ids = sorted_ids (List.map fst detail.Solution.paths) in
     if path_ids <> ids then add "rounding paths do not cover the flow set";
     if detail.Solution.attempts_used < 1
-       || detail.Solution.attempts_used > rs_attempts
+       || detail.Solution.attempts_used > Random_schedule.redraw_budget
     then add "attempts_used outside the redraw budget"
   | Solution.Routed detail ->
     let covered =
@@ -151,6 +155,61 @@ let mcf_reproducibility inst (sol : Solution.t) =
             };
         ]
 
+(* Incremental = full: the solver's plans enter a kept certificate one at
+   a time in ascending flow id, then leave alternately from the front
+   and the back, and after every change the kept certificate (and its
+   energy) must equal [Certify.schedule] (and [Schedule.energy]) on the
+   schedule of the plans present, ascending by flow id.  Exclusive and
+   partial, so conflicts, capacity and every per-plan clause are in
+   play. *)
+let incremental_clause inst (sol : Solution.t) =
+  let sched = sol.Solution.schedule in
+  let config = { Certify.default with partial = true; exclusive = true } in
+  let st =
+    Certify.state ~config ~links:(Graph.num_links sched.graph) inst.Instance.power
+  in
+  let plans =
+    List.sort
+      (fun (a : Schedule.plan) (b : Schedule.plan) -> compare a.flow.id b.flow.id)
+      sched.plans
+  in
+  let id (p : Schedule.plan) = p.flow.Dcn_flow.Flow.id in
+  let diverges present =
+    let s =
+      Schedule.make ~graph:sched.graph ~power:sched.power ~horizon:sched.horizon present
+    in
+    let energy = Schedule.energy s in
+    let kept = Dcn_sched.Link_state.energy (Certify.links st) ~horizon:s.horizon in
+    if Int64.bits_of_float kept <> Int64.bits_of_float energy then Some "energy"
+    else if
+      compare
+        (Certify.check ~reported_energy:energy st inst s)
+        (Certify.schedule ~config ~reported_energy:energy inst s)
+      <> 0
+    then Some "violations"
+    else None
+  in
+  let rec grow step present = function
+    | [] -> shrink step present true
+    | p :: rest ->
+      Certify.update st inst ~added:[ p ] ~removed:[];
+      let present = present @ [ p ] in
+      check step present (fun () -> grow (step + 1) present rest)
+  and shrink step present front =
+    match if front then present else List.rev present with
+    | [] -> []
+    | p :: _ ->
+      Certify.update st inst ~added:[] ~removed:[ id p ];
+      let present = List.filter (fun q -> id q <> id p) present in
+      check step present (fun () -> shrink (step + 1) present (not front))
+  and check step present continue =
+    match diverges present with
+    | Some what ->
+      [ Incremental_divergence { solver = sol.Solution.algorithm; step; what } ]
+    | None -> continue ()
+  in
+  grow 1 [] plans
+
 (* The exhaustive search is only attempted where the enumeration budget
    is certainly small. *)
 let exact_gate inst =
@@ -175,7 +234,7 @@ let run ~solver_seed ~label inst =
   in
   let rs =
     Random_schedule.solve
-      ~config:{ Random_schedule.attempts = rs_attempts; fw_config }
+      ~config:{ Random_schedule.attempts = Random_schedule.redraw_budget; fw_config }
       ~relaxation ~instance:inst ~workspace:(ws ~rng:rngs.(1) ())
       ~deadline:never ()
   in
@@ -271,6 +330,9 @@ let run ~solver_seed ~label inst =
                  exact = e.Exact.energy;
                }))
       [ sp; ecmp; refined ]);
+  (* The incremental certificate, on a shared-link and a
+     virtual-circuit schedule. *)
+  List.iter (fun sol -> List.iter add (incremental_clause inst sol)) [ rs; sp ];
   (* Theorem 1 determinism on the deterministic-routing baseline. *)
   List.iter (fun v -> add v) (mcf_reproducibility inst sp);
   (* Metadata consistency. *)
@@ -356,6 +418,8 @@ let cross_to_json c =
         ("kernel", Json.float kernel);
         ("reference", Json.float reference);
       ]
+    | Incremental_divergence { solver; step; what } ->
+      [ ("solver", Json.Str solver); ("step", Json.Int step); ("what", Json.Str what) ]
   in
   Json.Obj (("kind", Json.Str (cross_kind c)) :: fields)
 

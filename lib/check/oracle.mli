@@ -22,7 +22,12 @@
       (Theorem 4);
     - solution metadata is consistent: rounding paths match the
       schedule's plans, MCF groups partition the flow set, rates cover
-      every flow. *)
+      every flow;
+    - incremental certification equals full certification: a
+      {!Certify.state} kept while Random-Schedule's and SP+MCF's plans
+      enter and leave one at a time gives {!Certify.schedule}'s
+      violations and {!Dcn_sched.Schedule.energy}'s energy at every
+      step. *)
 
 type solver_result = {
   solver : string;
@@ -39,6 +44,11 @@ type cross_violation =
   | Kernel_divergence of { what : string; kernel : float; reference : float }
       (** the flat-kernel Frank–Wolfe engine failed to reproduce the
           boxed reference engine bit for bit on this instance *)
+  | Incremental_divergence of { solver : string; step : int; what : string }
+      (** a certificate kept across plan additions and removals
+          ({!Certify.update}) differs from {!Certify.schedule} on the
+          same plans after [step] changes: in its violations or its
+          energy *)
 
 type t = {
   label : string;

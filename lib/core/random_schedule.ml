@@ -13,6 +13,7 @@ type config = {
 }
 
 let default_config = { attempts = 20; fw_config = Dcn_mcf.Frank_wolfe.default_config }
+let redraw_budget = 10
 
 (* Candidate paths of one flow across all intervals, with the paper's
    combined weights w̄_P (keyed by the link list to merge duplicates). *)

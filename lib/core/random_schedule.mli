@@ -29,6 +29,11 @@ type config = {
 
 val default_config : config
 
+val redraw_budget : int
+(** Path redraws per admission round or repair: 10.  Serving
+    sessions, schedule repair, the watchdog and the differential
+    oracle all draw with it. *)
+
 val candidate_paths :
   Relaxation.t ->
   Dcn_flow.Flow.t ->

@@ -12,17 +12,18 @@ let path ~dir = Filename.concat dir "checkpoint.json"
 
 let version = 1
 
+(* The envelope's bytes before the state: exactly what [Json.to_string]
+   prints for these three fields, so the file equals the compact
+   serialisation of the whole envelope object. *)
+let header ~seq ~crc =
+  Printf.sprintf {|{"version":%d,"seq":%d,"crc":"%s","state":|} version seq crc
+
+(* The state is serialised once; its bytes are both the checksummed
+   body and the envelope's last field. *)
 let write ~dir ~seq state =
   let body = Json.to_string state in
   let envelope =
-    Json.to_string
-      (Json.Obj
-         [
-           ("version", Json.Int version);
-           ("seq", Json.Int seq);
-           ("crc", Json.Str (Crc.to_hex (Crc.string body)));
-           ("state", state);
-         ])
+    String.concat "" [ header ~seq ~crc:(Crc.to_hex (Crc.string body)); body; "}" ]
   in
   Dcn_util.Atomic_file.write ~fsync:true ~path:(path ~dir) envelope;
   Dcn_obs.Registry.set obs_seq (float_of_int seq);
@@ -57,8 +58,15 @@ let load ~dir =
         if v <> version then Invalid (Printf.sprintf "unsupported version %d" v)
         else if seq < 0 then Invalid "negative seq"
         else
-          let body = Json.to_string state in
-          if Crc.to_hex (Crc.string body) <> String.lowercase_ascii crc then
-            Invalid "state checksum mismatch"
+          (* The checksum covers the state's bytes as written: the raw
+             text between the header and the closing brace. *)
+          let pos = String.length (header ~seq ~crc) in
+          let len = String.length raw - pos - 1 in
+          if
+            len < 0
+            || raw.[String.length raw - 1] <> '}'
+            || (not (String.starts_with ~prefix:(header ~seq ~crc) raw))
+            || Crc.to_hex (Crc.substring raw ~pos ~len) <> String.lowercase_ascii crc
+          then Invalid "state checksum mismatch"
           else Loaded { seq; state }
       | _ -> Invalid "missing envelope field"))

@@ -9,7 +9,10 @@
     v}
 
     with [crc] the {!Crc} of the compact serialisation of [state]
-    (a {!Dcn_serve.Session.snapshot}) — a half-written or bit-rotted
+    (a {!Dcn_serve.Session.snapshot}), written once and spliced into
+    the envelope; {!load} checks the CRC over those raw bytes of the
+    file, without serialising the parsed state again.  A half-written
+    or bit-rotted
     checkpoint is detected on load and recovery falls back to replaying
     the whole WAL, which is always sufficient (the log is never
     compacted past what the checkpoint covers). *)

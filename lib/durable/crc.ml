@@ -1,27 +1,26 @@
-(* Standard table-driven reflected CRC-32, poly 0xEDB88320. *)
+(* Standard table-driven reflected CRC-32, poly 0xEDB88320, on native
+   ints: every value fits in 32 bits, so nothing is boxed. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
 
-let string s =
-  let table = Lazy.force table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
+let substring s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Crc.substring";
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc :=
+      Array.unsafe_get table ((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let string s = substring s ~pos:0 ~len:(String.length s)
 
 let to_hex c = Printf.sprintf "%08lx" c
 

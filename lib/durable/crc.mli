@@ -11,6 +11,10 @@
 val string : string -> int32
 (** CRC-32 of all bytes of the string. *)
 
+val substring : string -> pos:int -> len:int -> int32
+(** CRC-32 of the bytes [pos .. pos + len - 1].
+    @raise Invalid_argument when the range is outside the string. *)
+
 val to_hex : int32 -> string
 (** Eight lowercase hex digits, zero-padded — the WAL's wire form. *)
 

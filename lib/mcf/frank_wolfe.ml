@@ -809,7 +809,6 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   in
   let final_gap = ref infinity in
   let iterations = ref 0 in
-  let minor0 = Gc.minor_words () in
   (try
      for iter = 1 to config.max_iters do
        (* Cooperative cancellation, polled every few iterations (the
@@ -888,9 +887,6 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
        if !moved = 0 then raise Exit
      done
    with Exit -> ());
-  if Trace.on () && !iterations > 0 then
-    Trace.counter "fw.kernel_minor_words"
-      ((Gc.minor_words () -. minor0) /. float_of_int !iterations);
   (* Copy out in the reference's shapes; without dense flows, each
      commodity's row is summed from its active set in [aon_loads]. *)
   let row (buf : Kernel.fbuf) base =

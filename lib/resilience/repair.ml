@@ -94,9 +94,7 @@ let outcome_to_json o =
         ("salvaged", Json.float salvaged);
       ]
 
-(* Random-Schedule redraws per admission round, and the relative slack
-   below which a residual counts as delivered. *)
-let attempts = 10
+(* The relative slack below which a residual counts as delivered. *)
 let volume_eps = 1e-6
 
 (* Volume a plan delivers strictly before [t]. *)
@@ -263,7 +261,10 @@ let repair ~policy ~rng ~committed ~event inst =
         match
           Random_schedule.solve
             ~config:
-              { Random_schedule.attempts; fw_config = Dcn_mcf.Frank_wolfe.resolve_config }
+              {
+                Random_schedule.attempts = Random_schedule.redraw_budget;
+                fw_config = Dcn_mcf.Frank_wolfe.resolve_config;
+              }
             ~instance:residual
             ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.split rng) ())
             ~deadline:Deadline.never ()

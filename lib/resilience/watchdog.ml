@@ -28,9 +28,6 @@ let timed_out answer =
     (fun a -> if a.status = Timed_out then Some a.stage else None)
     answer.attempts
 
-(* Random-Schedule redraws in the approximation stage. *)
-let rs_attempts = 10
-
 let status_to_string = function
   | Answered -> "answered"
   | Timed_out -> "timed_out"
@@ -129,7 +126,7 @@ let solve ?budget_ms ~rng inst =
             (Random_schedule.solve
                ~config:
                  {
-                   Random_schedule.attempts = rs_attempts;
+                   Random_schedule.attempts = Random_schedule.redraw_budget;
                    fw_config = Dcn_mcf.Frank_wolfe.resolve_config;
                  }
                ~instance:inst

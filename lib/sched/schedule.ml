@@ -38,85 +38,39 @@ let make ~graph ~power ~horizon plans =
     plans;
   { graph; power; horizon; plans }
 
+let density_plan (f : Flow.t) path =
+  { flow = f; path; slots = [ { start = f.release; stop = f.deadline; rate = Flow.density f } ] }
+
 let of_densities ~graph ~power ~horizon routed =
-  make ~graph ~power ~horizon
-    (List.map
-       (fun ((f : Flow.t), path) ->
-         {
-           flow = f;
-           path;
-           slots =
-             [ { start = f.release; stop = f.deadline; rate = Flow.density f } ];
-         })
-       routed)
+  make ~graph ~power ~horizon (List.map (fun (f, path) -> density_plan f path) routed)
 
 let find_plan t id = List.find_opt (fun p -> p.flow.Flow.id = id) t.plans
 
-let profiles t =
-  (* Slots carried by each link, link l's at [offset.(l)] onwards in
-     three flat arrays; a profile sorts its own slots, so their order
-     within a link does not matter. *)
-  let m = Graph.num_links t.graph in
-  let offset = Array.make (m + 1) 0 in
-  List.iter
-    (fun p ->
-      let k = List.length p.slots in
-      List.iter (fun l -> offset.(l + 1) <- offset.(l + 1) + k) p.path)
-    t.plans;
-  for l = 1 to m do
-    offset.(l) <- offset.(l) + offset.(l - 1)
-  done;
-  let start = Array.make offset.(m) 0. and stop = Array.make offset.(m) 0. in
-  let rate = Array.make offset.(m) 0. in
-  let fill = Array.sub offset 0 m in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun l ->
-          List.iter
-            (fun s ->
-              let x = fill.(l) in
-              start.(x) <- s.start;
-              stop.(x) <- s.stop;
-              rate.(x) <- s.rate;
-              fill.(l) <- x + 1)
-            p.slots)
-        p.path)
-    t.plans;
-  let acc = ref [] in
-  for l = m - 1 downto 0 do
-    let len = offset.(l + 1) - offset.(l) in
-    if len > 0 then begin
-      let profile = Profile.of_slot_arrays ~start ~stop ~rate ~pos:offset.(l) ~len in
-      if not (Profile.is_idle profile) then acc := (l, profile) :: !acc
-    end
-  done;
-  Array.of_list !acc
+let entry ~rank p =
+  let n = List.length p.slots in
+  let start = Array.make n 0. and stop = Array.make n 0. and rate = Array.make n 0. in
+  List.iteri
+    (fun k s ->
+      start.(k) <- s.start;
+      stop.(k) <- s.stop;
+      rate.(k) <- s.rate)
+    p.slots;
+  Link_state.entry ~rank ~flow:p.flow.Flow.id ~path:p.path ~start ~stop ~rate
 
+(* The per-link state of every plan, ranked by position: every energy,
+   profile and capacity function below reads one. *)
+let link_state t =
+  let st = Link_state.create ~links:(Graph.num_links t.graph) t.power in
+  List.iteri (fun rank p -> Link_state.add st (entry ~rank p)) t.plans;
+  st
+
+let profiles t = Link_state.profiles (link_state t)
 let active_links t = Array.to_list (Array.map fst (profiles t))
+let idle_energy t = Link_state.idle_energy (link_state t) ~horizon:t.horizon
+let dynamic_energy t = Link_state.dynamic_energy (link_state t)
+let energy t = Link_state.energy (link_state t) ~horizon:t.horizon
+let max_link_rate t = Link_state.max_rate (link_state t)
 
-let idle_of t ps =
-  let t0, t1 = t.horizon in
-  float_of_int (Array.length ps) *. t.power.Model.sigma *. (t1 -. t0)
+type verdict = Link_state.verdict = { overload : float; within_cap : bool }
 
-let dynamic_of t ps =
-  Array.fold_left (fun acc (_, p) -> acc +. Profile.dynamic_energy t.power p) 0. ps
-
-let idle_energy t = idle_of t (profiles t)
-let dynamic_energy t = dynamic_of t (profiles t)
-
-let energy t =
-  let ps = profiles t in
-  idle_of t ps +. dynamic_of t ps
-
-let max_link_rate t =
-  Array.fold_left (fun acc (_, p) -> Float.max acc (Profile.max_rate p)) 0. (profiles t)
-
-type verdict = { overload : float; within_cap : bool }
-
-let capacity_verdict t =
-  let cap = t.power.Model.cap in
-  let overload =
-    if Float.is_finite cap then max_link_rate t -. cap else neg_infinity
-  in
-  { overload; within_cap = overload <= 1e-6 *. Float.max 1. cap }
+let capacity_verdict t = Link_state.verdict (link_state t)

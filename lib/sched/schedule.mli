@@ -42,18 +42,22 @@ val make :
     certified by [Dcn_check.Certify].
     @raise Invalid_argument on a malformed plan or duplicate flow ids. *)
 
+val density_plan : Dcn_flow.Flow.t -> Dcn_topology.Graph.link list -> plan
+(** The flow transmitting at its density {!Dcn_flow.Flow.density} over
+    its whole span on the path: one plan of Algorithm 2's
+    interval-density schedule.  Unvalidated; see {!make}. *)
+
 val of_densities :
   graph:Dcn_topology.Graph.t ->
   power:Dcn_power.Model.t ->
   horizon:float * float ->
   (Dcn_flow.Flow.t * Dcn_topology.Graph.link list) list ->
   t
-(** The interval-density schedule of Algorithm 2: each flow transmits
-    at its density {!Dcn_flow.Flow.density} over its whole span on its
-    one path.  Plans keep the order of the pairs.
+(** The interval-density schedule of Algorithm 2: the {!density_plan}
+    of every pair.  Plans keep the order of the pairs.
     @raise Invalid_argument as {!make}. *)
 
-type verdict = {
+type verdict = Link_state.verdict = {
   overload : float;
       (** [max_link_rate - cap]; [neg_infinity] when the cap is
           infinite, where no profile is swept *)
@@ -71,6 +75,11 @@ val find_plan : t -> int -> plan option
 (** Plan of the flow with the given id, or [None].  To compare two
     schedules plan-by-plan, use {!Schedule_delta.diff} rather than
     paired lookups. *)
+
+val entry : rank:int -> plan -> Link_state.entry
+(** The plan's slots as a {!Link_state} entry of the given rank.  The
+    functions below read the {!Link_state} of every plan, ranked by
+    position. *)
 
 val profiles : t -> (Dcn_topology.Graph.link * Profile.t) array
 (** Profiles of all links that carry traffic. *)

@@ -59,6 +59,9 @@ let diff ~before ~after =
     changed = List.sort (fun a b -> by_id a.before b.before) changed;
   }
 
+let of_changes ~horizon ~added ~removed =
+  { horizon; added = List.sort by_id added; removed = List.sort by_id removed; changed = [] }
+
 let apply ~graph ~power ~before t =
   let old_plans = plans before in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in

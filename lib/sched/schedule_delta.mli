@@ -40,6 +40,16 @@ val diff : before:Schedule.t option -> after:Schedule.t option -> t
 (** Change set turning [before] into [after].  [None] stands for the
     empty schedule of a session with no committed flows. *)
 
+val of_changes :
+  horizon:(float * float) option ->
+  added:Schedule.plan list ->
+  removed:Schedule.plan list ->
+  t
+(** The delta of an epoch that only adds and removes whole plans, when
+    the caller knows which: no plan is changed.  Equals {!diff} on the
+    schedules before and after such an epoch, without visiting the
+    plans both share. *)
+
 val apply :
   graph:Dcn_topology.Graph.t ->
   power:Dcn_power.Model.t ->

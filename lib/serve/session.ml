@@ -14,15 +14,16 @@ module Relaxation = Dcn_core.Relaxation
 module Random_schedule = Dcn_core.Random_schedule
 module Schedule = Dcn_sched.Schedule
 module Schedule_delta = Dcn_sched.Schedule_delta
+module Link_state = Dcn_sched.Link_state
 module Certify = Dcn_check.Certify
 module Repair = Dcn_resilience.Repair
+module Int_map = Map.Make (Int)
 
-(* The solver settings every session runs with: path redraws per
-   admission round, and [Fw.resolve_config] for an interval re-solve.
-   Every committed epoch is re-certified.  The snapshot fingerprint
-   records them, so checkpoints stay tied to the settings that wrote
-   them. *)
-let attempts = 10
+(* The solver settings every session runs with are constants:
+   [Random_schedule.redraw_budget] path redraws per admission round,
+   and [Fw.resolve_config] for an interval re-solve.  Every committed
+   epoch is re-certified.  The snapshot fingerprint records them, so
+   checkpoints stay tied to the settings that wrote them. *)
 
 type stats = {
   mutable events : int;
@@ -118,20 +119,28 @@ type t = {
   workspace : Dcn_mcf.Kernel.Workspace.t;
   created : float;  (* wall clock at [create], for [uptime_ms] *)
   mutable clock : float;
-  (* Committed coflow membership, ascending coflow id.  Members still in
-     flight; a member list only shrinks when members retire (complete),
-     because shedding and cancellation always take the whole group. *)
-  mutable coflows : (int * int list) list;
+  (* Committed coflow membership keyed both ways: each coflow's members
+     still in flight, in arrival order, and each member's coflow.  A
+     member list only shrinks when members retire (complete), because
+     shedding and cancellation always take the whole group. *)
+  mutable coflows : int list Int_map.t;
+  mutable coflow_of : int Int_map.t;
   mutable relaxation : Relaxation.t option;
   (* The only record of which flows are committed and on which path:
      one interval-density plan per flow, ascending id (built from the
      sorted candidate list).  [None] when drained. *)
   mutable schedule : Schedule.t option;
+  (* The certificate of [schedule], kept per link and per flow id: each
+     epoch updates it with the plans it added and removed, and the
+     energy, the draw's capacity check and the certification read it. *)
+  mutable certificate : Certify.state;
   (* Eq. (5) energy of [schedule] (0 when drained), computed once per
      committed epoch and certified against the re-integration. *)
   mutable energy : float;
   stats : stats;
 }
+
+let empty_certificate graph power = Certify.state ~links:(Graph.num_links graph) power
 
 let create ?(pool = Pool.sequential) ~graph ~power ~policy ~seed () =
   {
@@ -143,9 +152,11 @@ let create ?(pool = Pool.sequential) ~graph ~power ~policy ~seed () =
     workspace = Dcn_mcf.Kernel.Workspace.create ();
     created = Deadline.now ();
     clock = 0.;
-    coflows = [];
+    coflows = Int_map.empty;
+    coflow_of = Int_map.empty;
     relaxation = None;
     schedule = None;
+    certificate = empty_certificate graph power;
     energy = 0.;
     stats =
       {
@@ -228,7 +239,8 @@ let plans t = match t.schedule with None -> [] | Some s -> s.Schedule.plans
 let flows_of ps = List.map (fun (p : Schedule.plan) -> p.flow) ps
 let active_flows t = flows_of (plans t)
 let find t id = Option.bind t.schedule (fun s -> Schedule.find_plan s id)
-let active_coflows t = t.coflows
+let committed t id = Link_state.mem (Certify.links t.certificate) id
+let active_coflows t = Int_map.bindings t.coflows
 let schedule t = t.schedule
 
 let total_intervals t =
@@ -260,34 +272,48 @@ let span_of ?(from = (Float.infinity, Float.neg_infinity)) flows =
       (Float.min lo f.release, Float.max hi f.deadline))
     from flows
 
-let diff ~before ~after =
-  Trace.span "serve.delta" @@ fun () -> Schedule_delta.diff ~before ~after
+let delta ~horizon ~added ~removed =
+  Trace.span "serve.delta" @@ fun () -> Schedule_delta.of_changes ~horizon ~added ~removed
+
+let ids plans = List.map (fun (p : Schedule.plan) -> p.flow.Flow.id) plans
 
 let instance t flows =
   Trace.span "serve.instance" @@ fun () ->
   Instance.make_result ~graph:t.graph ~power:t.power ~flows
 
-(* Absorb a committed epoch: mutate the session, account, certify. *)
-let commit t ~relax ~sched ~inst ~dropped ~retired
+(* Absorb a committed epoch that [added] and [removed] these plans:
+   mutate the session, account, certify.  The certificate recomputes
+   only the links on their paths. *)
+let commit t ~relax ~sched ~inst ~added ~removed ~dropped ~retired
     ~(rstats : Relaxation.reuse_stats) =
-  let delta = diff ~before:t.schedule ~after:(Some sched) in
-  let energy = Schedule.energy sched in
-  let violations = Certify.schedule ~reported_energy:energy inst sched in
+  let delta = delta ~horizon:(Some sched.Schedule.horizon) ~added ~removed in
+  let energy, violations =
+    Trace.span "check.certify" @@ fun () ->
+    Certify.update t.certificate inst ~added ~removed:(ids removed);
+    let energy =
+      Link_state.energy (Certify.links t.certificate) ~horizon:sched.Schedule.horizon
+    in
+    (energy, Certify.check ~reported_energy:energy t.certificate inst sched)
+  in
   (* Members that left the committed set retired or were shed as a whole
      group; either way the membership table tracks live members only,
      and a group with none left is done. *)
-  if t.coflows <> [] then begin
-    let planned = Hashtbl.create 64 in
-    List.iter
-      (fun (p : Schedule.plan) -> Hashtbl.replace planned p.flow.id ())
-      sched.Schedule.plans;
-    t.coflows <-
-      List.filter_map
-        (fun (cid, ms) ->
-          let live = List.filter (Hashtbl.mem planned) ms in
-          if live = [] then None else Some (cid, live))
-        t.coflows
-  end;
+  List.iter
+    (fun id ->
+      match Int_map.find_opt id t.coflow_of with
+      | None -> ()
+      | Some cid ->
+        t.coflow_of <- Int_map.remove id t.coflow_of;
+        t.coflows <-
+          Int_map.update cid
+            (function
+              | None -> None
+              | Some ms -> (
+                match List.filter (fun m -> m <> id) ms with
+                | [] -> None
+                | live -> Some live))
+            t.coflows)
+    (ids removed);
   t.relaxation <- Some relax;
   t.schedule <- Some sched;
   t.energy <- energy;
@@ -321,12 +347,12 @@ let commit t ~relax ~sched ~inst ~dropped ~retired
    sheds the whole group, so a partially planned coflow never survives
    an epoch.  A victim outside every coflow sheds alone. *)
 let shed_set t (victim : Flow.t) candidate =
-  match
-    List.find_opt (fun (_, ms) -> List.mem victim.Flow.id ms) t.coflows
-  with
+  match Int_map.find_opt victim.Flow.id t.coflow_of with
   | None -> [ victim ]
-  | Some (_, ms) ->
-    List.filter (fun (f : Flow.t) -> List.mem f.Flow.id ms) candidate
+  | Some cid ->
+    List.filter
+      (fun (f : Flow.t) -> Int_map.find_opt f.Flow.id t.coflow_of = Some cid)
+      candidate
 
 (* Graceful admission of a group of new flows — a plain arrival is the
    one-member group.  Each round re-solves only the intervals
@@ -340,10 +366,7 @@ let shed_set t (victim : Flow.t) candidate =
 let admit t ?coflow (members : Flow.t list) =
   let member_ids = List.map (fun (f : Flow.t) -> f.Flow.id) members in
   let is_new id = List.mem id member_ids in
-  let committed = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Schedule.plan) -> Hashtbl.replace committed p.flow.id p.path)
-    (plans t);
+  let links = Certify.links t.certificate in
   let rec go candidate dropped window =
     match instance t candidate with
     | Error e -> Rejected { reason = Instance.error_to_string e }
@@ -352,61 +375,74 @@ let admit t ?coflow (members : Flow.t list) =
       let member_candidates =
         List.map (Random_schedule.candidate_paths relax) members
       in
+      let shed_ids = List.map (fun (f : Flow.t) -> f.Flow.id) dropped in
       let draw =
         Trace.span "serve.draw" @@ fun () ->
         if List.mem [] member_candidates then None
         else
           let prepared =
             List.map2
-              (fun id cands ->
-                ( id,
+              (fun f cands ->
+                ( f,
                   Array.of_list (List.map fst cands),
                   Array.of_list (List.map snd cands) ))
-              member_ids member_candidates
+              members member_candidates
           in
-          let rngs = Pool.split_rngs (Prng.split t.rng) attempts in
-          let horizon = Instance.horizon inst in
-          (* A member takes its drawn path; every other candidate keeps
-             its committed one. *)
-          let route drawn (f : Flow.t) =
-            match List.assoc_opt f.id drawn with
-            | Some path -> (f, path)
-            | None -> (f, Hashtbl.find committed f.id)
-          in
+          let rngs = Pool.split_rngs (Prng.split t.rng) Random_schedule.redraw_budget in
+          (* A draw fits when the committed links, less the shed flows'
+             entries and plus the drawn members', stay under the cap:
+             only the links on those paths are re-profiled. *)
           let rec try_draw i =
-            if i >= attempts then None
+            if i >= Random_schedule.redraw_budget then None
             else
               let drawn =
                 List.fold_left
-                  (fun acc (id, paths, weights) ->
+                  (fun acc ((f : Flow.t), paths, weights) ->
                     let idx = Prng.pick_weighted rngs.(i) ~weights in
-                    (id, paths.(idx)) :: acc)
+                    (f, paths.(idx)) :: acc)
                   [] prepared
               in
-              let sched =
-                Schedule.of_densities ~graph:t.graph ~power:t.power ~horizon
-                  (List.map (route drawn) candidate)
+              let entries =
+                List.map
+                  (fun ((f : Flow.t), path) ->
+                    Schedule.entry ~rank:f.id (Schedule.density_plan f path))
+                  drawn
               in
-              if (Schedule.capacity_verdict sched).within_cap then Some sched
+              if (Link_state.verdict_with links ~removed:shed_ids ~added:entries).within_cap
+              then Some drawn
               else try_draw (i + 1)
           in
           try_draw 0
       in
       match draw with
-      | Some sched ->
+      | Some drawn ->
+        (* A member takes its drawn path; every other candidate keeps
+           its committed one. *)
+        let route (f : Flow.t) =
+          match List.find_opt (fun ((g : Flow.t), _) -> g.id = f.id) drawn with
+          | Some (_, path) -> (f, path)
+          | None -> (f, Link_state.path links f.id)
+        in
+        let sched =
+          Schedule.of_densities ~graph:t.graph ~power:t.power
+            ~horizon:(Instance.horizon inst) (List.map route candidate)
+        in
+        let added =
+          List.filter (fun (p : Schedule.plan) -> is_new p.flow.id) sched.Schedule.plans
+        in
+        let removed =
+          List.filter (fun (p : Schedule.plan) -> List.mem p.flow.id shed_ids) (plans t)
+        in
         t.stats.admitted <- t.stats.admitted + List.length members;
         let outcome =
-          commit t ~relax ~sched ~inst ~dropped ~retired:[] ~rstats
+          commit t ~relax ~sched ~inst ~added ~removed ~dropped ~retired:[] ~rstats
         in
         (* [commit] pruned shed groups; the new one enters afterwards so
            a [Rejected] round never leaves a trace of it. *)
         Option.iter
           (fun cid ->
-            t.coflows <-
-              List.merge
-                (fun (a, _) (b, _) -> compare a b)
-                t.coflows
-                [ (cid, member_ids) ])
+            t.coflows <- Int_map.add cid member_ids t.coflows;
+            List.iter (fun id -> t.coflow_of <- Int_map.add id cid t.coflow_of) member_ids)
           coflow;
         outcome
       | None -> (
@@ -451,7 +487,7 @@ let validate_new t (f : Flow.t) =
     Some
       (Printf.sprintf "flow %d: deadline %g at or before clock %g" f.id
          f.deadline t.clock)
-  else if Option.is_some (find t f.id) then
+  else if committed t f.id then
     Some (Printf.sprintf "flow %d already committed" f.id)
   else if Option.is_none (Paths.shortest_path t.graph ~src:f.src ~dst:f.dst)
   then Some (Printf.sprintf "flow %d: no path from %d to %d" f.id f.src f.dst)
@@ -475,7 +511,7 @@ let on_coflow_arrival t ~coflow members =
     Dcn_obs.Registry.incr obs_coflow_rejected;
     Rejected { reason }
   in
-  if List.mem_assoc coflow t.coflows then
+  if Int_map.mem coflow t.coflows then
     reject (Printf.sprintf "coflow %d already committed" coflow)
   else if members = [] then
     reject (Printf.sprintf "coflow %d has no members" coflow)
@@ -521,10 +557,12 @@ let withdraw t ~cancelled ~retired =
   let s = t.stats in
   match rest with
   | [] ->
-    let delta = diff ~before:t.schedule ~after:None in
-    t.coflows <- [];
+    let delta = delta ~horizon:None ~added:[] ~removed:gone in
+    t.coflows <- Int_map.empty;
+    t.coflow_of <- Int_map.empty;
     t.relaxation <- None;
     t.schedule <- None;
+    t.certificate <- empty_certificate t.graph t.power;
     t.energy <- 0.;
     s.cancelled <- s.cancelled + List.length cancelled;
     s.retired <- s.retired + List.length retired;
@@ -551,14 +589,14 @@ let withdraw t ~cancelled ~retired =
           (List.map (fun (p : Schedule.plan) -> (p.flow, p.path)) rest)
       in
       s.cancelled <- s.cancelled + List.length cancelled;
-      commit t ~relax ~sched ~inst ~dropped:[] ~retired ~rstats)
+      commit t ~relax ~sched ~inst ~added:[] ~removed:gone ~dropped:[] ~retired ~rstats)
 
 let on_cancel t id =
-  if Option.is_none (find t id) then
+  if not (committed t id) then
     Rejected { reason = Printf.sprintf "unknown flow %d" id }
   else
-    match List.find_opt (fun (_, ms) -> List.mem id ms) t.coflows with
-    | Some (cid, _) ->
+    match Int_map.find_opt id t.coflow_of with
+    | Some cid ->
       Rejected
         {
           reason =
@@ -568,7 +606,7 @@ let on_cancel t id =
     | None -> withdraw t ~cancelled:[ id ] ~retired:[]
 
 let on_coflow_cancel t coflow =
-  match List.assoc_opt coflow t.coflows with
+  match Int_map.find_opt coflow t.coflows with
   | None -> Rejected { reason = Printf.sprintf "unknown coflow %d" coflow }
   | Some ms -> withdraw t ~cancelled:ms ~retired:[]
 
@@ -593,7 +631,10 @@ let on_advance t to_ =
       (* Nothing completed: the committed schedule stands unchanged. *)
       Committed
         {
-          delta = diff ~before:t.schedule ~after:t.schedule;
+          delta =
+            delta
+              ~horizon:(Option.map (fun (s : Schedule.t) -> s.horizon) t.schedule)
+              ~added:[] ~removed:[];
           dropped = [];
           retired = [];
           violations = [];
@@ -623,7 +664,7 @@ let refresh_gauges t outcome =
     (match outcome with
     | Committed d | Degraded d -> Dcn_obs.Registry.set obs_energy d.energy
     | Rejected _ -> ());
-    (match t.coflows with
+    (match active_coflows t with
     | [] -> ()
     | cs ->
       let collective_deadline ms =
@@ -704,7 +745,7 @@ let report t =
       ("reused_intervals", Json.Int s.reused_intervals);
       ("certified_epochs", Json.Int s.certified_epochs);
       ("uncertified_epochs", Json.Int s.uncertified_epochs);
-      ("coflows", Json.Int (List.length t.coflows));
+      ("coflows", Json.Int (Int_map.cardinal t.coflows));
       ("coflows_admitted", Json.Int s.coflows_admitted);
       ("coflows_rejected", Json.Int s.coflows_rejected);
       ("ok", Json.Bool (s.uncertified_epochs = 0));
@@ -774,7 +815,7 @@ let fingerprint t =
       ("mu", Json.float t.power.Model.mu);
       ("alpha", Json.float t.power.Model.alpha);
       ("cap", Json.float t.power.Model.cap);
-      ("attempts", Json.Int attempts);
+      ("attempts", Json.Int Random_schedule.redraw_budget);
       ("certify", Json.Bool true);
       ("fw_max_iters", Json.Int Fw.resolve_config.max_iters);
       ("fw_gap_tol", Json.float Fw.resolve_config.gap_tol);
@@ -812,7 +853,7 @@ let snapshot t =
                    ("coflow", Json.Int cid);
                    ("members", Json.List (List.map (fun m -> Json.Int m) ms));
                  ])
-             t.coflows) );
+             (active_coflows t)) );
       ( "stats",
         Json.Obj
           [
@@ -908,12 +949,13 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
             List.map Json.to_int (Json.to_list (Json.get "links" p)) ))
         (Json.to_list (Json.get "paths" json))
     in
-    t.coflows <-
+    let coflows =
       List.map
         (fun c ->
           ( Json.to_int (Json.get "coflow" c),
             List.map Json.to_int (Json.to_list (Json.get "members" c)) ))
-        (Json.to_list (Json.get "coflows" json));
+        (Json.to_list (Json.get "coflows" json))
+    in
     let s = t.stats and sj = Json.get "stats" json in
     let stat name = Json.to_int (Json.get name sj) in
     s.events <- stat "events";
@@ -940,9 +982,9 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
       | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
       | _ -> true
     in
-    if not (ascending t.coflows) then
+    if not (ascending coflows) then
       failwith "coflow ids are not unique and ascending";
-    let members = List.concat_map snd t.coflows in
+    let members = List.concat_map snd coflows in
     List.iter
       (fun (cid, ms) ->
         if ms = [] then
@@ -954,9 +996,14 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
                 (Printf.sprintf "coflow %d: member %d is not a committed flow"
                    cid m))
           ms)
-      t.coflows;
+      coflows;
     if List.length (List.sort_uniq compare members) <> List.length members then
       failwith "a flow belongs to more than one coflow";
+    List.iter
+      (fun (cid, ms) ->
+        t.coflows <- Int_map.add cid ms t.coflows;
+        List.iter (fun m -> t.coflow_of <- Int_map.add m cid t.coflow_of) ms)
+      coflows;
     (match (flows, Json.get "relaxation" json) with
     | [], Json.Null -> ()
     | [], _ -> failwith "snapshot has a relaxation but no flows"
@@ -994,7 +1041,9 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
             (List.map (fun (f : Flow.t) -> (f, List.assoc f.id paths)) flows)
         in
         t.schedule <- Some sched;
-        t.energy <- Schedule.energy sched));
+        Certify.update t.certificate inst ~added:sched.Schedule.plans ~removed:[];
+        t.energy <-
+          Link_state.energy (Certify.links t.certificate) ~horizon:sched.Schedule.horizon));
     t
   with
   | t -> Ok t

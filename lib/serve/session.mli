@@ -33,14 +33,21 @@
     else reused verbatim), keeps every other flow's committed path,
     draws the new flow's path from the warm relaxation
     ({!Dcn_core.Random_schedule.candidate_paths}), and is independently
-    re-certified by {!Dcn_check.Certify}.  The result is a typed
+    re-certified by {!Dcn_check.Certify}.  The session keeps its
+    certificate ({!Dcn_check.Certify.state}: per link and per flow id)
+    across epochs, so the draw's capacity check, the energy, the
+    certificate and the delta recompute only the links on the added and
+    removed plans' paths; each result equals the full pass over the
+    whole schedule, and the fluid-replay cross-check still runs in full
+    on every epoch.  The result is a typed
     {!outcome} carrying a {!Dcn_sched.Schedule_delta.t} — never an
     exception, mirroring [Repair]'s [Repaired]/[Degraded]/[Irreparable]
     discipline (only {!Dcn_engine.Deadline.Expired} is re-raised, so a
     watchdog budget above a session still works).
 
-    Every session runs with the same solver settings: 10 path redraws
-    per admission round, interval re-solves under
+    Every session runs with the same solver settings:
+    {!Dcn_core.Random_schedule.redraw_budget} path redraws per
+    admission round, interval re-solves under
     {!Dcn_mcf.Frank_wolfe.resolve_config}, and every committed epoch
     certified.
 

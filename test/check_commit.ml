@@ -6,7 +6,9 @@
    benchmark's own) drives an in-process session in closed loop for 600
    events at seed 5 on fat-tree k=4, about 100 committed flows.  Then it
    counts the minor-heap words of each per-epoch pass over the committed
-   set and checks them against fixed budgets.  Minor words are a pure
+   set, and of the incremental update a session makes instead of the
+   full certification, energy and delta (the last epoch that changed
+   the schedule), and checks them against fixed budgets.  Minor words are a pure
    function of the code and the event sequence, so unlike wall time the
    budget is exact on every host.
 
@@ -17,6 +19,7 @@ module Session = Dcn_serve.Session
 module Schedule = Dcn_sched.Schedule
 module Schedule_delta = Dcn_sched.Schedule_delta
 module Certify = Dcn_check.Certify
+module Link_state = Dcn_sched.Link_state
 module Relaxation = Dcn_core.Relaxation
 module Instance = Dcn_core.Instance
 
@@ -28,7 +31,11 @@ let warm = 100
    headroom.  The list-scanning passes they replaced allocated 2.4x
    (re-solve) to 15x (fluid replay) as much; the delta's words hardly
    moved, since its cost was comparisons rather than allocation.
-   EXPERIMENTS.md E20 has the before/after table. *)
+   EXPERIMENTS.md E20 has the before/after table.  A session no longer
+   runs the first, third and fourth passes on every epoch: it updates
+   its kept certificate (the incremental row, 15,221 of whose words are
+   the full fluid replay it still runs), which took apply's mean from
+   145,059 to 91,728 words (E21). *)
 let budgets =
   [
     ("Certify.schedule", 59_600.);
@@ -36,7 +43,8 @@ let budgets =
     ("Schedule.energy", 30_800.);
     ("Schedule_delta.diff", 1_550.);
     ("resolve, nothing dirty", 21_600.);
-    ("apply, mean over events 101-600", 181_000.);
+    ("incremental certify+energy+delta", 23_500.);
+    ("apply, mean over events 101-600", 114_700.);
   ]
 
 (* [f ()] and the minor words it allocated. *)
@@ -52,12 +60,16 @@ let () =
   let power = Dcn_power.Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:spec.cap () in
   let session = Session.create ~graph ~power ~policy:spec.policy ~seed () in
   let gen = Workload.create spec ~graph ~seed in
-  let apply_words = ref 0. and before = ref None in
+  let apply_words = ref 0. and before = ref None and change = ref None in
   for i = 1 to events do
     let event = Workload.next gen in
-    if i = events then before := Session.schedule session;
+    let prior = Session.schedule session in
+    if i = events then before := prior;
     let outcome, cost = counted (fun () -> Session.apply session event) in
     if i > warm then apply_words := !apply_words +. cost;
+    (match (prior, Session.schedule session) with
+    | Some b, Some a when b != a -> change := Some (b, a)
+    | _ -> ());
     Workload.observe gen event (Session.outcome_to_json outcome)
   done;
   let sched = Option.get (Session.schedule session) in
@@ -76,6 +88,28 @@ let () =
     ignore (f ());
     snd (counted f)
   in
+  (* The last schedule change, made on a certificate of the schedule
+     before it whose links are all swept and profiled; only the update
+     is counted. *)
+  let incremental () =
+    let b, a = Option.get !change in
+    let inst_of (s : Schedule.t) =
+      Instance.make ~graph ~power ~flows:(List.map (fun (p : Schedule.plan) -> p.flow) s.plans)
+    in
+    let st = Certify.state ~links:(Dcn_topology.Graph.num_links graph) power in
+    Certify.update st (inst_of b) ~added:b.plans ~removed:[];
+    ignore (Certify.check st (inst_of b) b);
+    ignore (Link_state.energy (Certify.links st) ~horizon:b.horizon);
+    let inst = inst_of a in
+    let d = Schedule_delta.diff ~before:(Some b) ~after:(Some a) in
+    snd
+      (counted (fun () ->
+           ignore (Schedule_delta.of_changes ~horizon:(Some a.horizon) ~added:d.added ~removed:d.removed);
+           Certify.update st inst ~added:d.added
+             ~removed:(List.map (fun (p : Schedule.plan) -> p.flow.id) d.removed);
+           let energy = Link_state.energy (Certify.links st) ~horizon:a.horizon in
+           Certify.check ~reported_energy:energy st inst a))
+  in
   let counts =
     [
       ("Certify.schedule", measure (fun () -> Certify.schedule inst sched));
@@ -84,6 +118,7 @@ let () =
       ( "Schedule_delta.diff",
         measure (fun () -> Schedule_delta.diff ~before:!before ~after:(Some sched)) );
       ("resolve, nothing dirty", measure resolve);
+      ("incremental certify+energy+delta", (ignore (incremental ()); incremental ()));
       ("apply, mean over events 101-600", !apply_words /. float_of_int (events - warm));
     ]
   in

@@ -95,6 +95,42 @@ let test_crc_vectors () =
   Alcotest.(check bool) "reject short" true (Crc.of_hex "abc" = None);
   Alcotest.(check bool) "reject non-hex" true (Crc.of_hex "xyzxyzxy" = None)
 
+(* A checkpoint is serialised once and its CRC taken over the written
+   bytes; the file must stay byte-identical to the fixture, written
+   after the first 8 coflow-mix events at cap 1.25 by the code that
+   serialised the state twice.  Restoring the fixture's state and
+   checkpointing the session again reproduces it; a flipped state byte
+   is caught by the load. *)
+let test_checkpoint_fixture () =
+  let fixture = read_file "corpus/checkpoint-coflow-mix-8.json" in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let put bytes =
+    let oc = open_out_bin (Checkpoint.path ~dir) in
+    output_string oc bytes;
+    close_out oc
+  in
+  put fixture;
+  match Checkpoint.load ~dir with
+  | Checkpoint.Absent | Checkpoint.Invalid _ -> Alcotest.fail "fixture did not load"
+  | Checkpoint.Loaded { seq; state } -> (
+    Alcotest.(check int) "seq" 8 seq;
+    let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1.25 () in
+    match Session.restore ~graph:(Builders.fat_tree 4) ~power ~policy state with
+    | Error m -> Alcotest.failf "fixture state does not restore: %s" m
+    | Ok session ->
+      Checkpoint.write ~dir ~seq (Session.snapshot session);
+      Alcotest.(check string) "bytes" fixture (read_file (Checkpoint.path ~dir));
+      (* The first digit of the state's clock. *)
+      let key = "\"clock\":" in
+      let rec find i = if String.sub fixture i (String.length key) = key then i else find (i + 1) in
+      let i = find 0 + String.length key in
+      let flipped = Bytes.of_string fixture in
+      Bytes.set flipped i (if fixture.[i] = '1' then '2' else '1');
+      put (Bytes.to_string flipped);
+      Alcotest.(check bool) "flipped state byte" true
+        (Checkpoint.load ~dir = Checkpoint.Invalid "state checksum mismatch"))
+
 (* ---------------------------- atomic file -------------------------- *)
 
 let test_atomic_file () =
@@ -654,6 +690,7 @@ let suite =
       [
         Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
         Alcotest.test_case "atomic file" `Quick test_atomic_file;
+        Alcotest.test_case "checkpoint fixture bytes" `Quick test_checkpoint_fixture;
         Alcotest.test_case "wal round trip" `Quick test_wal_round_trip;
         Alcotest.test_case "wal append batch bytes" `Quick
           test_wal_append_batch_bytes;

@@ -2,7 +2,9 @@
    (Naive): profiles and energy, the fluid replay, certification, the
    per-interval active sets and the schedule delta must return what the
    earlier code returned, bit for bit, on solver output and on the
-   schedules a serving session commits. *)
+   schedules a serving session commits.  On session epochs the
+   incremental commit path (the session's reply, and certificates kept
+   across the epochs' deltas) must also equal the full passes. *)
 
 module Prng = Dcn_util.Prng
 module Json = Dcn_engine.Json
@@ -15,6 +17,7 @@ module Schedule = Dcn_sched.Schedule
 module Schedule_delta = Dcn_sched.Schedule_delta
 module Instance = Dcn_core.Instance
 module Certify = Dcn_check.Certify
+module Link_state = Dcn_sched.Link_state
 module Event = Dcn_serve.Event
 module Session = Dcn_serve.Session
 module Repair = Dcn_resilience.Repair
@@ -119,17 +122,91 @@ let prop_solver_output =
 
 (* ------------------------- session epochs -------------------------- *)
 
+(* Incremental = full on one epoch.  The reply's delta, energy and
+   violations must be [Schedule_delta.diff], [Schedule.energy] and
+   [Certify.schedule] on the whole schedules; certificates kept across
+   the epochs (default and exclusive configs, updated from the diff)
+   must give [Certify.schedule]'s violations, also under a tight cap
+   with a wrong reported energy, and the energy and capacity verdict of
+   the schedule. *)
+let check_incremental label ~fresh ~states outcome ~before ~after =
+  let diff = Schedule_delta.diff ~before ~after in
+  let reply =
+    match outcome with
+    | Session.Rejected _ ->
+      if not (Schedule_delta.is_empty diff) then
+        fail "%s: a rejected event changed the schedule" label;
+      None
+    | Session.Committed d | Session.Degraded d ->
+      if not (same d.delta diff) then fail "%s: the reply's delta is not the diff" label;
+      Some d
+  in
+  match after with
+  | None ->
+    Option.iter
+      (fun (d : Session.detail) ->
+        if d.energy <> 0. || d.violations <> [] then fail "%s: drained epoch" label)
+      reply;
+    List.iter (fun (config, st) -> st := fresh config) states
+  | Some (sched : Schedule.t) ->
+    let flows = List.map (fun (p : Schedule.plan) -> p.flow) sched.plans in
+    let inst = Instance.make ~graph:sched.graph ~power:sched.power ~flows in
+    let power = sched.power in
+    (* A cap at half the peak rate makes the capacity clause fire. *)
+    let tight =
+      Instance.make ~graph:sched.graph
+        ~power:
+          (Model.make ~sigma:power.Model.sigma ~mu:power.Model.mu ~alpha:power.Model.alpha
+             ~cap:(Float.max 1e-3 (0.5 *. Schedule.max_link_rate sched))
+             ())
+        ~flows
+    in
+    let energy = Schedule.energy sched in
+    Option.iter
+      (fun (d : Session.detail) ->
+        if bits d.energy <> bits energy then
+          fail "%s: reply energy %h <> Schedule.energy %h" label d.energy energy;
+        if not (same d.violations (Certify.schedule ~reported_energy:energy inst sched)) then
+          fail "%s: reply violations differ from Certify.schedule" label)
+      reply;
+    List.iter
+      (fun (config, st) ->
+        Certify.update !st inst ~added:diff.added
+          ~removed:(List.map (fun (p : Schedule.plan) -> p.flow.id) diff.removed);
+        let links = Certify.links !st in
+        if bits (Link_state.energy links ~horizon:sched.horizon) <> bits energy then
+          fail "%s: kept energy differs" label;
+        if not (same (Link_state.verdict links) (Schedule.capacity_verdict sched)) then
+          fail "%s: kept capacity verdict differs" label;
+        List.iter
+          (fun (name, inst, reported_energy) ->
+            if
+              not
+                (same
+                   (Certify.check ~reported_energy !st inst sched)
+                   (Certify.schedule ~config ~reported_energy inst sched))
+            then fail "%s (%s): the kept certificate differs from the full one" label name)
+          [ ("instance", inst, energy); ("tight cap", tight, energy *. 1.01) ])
+      states
+
 (* Every committed schedule of a session driven by [events], checked
    with its predecessor. *)
-let check_session label session events =
+let check_session label ~graph ~power session events =
   let epoch = ref 0 in
+  let fresh config = Certify.state ~config ~links:(Dcn_topology.Graph.num_links graph) power in
+  let states =
+    List.map
+      (fun config -> (config, ref (fresh config)))
+      [ Certify.default; { Certify.default with exclusive = true } ]
+  in
   List.for_all
     (fun e ->
       incr epoch;
       let before = Session.schedule session in
-      ignore (Session.apply session e);
+      let outcome = Session.apply session e in
       let after = Session.schedule session in
       let label = Printf.sprintf "%s, event %d" label !epoch in
+      check_incremental label ~fresh ~states outcome ~before ~after;
       check_delta label before after
       &&
       match after with
@@ -183,12 +260,13 @@ let prop_session_epochs =
   QCheck.Test.make ~name:"sweeps equal the list oracles on session epochs" ~count:6
     QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
     (fun seed ->
+      let graph = Builders.fat_tree 4 in
+      let power = Model.make ~sigma:1. ~mu:1. ~alpha:2. ~cap:4. () in
       let session =
-        Session.create ~graph:(Builders.fat_tree 4)
-          ~power:(Model.make ~sigma:1. ~mu:1. ~alpha:2. ~cap:4. ())
-          ~policy:Repair.Drop_latest_deadline ~seed ()
+        Session.create ~graph ~power ~policy:Repair.Drop_latest_deadline ~seed ()
       in
-      check_session (Printf.sprintf "stream seed %d" seed) session (stream ~seed ~n:30))
+      check_session (Printf.sprintf "stream seed %d" seed) ~graph ~power session
+        (stream ~seed ~n:30))
 
 let corpus_events name =
   List.map
@@ -202,12 +280,12 @@ let corpus_events name =
    100 events on a line. *)
 let test_corpus_epochs () =
   let run label ~graph ~cap name =
+    let power = Model.make ~sigma:1. ~mu:1. ~alpha:2. ~cap () in
     let session =
-      Session.create ~graph
-        ~power:(Model.make ~sigma:1. ~mu:1. ~alpha:2. ~cap ())
-        ~policy:Repair.Drop_latest_deadline ~seed:42 ()
+      Session.create ~graph ~power ~policy:Repair.Drop_latest_deadline ~seed:42 ()
     in
-    Alcotest.(check bool) label true (check_session label session (corpus_events name))
+    Alcotest.(check bool) label true
+      (check_session label ~graph ~power session (corpus_events name))
   in
   run "coflow-mix cap 1.25" ~graph:(Builders.fat_tree 4) ~cap:1.25 "coflow-mix.events";
   run "serve-100" ~graph:(Builders.line 5) ~cap:6. "serve-100.events"
