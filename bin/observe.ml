@@ -3,10 +3,11 @@
    {!Dcn_engine.Trace} around the command body and writes both files on
    the way out.
 
-   The command body returns the report's sections (a [Json.field list]);
-   the wrapper prepends the command name and appends the stage
-   wall-time snapshot ({!Dcn_obs.Stage}) and the trace's counter
-   totals, so every report has the same envelope:
+   The command body returns the report's sections (a [Json.field list])
+   with a value the wrapper passes back; the wrapper prepends the
+   command name and appends the stage wall-time snapshot
+   ({!Dcn_obs.Stage}) and the trace's counter totals, so every report
+   has the same envelope:
 
    {v
    { "command": "...", <sections>, "metrics": [...], "counters": {...} }
@@ -53,14 +54,14 @@ let counters_json t =
 
 let run ~command ~trace ~report f =
   match (trace, report) with
-  | None, None -> ignore (f ())
+  | None, None -> snd (f ())
   | _ ->
     (* Stage metrics for the report come from the registry; idempotent
        if the subcommand (e.g. serve --stats-every) enabled it already. *)
     Dcn_obs.Registry.enable ();
     let t = Trace.create () in
     Trace.install t;
-    let sections = Fun.protect ~finally:Trace.uninstall f in
+    let sections, v = Fun.protect ~finally:Trace.uninstall f in
     (match trace with
     | Some path -> write_file path (Json.to_string ~pretty:true (Trace.to_json t))
     | None -> ());
@@ -72,4 +73,5 @@ let run ~command ~trace ~report f =
           @ [ ("metrics", Stage.to_json ()); ("counters", counters_json t) ])
       in
       write_file path (Json.to_string ~pretty:true json)
-    | None -> ())
+    | None -> ());
+    v

@@ -26,9 +26,10 @@ type violation =
   | Lb_violated of { energy : float; lower_bound : float }
   | Partial_coflow of { coflow : int; planned : int list; missing : int list }
 
+let eps = 1e-6
+let energy_rtol = 1e-6
+
 type config = {
-  eps : float;
-  energy_rtol : float;
   partial : bool;
   exclusive : bool;
   check_capacity : bool;
@@ -38,8 +39,6 @@ type config = {
 
 let default =
   {
-    eps = 1e-6;
-    energy_rtol = 1e-6;
     partial = false;
     exclusive = false;
     check_capacity = true;
@@ -157,10 +156,10 @@ let plan_violations cfg g known (p : Schedule.plan) =
     if not (Graph.is_path g ~src:f.src ~dst:f.dst p.path) || p.path = [] then
       add (Bad_path { flow = id });
     if cfg.check_volume then begin
-      let tol = cfg.eps *. Float.max 1. f.volume in
+      let tol = eps *. Float.max 1. f.volume in
       List.iter
         (fun (s : Schedule.slot) ->
-          if s.rate > 0. && (s.start < f.release -. cfg.eps || s.stop > f.deadline +. cfg.eps)
+          if s.rate > 0. && (s.start < f.release -. eps || s.stop > f.deadline +. eps)
           then add (Slot_outside_window { flow = id; start = s.start; stop = s.stop }))
         p.slots;
       let got = Schedule.delivered p in
@@ -210,7 +209,7 @@ let check ?reported_energy ?lower_bound st inst (sched : Schedule.t) =
   (* Horizon: the idle-power window must be the instance's. *)
   let it0, it1 = Instance.horizon inst in
   let st0, st1 = sched.Schedule.horizon in
-  if Float.abs (st0 -. it0) > cfg.eps || Float.abs (st1 -. it1) > cfg.eps then
+  if Float.abs (st0 -. it0) > eps || Float.abs (st1 -. it1) > eps then
     add (Horizon_mismatch { expected = (it0, it1); got = (st0, st1) });
   if Hashtbl.length st.verdicts > 0 then
     List.iter
@@ -226,7 +225,7 @@ let check ?reported_energy ?lower_bound st inst (sched : Schedule.t) =
      energy and active links — then Eq. (5) re-integration and the
      cross-checks. *)
   let power = inst.Instance.power in
-  let cap_tol = cfg.eps *. Float.max 1. power.Model.cap in
+  let cap_tol = eps *. Float.max 1. power.Model.cap in
   let dynamic = ref 0. and active = ref 0 in
   for link = 0 to Link_state.links st.links - 1 do
     let s = Link_state.sweep st.links link in
@@ -244,18 +243,18 @@ let check ?reported_energy ?lower_bound st inst (sched : Schedule.t) =
   let idle = float_of_int !active *. power.Model.sigma *. (st1 -. st0) in
   let recomputed = idle +. !dynamic in
   (match reported_energy with
-  | Some e when not (close e recomputed ~rtol:cfg.energy_rtol) ->
+  | Some e when not (close e recomputed ~rtol:energy_rtol) ->
     add (Energy_mismatch { source = "solver"; reported = e; recomputed })
   | _ -> ());
   if cfg.cross_check_sim then begin
     let sim = Dcn_sim.Fluid.run sched in
-    if not (close sim.Dcn_sim.Fluid.energy recomputed ~rtol:cfg.energy_rtol) then
+    if not (close sim.Dcn_sim.Fluid.energy recomputed ~rtol:energy_rtol) then
       add
         (Energy_mismatch
            { source = "fluid-sim"; reported = sim.Dcn_sim.Fluid.energy; recomputed })
   end;
   (match lower_bound with
-  | Some lb when recomputed < lb -. (cfg.energy_rtol *. Float.max 1. lb) ->
+  | Some lb when recomputed < lb -. (energy_rtol *. Float.max 1. lb) ->
     add (Lb_violated { energy = recomputed; lower_bound = lb })
   | _ -> ());
   let result = List.rev !violations in
@@ -280,7 +279,7 @@ let schedule ?config ?reported_energy ?lower_bound inst (sched : Schedule.t) =
     sched.Schedule.plans;
   check ?reported_energy ?lower_bound st inst sched
 
-let solution ?(eps = default.eps) ?lower_bound inst (sol : Solution.t) =
+let solution ?lower_bound inst (sol : Solution.t) =
   let lower_bound =
     match lower_bound with
     | Some _ -> lower_bound
@@ -295,16 +294,16 @@ let solution ?(eps = default.eps) ?lower_bound inst (sol : Solution.t) =
     match sol.Solution.meta with
     | Solution.Mcf _ ->
       (* Virtual circuits: exclusive slots; DCFS does not bind the cap. *)
-      { default with eps; exclusive = true; check_capacity = false }
+      { default with exclusive = true; check_capacity = false }
     | Solution.Rounding _ ->
       (* Interval densities: links are shared; Theorem 4 claims
          capacity feasibility (when the draw was feasible). *)
-      { default with eps; exclusive = false; check_capacity = true }
+      { default with exclusive = false; check_capacity = true }
     | Solution.Routed _ ->
       (* Same interval-density regime as Rounding.  A feasible Routed
          result admitted every flow (so partial coverage never arises
          here; infeasible ones take the partial branch below). *)
-      { default with eps; exclusive = false; check_capacity = true }
+      { default with exclusive = false; check_capacity = true }
   in
   if not sol.Solution.feasible then
     (* An infeasible result claims nothing beyond structure: check the

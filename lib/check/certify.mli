@@ -47,9 +47,13 @@ type violation =
       (** all-or-nothing admission broken: the schedule plans some but
           not all member flows of a coflow (see {!coflow_consistency}) *)
 
+val eps : float
+(** The time/volume tolerance (relative), 1e-6. *)
+
+val energy_rtol : float
+(** The energy comparison tolerance (relative), 1e-6. *)
+
 type config = {
-  eps : float;  (** time/volume tolerance (relative), default 1e-6 *)
-  energy_rtol : float;  (** energy comparison tolerance, default 1e-6 *)
   partial : bool;
       (** allow instance flows without a plan (online admission) *)
   exclusive : bool;  (** enforce virtual-circuit link exclusivity *)
@@ -138,7 +142,6 @@ val coflow_consistency :
     that). *)
 
 val solution :
-  ?eps:float ->
   ?lower_bound:float ->
   Dcn_core.Instance.t ->
   Dcn_core.Solution.t ->

@@ -306,6 +306,31 @@ let check_coflow path =
   | Json.Obj _ -> ()
   | _ -> fail "%s: counters is not an object" path
 
+(* Stderr of the same `dcn coflow solve --dump DIR` run: one
+   `wrote PATH` line per file written — the report, the instance, the
+   membership file and one schedule per variant of the report — and
+   none twice. *)
+let check_coflow_dump ~report log =
+  let wrote =
+    String.split_on_char '\n' (read_file log)
+    |> List.filter_map (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "wrote"; path ] -> Some (Filename.basename path)
+        | _ -> None)
+  in
+  let variants =
+    Json.to_list (get report "results" (get report "coflow" (parse report)))
+    |> List.map (fun r ->
+        Json.to_str (get report "variant" (get report "admission" r)))
+  in
+  let expected =
+    [ Filename.basename report; "coflow.instance"; "coflow.members.json" ]
+    @ List.map (Printf.sprintf "coflow.%s.schedule") variants
+  in
+  if List.sort compare wrote <> List.sort compare expected then
+    fail "%s: wrote lines [%s], expected one each of [%s]" log
+      (String.concat "; " wrote) (String.concat "; " expected)
+
 (* Trace of `check_kernel.exe --trace FILE`: two back-to-back
    kernel-engine solves.  The flat engine must have traced its
    [fw.kernel] spans (every one closed), and the workspace counters
@@ -550,9 +575,10 @@ let () =
   | [| _; "--serve"; report |] ->
     check_serve report;
     print_endline "check-json: serve report OK"
-  | [| _; "--coflow"; report |] ->
+  | [| _; "--coflow"; report; log |] ->
     check_coflow report;
-    print_endline "check-json: coflow report OK"
+    check_coflow_dump ~report log;
+    print_endline "check-json: coflow report and dump OK"
   | [| _; "--kernel"; trace |] ->
     check_kernel_trace trace;
     print_endline "check-json: kernel trace OK"
@@ -581,6 +607,7 @@ let () =
       \       check_json.exe --certify CERTIFY-REPORT.json\n\
       \       check_json.exe --resilience RESILIENCE-REPORT.json\n\
       \       check_json.exe --serve SERVE-REPORT.json\n\
+      \       check_json.exe --coflow COFLOW-REPORT.json DUMP-STDERR.log\n\
       \       check_json.exe --kernel KERNEL-TRACE.json\n\
       \       check_json.exe --stats SNAPSHOTS.jsonl METRICS.prom \
        TRACED-SNAPSHOTS.jsonl TRACED-METRICS.prom\n\

@@ -232,7 +232,7 @@ let sweep ~(cfg : Certify.config) ~(power : Model.t) plans =
   let dynamic = ref 0. in
   let active = ref 0 in
   let violations = ref [] in
-  let cap_tol = cfg.eps *. Float.max 1. power.Model.cap in
+  let cap_tol = Certify.eps *. Float.max 1. power.Model.cap in
   List.iter
     (fun link ->
       let entries = Hashtbl.find by_link link in
@@ -298,7 +298,7 @@ let certify ?(config = Certify.default) ?reported_energy ?lower_bound inst
   let g = inst.Instance.graph in
   let it0, it1 = Instance.horizon inst in
   let st0, st1 = sched.Schedule.horizon in
-  if Float.abs (st0 -. it0) > cfg.eps || Float.abs (st1 -. it1) > cfg.eps then
+  if Float.abs (st0 -. it0) > Certify.eps || Float.abs (st1 -. it1) > Certify.eps then
     add (Certify.Horizon_mismatch { expected = (it0, it1); got = (st0, st1) });
   let planned = Hashtbl.create 16 in
   List.iter
@@ -311,12 +311,12 @@ let certify ?(config = Certify.default) ?reported_energy ?lower_bound inst
         if not (Graph.is_path g ~src:f.src ~dst:f.dst p.path) || p.path = [] then
           add (Certify.Bad_path { flow = id });
         if cfg.check_volume then begin
-          let tol = cfg.eps *. Float.max 1. f.volume in
+          let tol = Certify.eps *. Float.max 1. f.volume in
           List.iter
             (fun (s : Schedule.slot) ->
               if
                 s.rate > 0.
-                && (s.start < f.release -. cfg.eps || s.stop > f.deadline +. cfg.eps)
+                && (s.start < f.release -. Certify.eps || s.stop > f.deadline +. Certify.eps)
               then
                 add (Certify.Slot_outside_window { flow = id; start = s.start; stop = s.stop }))
             p.slots;
@@ -337,18 +337,18 @@ let certify ?(config = Certify.default) ?reported_energy ?lower_bound inst
   let idle = float_of_int active *. inst.Instance.power.Model.sigma *. (st1 -. st0) in
   let recomputed = idle +. dynamic in
   (match reported_energy with
-  | Some e when not (close e recomputed ~rtol:cfg.energy_rtol) ->
+  | Some e when not (close e recomputed ~rtol:Certify.energy_rtol) ->
     add (Certify.Energy_mismatch { source = "solver"; reported = e; recomputed })
   | _ -> ());
   if cfg.cross_check_sim then begin
     let sim = fluid_run sched in
-    if not (close sim.Fluid.energy recomputed ~rtol:cfg.energy_rtol) then
+    if not (close sim.Fluid.energy recomputed ~rtol:Certify.energy_rtol) then
       add
         (Certify.Energy_mismatch
            { source = "fluid-sim"; reported = sim.Fluid.energy; recomputed })
   end;
   (match lower_bound with
-  | Some lb when recomputed < lb -. (cfg.energy_rtol *. Float.max 1. lb) ->
+  | Some lb when recomputed < lb -. (Certify.energy_rtol *. Float.max 1. lb) ->
     add (Certify.Lb_violated { energy = recomputed; lower_bound = lb })
   | _ -> ());
   List.rev !violations

@@ -841,6 +841,169 @@ let prop_serialize_roundtrip =
       let inst = Instance.make ~graph ~power ~flows in
       same_instance inst (Serialize.instance_of_string (Serialize.instance_to_string inst)))
 
+(* ------------------------------------------------------------------ *)
+(* Odds and ends (groups more/misc, more/cross-checks,                *)
+(* more/identifiers-and-boundaries)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_serialize_preserves_float_precision () =
+  let g = Builders.line 3 in
+  let volume = 10.000000000000123 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:2 ~volume ~release:0.1 ~deadline:0.30000000000000004 in
+  let inst = Instance.make ~graph:g ~power:Model.quadratic ~flows:[ f ] in
+  let back = Serialize.instance_of_string (Serialize.instance_to_string inst) in
+  let f' = Option.get (Instance.find_flow_opt back 0) in
+  Alcotest.(check bool) "volume exact" true (f'.Flow.volume = volume);
+  Alcotest.(check bool) "deadline exact" true (f'.Flow.deadline = f.Flow.deadline)
+
+let test_greedy_ear_deterministic () =
+  let graph = Builders.fat_tree 4 in
+  let rng = Prng.create 37 in
+  let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:12 () in
+  let inst = Instance.make ~graph ~power:Model.quadratic ~flows in
+  let e1 = (ear_solve inst).Solution.energy in
+  let e2 = (ear_solve inst).Solution.energy in
+  Alcotest.(check (float 1e-9)) "deterministic" e1 e2
+
+let test_online_deterministic () =
+  let graph = Builders.fat_tree 4 in
+  let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:3. () in
+  let rng = Prng.create 41 in
+  let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:15 () in
+  let inst = Instance.make ~graph ~power ~flows in
+  let r1 = online_solve inst and r2 = online_solve inst in
+  Alcotest.(check (list int)) "same accepted" (Solution.accepted r1)
+    (Solution.accepted r2)
+
+let test_instance_pp () =
+  let g = Builders.line 3 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:2 ~volume:1. ~release:0. ~deadline:1. in
+  let inst = Instance.make ~graph:g ~power:Model.quadratic ~flows:[ f ] in
+  let s = Format.asprintf "%a" Instance.pp inst in
+  Alcotest.(check bool) "mentions flows" true (Test_util.contains s "1 flows");
+  Alcotest.(check bool) "mentions horizon" true (Test_util.contains s "[0,1]")
+
+let test_mcf_alpha4_matches_numeric () =
+  let graph = Builders.line 4 in
+  let power = Model.quartic in
+  let rng = Prng.create 3 in
+  let flows =
+    List.init 3 (fun id ->
+        let src = Prng.int rng 3 in
+        let dst = src + 1 + Prng.int rng (3 - src) in
+        let r = Prng.uniform rng ~lo:0. ~hi:5. in
+        let d = r +. 1. +. Prng.uniform rng ~lo:0. ~hi:3. in
+        Flow.make ~id ~src ~dst ~volume:(2. +. Prng.float rng 6.) ~release:r ~deadline:d)
+  in
+  let inst = Instance.make ~graph ~power ~flows in
+  let routing = Baselines.shortest_path_routing inst in
+  let res = Most_critical_first.solve_routed inst ~routing in
+  let reference = Numeric_ref.p1_energy ~alpha:4. inst ~routing in
+  Alcotest.(check bool)
+    (Printf.sprintf "mcf %.4f vs numeric %.4f" res.Solution.energy reference)
+    true
+    (res.Solution.energy <= reference *. 1.02
+    && res.Solution.energy >= reference *. 0.85)
+
+(* Virtual-weight sanity: with alpha = 2 a 4-hop flow counts as
+   sqrt 4 = 2x weight in the critical-interval competition. *)
+let test_mcf_virtual_weight_effect () =
+  (* Two flows with identical volume/span compete on link A->B; one
+     continues over 3 more hops.  The longer flow gets the lower rate:
+     s_long = delta / 4^(1/2), s_short = delta. *)
+  let graph = Builders.line 5 in
+  let f_short = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:6. ~release:0. ~deadline:2. in
+  let f_long = Flow.make ~id:1 ~src:0 ~dst:4 ~volume:6. ~release:0. ~deadline:2. in
+  let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ f_short; f_long ] in
+  let res = Baselines.sp_mcf inst in
+  check_float "ratio = |P|^(1/alpha) = 2" 2. (rate res 0 /. rate res 1)
+
+let test_gadget_alpha4 () =
+  let rng = Prng.create 15 in
+  let tp = Gadgets.solvable_three_partition ~m:2 ~b:20 ~rng in
+  let inst = Gadgets.three_partition_instance ~alpha:4. ~links:3 tp in
+  let exact = (Exact.search ~max_combinations:100_000 inst).Exact.energy in
+  check_float "Theorem 2 closed form at alpha 4"
+    (Gadgets.three_partition_opt_energy ~alpha:4. tp)
+    exact
+
+let test_gadget_generator_invalid () =
+  let rng = Prng.create 1 in
+  Alcotest.(check bool) "b too small" true
+    (try ignore (Gadgets.solvable_three_partition ~m:2 ~b:4 ~rng); false
+     with Invalid_argument _ -> true)
+
+let test_exact_max_hops_no_path () =
+  let graph = Builders.line 5 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:4 ~volume:1. ~release:0. ~deadline:1. in
+  let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ f ] in
+  Alcotest.(check bool) "max_hops too small raises" true
+    (try ignore (Exact.search ~max_hops:2 inst); false
+     with Invalid_argument _ -> true)
+
+let test_rs_link_rates_are_density_sums () =
+  (* Two flows forced onto a line: in their shared interval the link
+     rate must be exactly D1 + D2 (Algorithm 2 step 11). *)
+  let graph = Builders.line 2 in
+  let f1 = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:4. ~release:0. ~deadline:4. in
+  let f2 = Flow.make ~id:1 ~src:0 ~dst:1 ~volume:6. ~release:1. ~deadline:3. in
+  let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ f1; f2 ] in
+  let rng = Prng.create 1 in
+  let rs = Random_schedule.solve ~instance:inst ~workspace:(ws ~rng ()) ~deadline:never () in
+  let profile = List.assoc 0 (Array.to_list (Schedule.profiles rs.Solution.schedule)) in
+  check_float "outside overlap" 1. (Dcn_sched.Profile.rate_at profile 0.5);
+  check_float "during overlap D1+D2" 4. (Dcn_sched.Profile.rate_at profile 2.);
+  check_float "after overlap" 1. (Dcn_sched.Profile.rate_at profile 3.5)
+
+let test_bounds_single_flow_lambda_one () =
+  let graph = Builders.line 3 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:2 ~volume:2. ~release:1. ~deadline:5. in
+  let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ f ] in
+  let b = Bounds.compute inst in
+  check_float "lambda 1" 1. b.Bounds.lambda;
+  check_float "D = density" 0.5 b.Bounds.max_density
+
+(* Nothing in the API promises dense flow ids; the algorithms must not
+   assume them. *)
+let sparse_example1 () =
+  let graph = Builders.line 3 in
+  let f1 = Flow.make ~id:1000 ~src:0 ~dst:2 ~volume:6. ~release:2. ~deadline:4. in
+  let f2 = Flow.make ~id:7 ~src:0 ~dst:1 ~volume:8. ~release:1. ~deadline:3. in
+  Instance.make ~graph ~power:Model.quadratic ~flows:[ f1; f2 ]
+
+let test_sparse_ids_mcf () =
+  let res = Baselines.sp_mcf (sparse_example1 ()) in
+  let s2 = (8. +. (6. *. sqrt 2.)) /. 3. in
+  check_float "s2 under sparse ids" s2 (rate res 7);
+  check_float "s1 under sparse ids" (s2 /. sqrt 2.) (rate res 1000);
+  check_float "energy" (((8. +. (6. *. sqrt 2.)) ** 2.) /. 3.) res.Solution.energy
+
+let test_sparse_ids_rs_and_friends () =
+  let inst = sparse_example1 () in
+  let rng = Prng.create 42 in
+  let rs = Random_schedule.solve ~instance:inst ~workspace:(ws ~rng ()) ~deadline:never () in
+  check_float "RS energy" 92. rs.Solution.energy;
+  check_float "EAR energy" 92. (ear_solve inst).Solution.energy;
+  Alcotest.(check (list int)) "online accepts both" [ 7; 1000 ]
+    (Solution.accepted (online_solve inst));
+  let back = Serialize.instance_of_string (Serialize.instance_to_string inst) in
+  Alcotest.(check int) "serialize keeps ids" 1000 (Option.get (Instance.find_flow_opt back 1000)).Flow.id
+
+(* Serialize: corrupting the header always fails cleanly. *)
+let prop_serialize_header_required =
+  QCheck.Test.make ~name:"serialize: corrupt header rejected" ~count:20
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let graph = Builders.star ~leaves:3 in
+      let rng = Prng.create seed in
+      let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:3 () in
+      let inst = Instance.make ~graph ~power:Model.quadratic ~flows in
+      let text = Serialize.instance_to_string inst in
+      let corrupted = "x" ^ text in
+      match Serialize.instance_of_string corrupted with
+      | exception Failure _ -> true
+      | _ -> false)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -945,4 +1108,32 @@ let suite =
         Alcotest.test_case "inapprox ratio" `Quick test_gadget_inapprox_ratio;
         Alcotest.test_case "partition energy" `Quick test_gadget_partition_energy;
       ] );
+  ]
+
+let more_misc =
+  [
+    Alcotest.test_case "serialize precision" `Quick
+      test_serialize_preserves_float_precision;
+    Alcotest.test_case "greedy-ear deterministic" `Quick test_greedy_ear_deterministic;
+    Alcotest.test_case "online deterministic" `Quick test_online_deterministic;
+    Alcotest.test_case "instance pp" `Quick test_instance_pp;
+  ]
+
+let more_cross_checks =
+  [
+    Alcotest.test_case "mcf alpha=4 numeric" `Quick test_mcf_alpha4_matches_numeric;
+    Alcotest.test_case "virtual weight effect" `Quick test_mcf_virtual_weight_effect;
+    Alcotest.test_case "gadget alpha=4" `Quick test_gadget_alpha4;
+    Alcotest.test_case "gadget generator invalid" `Quick test_gadget_generator_invalid;
+    Alcotest.test_case "exact max_hops" `Quick test_exact_max_hops_no_path;
+    Alcotest.test_case "rs density sums" `Quick test_rs_link_rates_are_density_sums;
+    Alcotest.test_case "bounds single flow" `Quick test_bounds_single_flow_lambda_one;
+  ]
+
+let more_boundaries =
+  [
+    Alcotest.test_case "sparse ids: MCF" `Quick test_sparse_ids_mcf;
+    Alcotest.test_case "sparse ids: RS/EAR/online/serialize" `Quick
+      test_sparse_ids_rs_and_friends;
+    QCheck_alcotest.to_alcotest prop_serialize_header_required;
   ]

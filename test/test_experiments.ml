@@ -7,10 +7,7 @@ module Gadget_runs = Dcn_experiments.Gadget_runs
 module Ablation = Dcn_experiments.Ablation
 module Small_exact = Dcn_experiments.Small_exact
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-  scan 0
+let contains = Test_util.contains
 
 let micro_params =
   {
@@ -181,6 +178,19 @@ let test_small_exact () =
     rows;
   Alcotest.(check bool) "render" true (contains (Small_exact.render rows) "RS/OPT")
 
+(* ------------------------------------------------------------------ *)
+(* CSV export (group more/misc)                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_fig2_csv () =
+  let params =
+    { (Fig2.quick_params ~alpha:2.) with Fig2.flow_counts = [ 8 ]; seeds = [ 1001 ] }
+  in
+  let csv = Fig2.to_csv (Fig2.run params) in
+  Alcotest.(check bool) "header" true (contains csv "alpha,sigma,k,seeds,n,lb,rs");
+  Alcotest.(check int) "two lines" 2
+    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)))
+
 let suite =
   [
     ( "experiments",
@@ -202,3 +212,5 @@ let suite =
         Alcotest.test_case "bounds check" `Slow test_bounds_check;
       ] );
   ]
+
+let more_misc = [ Alcotest.test_case "fig2 csv" `Slow test_fig2_csv ]

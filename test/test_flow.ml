@@ -250,6 +250,53 @@ let prop_timeline_tiling =
           Float.abs (total -. Flow.span_length f) < 1e-6)
         flows)
 
+(* ------------------------------------------------------------------ *)
+(* Timeline corners and workload arguments (groups more/misc,         *)
+(* more/cross-checks)                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_timeline_single_flow () =
+  let f = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:1. ~release:3. ~deadline:7. in
+  let tl = Timeline.make [ f ] in
+  Alcotest.(check int) "one interval" 1 (Timeline.num_intervals tl);
+  check_float "lambda 1" 1. (Timeline.lambda tl);
+  check_float "beta 1" 1. (Timeline.beta tl 0)
+
+let test_timeline_shared_breakpoints () =
+  (* Two flows sharing a release instant produce 3 breakpoints, not 4. *)
+  let f1 = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:1. ~release:0. ~deadline:2. in
+  let f2 = Flow.make ~id:1 ~src:0 ~dst:1 ~volume:1. ~release:0. ~deadline:5. in
+  let tl = Timeline.make [ f1; f2 ] in
+  Alcotest.(check int) "two intervals" 2 (Timeline.num_intervals tl)
+
+let test_workload_validation () =
+  let graph = Builders.star ~leaves:3 in
+  let rng = Dcn_util.Prng.create 1 in
+  let invalid f = Alcotest.(check bool) "invalid" true (try ignore (f ()); false with Invalid_argument _ -> true) in
+  invalid (fun () -> Workload.incast ~rng ~graph ~sources:0 ());
+  invalid (fun () -> Workload.incast ~rng ~graph ~sources:5 ());
+  invalid (fun () -> Workload.shuffle ~rng ~graph ~mappers:2 ~reducers:2 ());
+  invalid (fun () -> Workload.stride ~graph ~stride:3 ());
+  invalid (fun () -> Workload.trace ~load:0. ~rng ~graph ~horizon:(0., 10.) ());
+  invalid (fun () -> Workload.trace ~rng ~graph ~horizon:(5., 5.) ());
+  invalid (fun () ->
+      Workload.staged ~rng ~graph ~stages:0 ~flows_per_stage:1 ~stage_length:1. ())
+
+let test_workload_horizons_respected () =
+  let graph = Builders.star ~leaves:4 in
+  let rng = Dcn_util.Prng.create 2 in
+  let check_span flows lo hi =
+    List.iter
+      (fun (f : Flow.t) ->
+        Alcotest.(check bool) "span" true (f.Flow.release >= lo && f.Flow.deadline <= hi))
+      flows
+  in
+  check_span (Workload.all_to_all ~graph ~horizon:(3., 9.) ()) 3. 9.;
+  check_span (Workload.incast ~rng ~graph ~sources:2 ~horizon:(1., 2.) ()) 1. 2.;
+  check_span
+    (Workload.shuffle ~rng ~graph ~mappers:2 ~reducers:1 ~horizon:(0., 5.) ())
+    0. 5.
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -289,4 +336,17 @@ let suite =
         Alcotest.test_case "index_at" `Quick test_timeline_index_at;
         qt prop_timeline_tiling;
       ] );
+  ]
+
+let more_misc =
+  [
+    Alcotest.test_case "timeline single flow" `Quick test_timeline_single_flow;
+    Alcotest.test_case "timeline shared breakpoints" `Quick
+      test_timeline_shared_breakpoints;
+  ]
+
+let more_cross_checks =
+  [
+    Alcotest.test_case "workload validation" `Quick test_workload_validation;
+    Alcotest.test_case "workload horizons" `Quick test_workload_horizons_respected;
   ]

@@ -576,6 +576,30 @@ let prop_ls_objective_monotone =
       in
       iters <> [] && monotone iters)
 
+(* ------------------------------------------------------------------ *)
+(* Determinism (group more/misc)                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_frank_wolfe_deterministic () =
+  let g = Builders.fat_tree 4 in
+  let commodities =
+    Array.init 5 (fun index ->
+        commodity ~index ~src:index ~dst:(15 - index) ~demand:(1. +. float_of_int index))
+  in
+  let problem =
+    {
+      Frank_wolfe.graph = g;
+      commodities;
+      cost = (fun x -> x *. x);
+      cost_deriv = (fun x -> 2. *. x);
+      capacity = infinity;
+    }
+  in
+  let s1 = Frank_wolfe.solve problem in
+  let s2 = Frank_wolfe.solve problem in
+  Alcotest.(check (float 1e-9)) "same cost" s1.Frank_wolfe.cost s2.Frank_wolfe.cost;
+  Alcotest.(check bool) "same loads" true (s1.Frank_wolfe.loads = s2.Frank_wolfe.loads)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -620,3 +644,6 @@ let suite =
         qt prop_decompose_recomposes;
       ] );
   ]
+
+let more_misc =
+  [ Alcotest.test_case "frank-wolfe deterministic" `Quick test_frank_wolfe_deterministic ]

@@ -146,10 +146,7 @@ let synthetic_events n =
         now := !now +. 0.3 +. Prng.float rng 1.2;
         Event.Advance_clock { clock = !now })
 
-let contains s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let contains = Test_util.contains
 
 (* The deterministic view of a sample: integer-valued counter totals,
    gauge values and histogram counts are bit-identical at every --jobs

@@ -376,12 +376,98 @@ let test_gantt_truncation () =
       ]
   in
   let chart = Gantt.render ~max_links:1 s in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-    scan 0
+  Alcotest.(check bool) "ellipsis" true (Test_util.contains chart "more links")
+
+(* ------------------------------------------------------------------ *)
+(* Odds and ends (groups more/misc, more/cross-checks,                *)
+(* more/identifiers-and-boundaries)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_schedule_find_plan_missing () =
+  let f = Flow.make ~id:3 ~src:0 ~dst:2 ~volume:1. ~release:0. ~deadline:1. in
+  let p = { Schedule.flow = f; path = path_of line3 ~src:0 ~dst:2; slots = [] } in
+  let s = Schedule.make ~graph:line3 ~power:Model.quadratic ~horizon:(0., 1.) [ p ] in
+  Alcotest.(check bool) "missing id is None" true
+    (Schedule.find_plan s 99 = None);
+  Alcotest.(check bool) "present id is found" true
+    (match Schedule.find_plan s 3 with Some q -> q.Schedule.flow.Flow.id = 3 | None -> false)
+
+let test_gantt_flows_span_markers () =
+  let f = Flow.make ~id:0 ~src:0 ~dst:2 ~volume:1. ~release:2. ~deadline:4. in
+  let plan =
+    {
+      Schedule.flow = f;
+      path = path_of line3 ~src:0 ~dst:2;
+      slots = [ { Schedule.start = 2.; stop = 3.; rate = 1. } ];
+    }
   in
-  Alcotest.(check bool) "ellipsis" true (contains chart "more links")
+  let s = Schedule.make ~graph:line3 ~power:Model.quadratic ~horizon:(0., 8.) [ plan ] in
+  let chart = Gantt.render_flows ~width:32 s in
+  Alcotest.(check bool) "has waiting marker" true (String.contains chart '-');
+  Alcotest.(check bool) "has transmit marker" true (String.contains chart '=')
+
+let test_energy_split_consistency () =
+  let graph = Builders.fat_tree 4 in
+  let power = Model.make ~sigma:3. ~mu:1. ~alpha:2. () in
+  let rng = Dcn_util.Prng.create 19 in
+  let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:10 () in
+  let inst = Dcn_core.Instance.make ~graph ~power ~flows in
+  let rs = Dcn_core.Random_schedule.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+  let s = rs.Dcn_core.Solution.schedule in
+  Alcotest.(check (float 1e-6)) "idle + dynamic = total"
+    (Schedule.idle_energy s +. Schedule.dynamic_energy s)
+    (Schedule.energy s)
+
+let test_check_all_modes () =
+  (* Interval-density style: the exclusive certificate flags it, the
+     default one passes. *)
+  let graph = Builders.line 2 in
+  let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:2. ~release:0. ~deadline:2. in
+  let p = path_of graph ~src:0 ~dst:1 in
+  let plan f =
+    { Schedule.flow = f; path = p; slots = [ { Schedule.start = 0.; stop = 2.; rate = 1. } ] }
+  in
+  let s =
+    Schedule.make ~graph ~power:Model.quadratic ~horizon:(0., 2.)
+      [ plan (mk 0); plan (mk 1) ]
+  in
+  Alcotest.(check (list string)) "fluid-feasible" [] (kinds (certify s));
+  Alcotest.(check (list string)) "not circuit-feasible" [ "link_conflict" ]
+    (kinds (certify ~exclusive:true s))
+
+(* Profile boundary semantics: right-continuous at starts, open at stops. *)
+let test_profile_boundary_semantics () =
+  let p = Profile.of_slots [ (1., 2., 3.) ] in
+  check_float "at start" 3. (Profile.rate_at p 1.);
+  check_float "at stop" 0. (Profile.rate_at p 2.);
+  check_float "before" 0. (Profile.rate_at p 0.999)
+
+(* Quantize with the exact fluid rates as ladder levels: zero overhead
+   regardless of instance. *)
+let prop_quantize_exact_ladder_no_overhead =
+  QCheck.Test.make ~name:"quantize: exact ladder has no overhead" ~count:10
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let graph = Builders.fat_tree 4 in
+      let rng = Dcn_util.Prng.create seed in
+      let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:6 () in
+      let inst = Dcn_core.Instance.make ~graph ~power:Model.quadratic ~flows in
+      let rs = Dcn_core.Random_schedule.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+      let sched = rs.Dcn_core.Solution.schedule in
+      (* Collect every distinct positive segment rate as a level. *)
+      let rates = ref [] in
+      Array.iter
+        (fun (_, p) ->
+          List.iter (fun (_, _, r) -> if r > 0. then rates := r :: !rates)
+            (Profile.segments p))
+        (Schedule.profiles sched);
+      match List.sort_uniq compare !rates with
+      | [] -> true
+      | levels ->
+        let ladder = Dcn_power.Discrete.make Model.quadratic ~levels in
+        let q = Quantize.report ladder sched in
+        Float.abs (q.Quantize.hold_overhead -. 1.) < 1e-6
+        && Float.abs (q.Quantize.work_overhead -. 1.) < 1e-6)
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -429,4 +515,22 @@ let suite =
         Alcotest.test_case "exclusive" `Quick test_check_exclusive;
         Alcotest.test_case "interval-density style" `Quick test_interval_density_style;
       ] );
+  ]
+
+let more_misc =
+  [
+    Alcotest.test_case "find_plan missing" `Quick test_schedule_find_plan_missing;
+    Alcotest.test_case "gantt flow markers" `Quick test_gantt_flows_span_markers;
+  ]
+
+let more_cross_checks =
+  [
+    Alcotest.test_case "energy split" `Quick test_energy_split_consistency;
+    Alcotest.test_case "check all modes" `Quick test_check_all_modes;
+  ]
+
+let more_boundaries =
+  [
+    Alcotest.test_case "profile boundaries" `Quick test_profile_boundary_semantics;
+    QCheck_alcotest.to_alcotest prop_quantize_exact_ladder_no_overhead;
   ]

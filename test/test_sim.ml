@@ -220,6 +220,75 @@ let prop_packet_conservation =
       in
       r.Dcn_sim.Packet.all_delivered)
 
+(* ------------------------------------------------------------------ *)
+(* Fragmented slots, coarse packets, early completion (groups         *)
+(* more/misc, more/identifiers-and-boundaries)                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_fluid_multiple_slots () =
+  let f = Flow.make ~id:0 ~src:0 ~dst:2 ~volume:3. ~release:0. ~deadline:6. in
+  let plan =
+    {
+      Schedule.flow = f;
+      path = path line3 ~src:0 ~dst:2;
+      slots =
+        [
+          { Schedule.start = 0.; stop = 1.; rate = 1. };
+          { Schedule.start = 2.; stop = 3.; rate = 1. };
+          { Schedule.start = 4.; stop = 5.; rate = 1. };
+        ];
+    }
+  in
+  let s = Schedule.make ~graph:line3 ~power:Model.quadratic ~horizon:(0., 6.) [ plan ] in
+  let r = Fluid.run s in
+  Alcotest.(check bool) "deadline met" true r.Fluid.all_deadlines_met;
+  match r.Fluid.flow_stats with
+  | [ fs ] -> (
+    Alcotest.(check (float 1e-9)) "delivered 3" 3. fs.Fluid.delivered;
+    match fs.Fluid.completion with
+    | Some t -> Alcotest.(check (float 1e-9)) "completes at 5" 5. t
+    | None -> Alcotest.fail "no completion")
+  | _ -> Alcotest.fail "one flow expected"
+
+let test_packet_single_huge_packet () =
+  (* Packet bigger than the whole flow: exactly one packet. *)
+  let g = Builders.line 2 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:3. ~release:0. ~deadline:3. in
+  let plan =
+    {
+      Schedule.flow = f;
+      path = path g ~src:0 ~dst:1;
+      slots = [ { Schedule.start = 0.; stop = 3.; rate = 1. } ];
+    }
+  in
+  let s = Schedule.make ~graph:g ~power:Model.quadratic ~horizon:(0., 3.) [ plan ] in
+  let r = Dcn_sim.Packet.run ~config:{ Dcn_sim.Packet.packet_size = 10. } s in
+  match r.Dcn_sim.Packet.flow_reports with
+  | [ fr ] ->
+    Alcotest.(check int) "one packet" 1 fr.Dcn_sim.Packet.packets;
+    Alcotest.(check int) "delivered" 1 fr.Dcn_sim.Packet.delivered
+  | _ -> Alcotest.fail "one flow expected"
+
+(* Fluid: early completion is reported before the deadline. *)
+let test_fluid_early_completion () =
+  let graph = Builders.line 2 in
+  let f = Flow.make ~id:0 ~src:0 ~dst:1 ~volume:2. ~release:0. ~deadline:10. in
+  let plan =
+    {
+      Schedule.flow = f;
+      path = path graph ~src:0 ~dst:1;
+      slots = [ { Schedule.start = 0.; stop = 1.; rate = 2. } ];
+    }
+  in
+  let s = Schedule.make ~graph ~power:Model.quadratic ~horizon:(0., 10.) [ plan ] in
+  let r = Fluid.run s in
+  match r.Fluid.flow_stats with
+  | [ fs ] -> (
+    match fs.Fluid.completion with
+    | Some t -> check_float "completes at 1" 1. t
+    | None -> Alcotest.fail "no completion")
+  | _ -> Alcotest.fail "one flow"
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -246,3 +315,12 @@ let suite =
         qt prop_sim_rs_theorem4;
       ] );
   ]
+
+let more_misc =
+  [
+    Alcotest.test_case "fluid fragmented slots" `Quick test_fluid_multiple_slots;
+    Alcotest.test_case "packet huge packet" `Quick test_packet_single_huge_packet;
+  ]
+
+let more_boundaries =
+  [ Alcotest.test_case "fluid early completion" `Quick test_fluid_early_completion ]

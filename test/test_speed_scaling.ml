@@ -304,6 +304,52 @@ let prop_yds_slots_feasible =
                   (Edf.slots_of_task res.Yds.slots j.id))
            jobs)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-checks and parameter variations (groups more/cross-checks,   *)
+(* more/identifiers-and-boundaries)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_yds_alpha3_matches_numeric () =
+  let jobs =
+    [
+      Job.make ~id:0 ~weight:7. ~release:0. ~deadline:3.;
+      Job.make ~id:1 ~weight:4. ~release:1. ~deadline:5.;
+      Job.make ~id:2 ~weight:2. ~release:4. ~deadline:6.;
+    ]
+  in
+  let res = Yds.schedule jobs in
+  let e_yds = Yds.energy ~mu:1. ~alpha:3. jobs res in
+  let e_num = Numeric_ref.ssp_energy ~alpha:3. jobs in
+  Alcotest.(check bool)
+    (Printf.sprintf "yds %.4f vs numeric %.4f" e_yds e_num)
+    true
+    (e_yds <= e_num *. 1.02 && e_yds >= e_num *. 0.9)
+
+let test_edf_identical_deadlines_tiebreak () =
+  let tasks = [ task ~id:9 ~r:0. ~d:4. ~len:1.; task ~id:2 ~r:0. ~d:4. ~len:1. ] in
+  match Edf.place ~free:[ (0., 4.) ] tasks with
+  | Error _ -> Alcotest.fail "feasible"
+  | Ok slots ->
+    (match slots with
+    | first :: _ -> Alcotest.(check int) "lower id first" 2 first.Edf.task_id
+    | [] -> Alcotest.fail "no slots")
+
+let test_numeric_ref_single_job_closed_form () =
+  (* One job alone: optimum runs at density; energy = w^alpha / span^(alpha-1). *)
+  let jobs = [ Job.make ~id:0 ~weight:6. ~release:0. ~deadline:2. ] in
+  let e = Numeric_ref.ssp_energy ~alpha:2. jobs in
+  Alcotest.(check bool)
+    (Printf.sprintf "numeric %.4f vs closed form 18" e)
+    true
+    (Float.abs (e -. 18.) /. 18. < 0.01)
+
+(* YDS scales with mu in the energy functional only. *)
+let test_yds_mu_scaling () =
+  let jobs = [ Job.make ~id:0 ~weight:4. ~release:0. ~deadline:2. ] in
+  let res = Yds.schedule jobs in
+  check_float "mu=1" 8. (Yds.energy ~mu:1. ~alpha:2. jobs res);
+  check_float "mu=3 scales linearly" 24. (Yds.energy ~mu:3. ~alpha:2. jobs res)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -336,3 +382,14 @@ let suite =
         qt prop_yds_slots_feasible;
       ] );
   ]
+
+let more_cross_checks =
+  [
+    Alcotest.test_case "yds alpha=3 numeric" `Quick test_yds_alpha3_matches_numeric;
+    Alcotest.test_case "edf tie-break" `Quick test_edf_identical_deadlines_tiebreak;
+    Alcotest.test_case "numeric ref closed form" `Quick
+      test_numeric_ref_single_job_closed_form;
+  ]
+
+let more_boundaries =
+  [ Alcotest.test_case "yds mu scaling" `Quick test_yds_mu_scaling ]

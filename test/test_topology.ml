@@ -316,6 +316,36 @@ let prop_reverse_involution =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Path odds and ends (group more/misc)                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_path_cost () =
+  let g = Builders.line 4 in
+  match Paths.shortest_path g ~src:0 ~dst:3 with
+  | Some p ->
+    Alcotest.(check (float 1e-9)) "hop cost" 3. (Paths.path_cost Paths.hop_weight p);
+    Alcotest.(check (float 1e-9)) "custom weight" 6. (Paths.path_cost (fun _ -> 2.) p)
+  | None -> Alcotest.fail "no path"
+
+let test_k_shortest_costs_non_decreasing () =
+  let g = Builders.fat_tree 4 in
+  let paths = Paths.k_shortest g ~k:8 ~src:0 ~dst:2 in
+  let costs = List.map (fun p -> Paths.path_cost Paths.hop_weight p) paths in
+  let rec non_decreasing = function
+    | a :: b :: rest -> a <= b && non_decreasing (b :: rest)
+    | _ -> true
+  in
+  Alcotest.(check bool) "sorted by cost" true (non_decreasing costs);
+  Alcotest.(check int) "no duplicates" (List.length paths)
+    (List.length (List.sort_uniq compare paths))
+
+let test_k_shortest_invalid () =
+  let g = Builders.line 3 in
+  Alcotest.(check bool) "k < 1 raises" true
+    (try ignore (Paths.k_shortest g ~k:0 ~src:0 ~dst:2); false
+     with Invalid_argument _ -> true)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -363,4 +393,11 @@ let suite =
         Alcotest.test_case "enumeration limit" `Quick test_all_simple_paths_limit;
         qt prop_dijkstra_minimal;
       ] );
+  ]
+
+let more_misc =
+  [
+    Alcotest.test_case "path cost" `Quick test_path_cost;
+    Alcotest.test_case "k-shortest sorted" `Quick test_k_shortest_costs_non_decreasing;
+    Alcotest.test_case "k-shortest invalid" `Quick test_k_shortest_invalid;
   ]

@@ -5,6 +5,12 @@ open Dcn_util
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* Substring test, shared by the suites that check rendered text. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
+  scan 0
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -284,11 +290,6 @@ let test_table_series () =
       ~series:[ { Table.label = "rs"; values = [| 1.5; 1.25 |] } ]
       ()
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-    scan 0
-  in
   Alcotest.(check bool) "contains label" true (contains s "rs");
   Alcotest.(check bool) "contains value" true (contains s "1.250")
 
@@ -313,6 +314,33 @@ let test_approx () =
   Alcotest.(check bool) "geq" true (Approx.geq 0.9999999999 1. ~eps:1e-6);
   check_float "clamp" 2. (Approx.clamp ~lo:0. ~hi:2. 5.);
   Alcotest.(check bool) "close_rel big numbers" true (Approx.close_rel 1e9 (1e9 +. 1.))
+
+(* ------------------------------------------------------------------ *)
+(* Odds and ends (groups more/misc, more/cross-checks,                *)
+(* more/identifiers-and-boundaries)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_prng_split_streams_differ_from_parent () =
+  let parent = Prng.create 5 in
+  let child = Prng.split parent in
+  let a = Array.init 32 (fun _ -> Prng.bits64 parent) in
+  let b = Array.init 32 (fun _ -> Prng.bits64 child) in
+  Alcotest.(check bool) "distinct streams" true (a <> b)
+
+let test_iset_pp_and_add_all () =
+  let s = Interval_set.add_all Interval_set.empty [ (0., 1.); (2., 3.) ] in
+  let str = Format.asprintf "%a" Interval_set.pp s in
+  Alcotest.(check bool) "prints both" true
+    (String.length str > 5 && String.contains str '[')
+
+(* Interval set no-op and degenerate queries. *)
+let test_iset_degenerate () =
+  let s = Interval_set.add Interval_set.empty ~lo:1. ~hi:3. in
+  let s' = Interval_set.add s ~lo:1.5 ~hi:2.5 in
+  Alcotest.(check (list (pair (float 1e-12) (float 1e-12))))
+    "subsumed add is a no-op" [ (1., 3.) ] (Interval_set.intervals s');
+  check_float "empty window" 0. (Interval_set.covered_within s ~lo:5. ~hi:5.);
+  check_float "reversed window" 0. (Interval_set.available_within s ~lo:5. ~hi:4.)
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -368,3 +396,15 @@ let suite =
       ] );
     ("util/approx", [ Alcotest.test_case "comparisons" `Quick test_approx ]);
   ]
+
+let more_misc =
+  [
+    Alcotest.test_case "prng split streams" `Quick
+      test_prng_split_streams_differ_from_parent;
+  ]
+
+let more_cross_checks =
+  [ Alcotest.test_case "iset pp" `Quick test_iset_pp_and_add_all ]
+
+let more_boundaries =
+  [ Alcotest.test_case "interval set degenerate" `Quick test_iset_degenerate ]
