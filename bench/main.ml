@@ -289,9 +289,7 @@ let theorem4 () =
                 Dcn_core.Random_schedule.attempts = 20;
                 fw_config = Dcn_experiments.Fig2.experiment_fw_config;
               }
-            ~instance:inst
-            ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-            ~deadline:Dcn_engine.Deadline.never ()
+            ~rng inst
         in
         let report = Dcn_sim.Fluid.run rs.Dcn_core.Solution.schedule in
         [
@@ -424,9 +422,7 @@ let runtime_benchmarks () =
     ignore
       (Dcn_core.Random_schedule.solve
          ~config:{ Dcn_core.Random_schedule.attempts = 5; fw_config = fw_cfg }
-         ~instance:inst
-         ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-         ~deadline:Dcn_engine.Deadline.never ())
+         ~rng inst)
   in
   let mk_mcf inst () = ignore (Dcn_core.Baselines.sp_mcf inst) in
   let mk_fw n () =

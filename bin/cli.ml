@@ -106,10 +106,15 @@ let strict_t =
 
 (* ------------------------------ files ----------------------------- *)
 
-(* Whole files; event and snapshot streams are read line by line from
-   an [In_channel.with_open_bin] channel (or stdin), and every file the
-   CLI writes goes through the atomic {!Observe.write_file}. *)
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+(* [parse_file path parse]: the whole file through [parse], whose
+   [Failure] is re-raised with the path in front ("PATH: line 6 ..."),
+   so a malformed input names the file it came from.  Event and
+   snapshot streams are read line by line from an
+   [In_channel.with_open_bin] channel (or stdin) instead, and every file
+   the CLI writes goes through the atomic {!Observe.write_file}. *)
+let parse_file path parse =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  try parse text with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
 
 let ensure_dir path = if not (Sys.file_exists path) then Sys.mkdir path 0o755
 

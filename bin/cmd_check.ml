@@ -48,23 +48,22 @@ let certify =
   let run instance_file schedule_file coflows_file partial exclusive seed trace
       report =
     Cli.run ~command:"certify" ~trace ~report @@ fun _ ->
-    let inst = Dcn_core.Serialize.instance_of_string (Cli.read_file instance_file) in
+    let inst = Cli.parse_file instance_file Dcn_core.Serialize.instance_of_string in
     let members =
-      match coflows_file with
-      | None -> None
-      | Some path -> (
-        match
-          Dcn_coflow.Coflow.members_of_json (Json.of_string (Cli.read_file path))
-        with
-        | Ok members -> Some members
-        | Error m -> failwith (Printf.sprintf "%s: %s" path m))
+      Option.map
+        (fun path ->
+          Cli.parse_file path (fun text ->
+              match Dcn_coflow.Coflow.members_of_json (Json.of_string text) with
+              | Ok members -> members
+              | Error m -> failwith m))
+        coflows_file
     in
     if members <> None && schedule_file = None then
       failwith "--coflows requires --schedule";
     let failed what = Error (Printf.sprintf "certification failed (%s)" what) in
     match schedule_file with
     | Some path ->
-      let sched = Dcn_core.Serialize.schedule_of_string inst (Cli.read_file path) in
+      let sched = Cli.parse_file path (Dcn_core.Serialize.schedule_of_string inst) in
       let config = { Dcn_check.Certify.default with partial; exclusive } in
       let violations =
         Dcn_check.Certify.schedule ~config inst sched

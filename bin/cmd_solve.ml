@@ -80,18 +80,14 @@ let solve =
     let rng = Dcn_util.Prng.create seed in
     let inst =
       match instance_file with
-      | Some path -> Dcn_core.Serialize.instance_of_string (Cli.read_file path)
+      | Some path -> Cli.parse_file path Dcn_core.Serialize.instance_of_string
       | None -> build_instance graph n alpha sigma pattern seed
     in
     Format.printf "%a@." Dcn_core.Instance.pp inst;
     let sp = Dcn_core.Baselines.sp_mcf inst in
     Printf.printf "SP+MCF : energy %.4f (placement %s)\n" sp.Dcn_core.Solution.energy
       (if Dcn_core.Solution.placement_complete sp then "complete" else "partial");
-    let rs =
-      Dcn_core.Random_schedule.solve ~instance:inst
-        ~workspace:(Dcn_core.Solver_api.workspace ~pool ~rng ())
-        ~deadline:Dcn_engine.Deadline.never ()
-    in
+    let rs = Dcn_core.Random_schedule.solve ~pool ~rng inst in
     Printf.printf "RS     : energy %.4f (%s, %d attempt(s))\n"
       rs.Dcn_core.Solution.energy
       (if rs.Dcn_core.Solution.feasible then "feasible" else "INFEASIBLE")

@@ -5,12 +5,11 @@
 open Cmdliner
 module Json = Dcn_engine.Json
 
-(* Cmdliner's `file` converter already rejects missing paths; this
-   names the path of an unparsable one. *)
+(* Cmdliner's `file` converter already rejects missing paths;
+   {!Cli.parse_file} names the path of an unparsable one. *)
 let load_records path =
-  let text = Cli.read_file path in
-  try Dcn_engine.Trace.records_of_json (Json.of_string text)
-  with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
+  Cli.parse_file path (fun text ->
+      Dcn_engine.Trace.records_of_json (Json.of_string text))
 
 let trace_file_t index name =
   Arg.(

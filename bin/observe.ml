@@ -17,7 +17,10 @@
    counters.  The envelope's ["counters"] object reads {!Trace.counters}:
    the trace is the record of {e this} command's emissions, and its
    totals are deterministic where the registry also carries wall-time
-   metrics.  Trace counters do not feed the registry. *)
+   metrics — with one exception at --jobs > 1: which domain's kernel
+   arena serves a task decides whether it counts as [ws.grow] or
+   [ws.reuse], so only their sum is deterministic there.  Trace
+   counters do not feed the registry. *)
 
 open Cmdliner
 module Trace = Dcn_engine.Trace

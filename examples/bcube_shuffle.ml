@@ -29,7 +29,7 @@ let () =
     (Dcn_power.Model.r_opt power);
 
   let sp = Dcn_core.Baselines.sp_mcf inst in
-  let rs = RS.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+  let rs = RS.solve ~rng inst in
   let lb = Dcn_core.Lower_bound.of_relaxation (Option.get (Dcn_core.Solution.relaxation rs)) in
 
   let describe label energy schedule =

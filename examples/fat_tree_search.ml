@@ -43,7 +43,7 @@ let () =
   Format.printf "%a@.@." Dcn_core.Instance.pp inst;
 
   let sp = Dcn_core.Baselines.sp_mcf inst in
-  let rs = RS.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+  let rs = RS.solve ~rng inst in
   let lb = Dcn_core.Lower_bound.of_relaxation (Option.get (Dcn_core.Solution.relaxation rs)) in
   Format.printf "Energy:@.";
   Format.printf "  lower bound   %10.2f@." lb.Dcn_core.Lower_bound.value;

@@ -31,9 +31,7 @@ let () =
       let rs =
         RS.solve
           ~config:{ RS.default_config with attempts = 50 }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let peak = Schedule.max_link_rate rs.Solution.schedule in
       let report = Dcn_sim.Fluid.run rs.Solution.schedule in

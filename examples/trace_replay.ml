@@ -29,11 +29,7 @@ let () =
   Format.printf "flow sizes: %a@.@." Dcn_util.Stats.pp_summary
     (Dcn_util.Stats.summarize vols);
 
-  let rs =
-    Dcn_core.Random_schedule.solve ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-      ~deadline:Dcn_engine.Deadline.never ()
-  in
+  let rs = Dcn_core.Random_schedule.solve ~rng inst in
   let lb =
     (Dcn_core.Lower_bound.of_relaxation
        (Option.get (Dcn_core.Solution.relaxation rs)))
@@ -41,11 +37,7 @@ let () =
   in
   let sp = Dcn_core.Baselines.sp_mcf inst in
   let ecmp = Dcn_core.Baselines.ecmp_mcf ~rng inst in
-  let ear =
-    Dcn_core.Greedy_ear.solve ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ())
-      ~deadline:Dcn_engine.Deadline.never ()
-  in
+  let ear = Dcn_core.Greedy_ear.solve inst in
   let rows =
     [
       ("lower bound", lb);

@@ -6,7 +6,6 @@ module Graph = Dcn_topology.Graph
 module Frank_wolfe = Dcn_mcf.Frank_wolfe
 module Instance = Dcn_core.Instance
 module Solution = Dcn_core.Solution
-module Solver_api = Dcn_core.Solver_api
 module Baselines = Dcn_core.Baselines
 module Most_critical_first = Dcn_core.Most_critical_first
 module Random_schedule = Dcn_core.Random_schedule
@@ -225,26 +224,16 @@ let run ~solver_seed ~label inst =
   let relaxation = Relaxation.solve ~fw_config inst in
   let lb = (Lower_bound.of_relaxation relaxation).Lower_bound.value in
   let rngs = Pool.split_rngs (Prng.create solver_seed) 2 in
-  let never = Dcn_engine.Deadline.never in
-  let ws ?rng () = Solver_api.workspace ?rng () in
   let sp = Baselines.sp_mcf inst in
-  let ecmp =
-    Baselines.Ecmp_mcf.solve ~instance:inst ~workspace:(ws ~rng:rngs.(0) ())
-      ~deadline:never ()
-  in
+  let ecmp = Baselines.ecmp_mcf ~rng:rngs.(0) inst in
   let rs =
     Random_schedule.solve
       ~config:{ Random_schedule.attempts = Random_schedule.redraw_budget; fw_config }
-      ~relaxation ~instance:inst ~workspace:(ws ~rng:rngs.(1) ())
-      ~deadline:never ()
+      ~relaxation ~rng:rngs.(1) inst
   in
   let refined = Random_schedule.refine inst rs in
-  let greedy =
-    Greedy_ear.solve ~instance:inst ~workspace:(ws ()) ~deadline:never ()
-  in
-  let online =
-    Online.solve ~instance:inst ~workspace:(ws ()) ~deadline:never ()
-  in
+  let greedy = Greedy_ear.solve inst in
+  let online = Online.solve inst in
   let exact_result =
     if not (exact_gate inst) then None
     else match Exact.search inst with

@@ -1,11 +1,9 @@
 module Prng = Dcn_util.Prng
 module Json = Dcn_engine.Json
-module Deadline = Dcn_engine.Deadline
-module Pool = Dcn_engine.Pool
 module Instance = Dcn_core.Instance
 module Solution = Dcn_core.Solution
-module Solver_api = Dcn_core.Solver_api
-module Solvers = Dcn_core.Solvers
+module Greedy_ear = Dcn_core.Greedy_ear
+module Random_schedule = Dcn_core.Random_schedule
 
 type variant = Baseline | Energy_aware
 
@@ -22,15 +20,12 @@ let variant_of_string = function
            "unknown admission variant %S (expected sigma-greedy or \
             sigma-energy)" s)
 
-let solver_of_variant variant =
-  let name =
-    match variant with
-    | Baseline -> "greedy-ear"
-    | Energy_aware -> "random-schedule"
-  in
-  match Solvers.find name with
-  | Some s -> s
-  | None -> failwith (Printf.sprintf "Admission: solver %S not registered" name)
+(* The solver answering "does the group fit?", by name: the
+   deterministic greedy ignores the decision's PRNG stream. *)
+let solver_of_variant ?pool = function
+  | Baseline -> (Greedy_ear.name, fun ~rng:_ inst -> Greedy_ear.solve inst)
+  | Energy_aware ->
+    (Random_schedule.name, fun ~rng inst -> Random_schedule.solve ?pool ~rng inst)
 
 type decision = {
   coflow : int;
@@ -52,10 +47,9 @@ type t = {
   completion_rate : float;
 }
 
-let run ?(seed = 0) ?pool ?(deadline = Deadline.never) ~variant ~graph ~power
-    coflows =
+let run ?(seed = 0) ?pool ~variant ~graph ~power coflows =
   ignore (Coflow.flatten coflows);
-  let (module Solver : Solver_api.S) = solver_of_variant variant in
+  let solver, solve = solver_of_variant ?pool variant in
   let sigma = Coflow.sigma_order coflows in
   (* One PRNG stream per position in the sigma order: decision [i]'s
      randomness is a pure function of (seed, i), independent of how many
@@ -77,10 +71,7 @@ let run ?(seed = 0) ?pool ?(deadline = Deadline.never) ~variant ~graph ~power
         with
         | Error e -> Error (Instance.error_to_string e)
         | Ok instance -> (
-            let workspace =
-              Solver_api.workspace ?pool ~rng:streams.(i) ()
-            in
-            match Solver.solve ~instance ~workspace ~deadline () with
+            match solve ~rng:streams.(i) instance with
             | sol when sol.Solution.feasible -> Ok sol
             | _ -> Error "no capacity-feasible schedule for the group"
             | exception Invalid_argument msg -> Error msg)
@@ -105,7 +96,7 @@ let run ?(seed = 0) ?pool ?(deadline = Deadline.never) ~variant ~graph ~power
   let total = List.length sigma in
   {
     variant = variant_name variant;
-    solver = Solver.name;
+    solver;
     order = List.map (fun (c : Coflow.t) -> c.Coflow.id) sigma;
     decisions = List.rev !decisions;
     admitted;

@@ -17,11 +17,13 @@
       Relaxation + randomised rounding, so the admitted set is also
       scheduled energy-efficiently (Eq. (5)).
 
-    Both are resolved through {!Dcn_core.Solvers}, so the result is an
+    Each variant calls its solver directly, so the result is an
     ordinary {!Dcn_core.Solution.t} and certifies with the conjunction
-    certificate of {!Certificate}.  Each admission decision draws from
-    its own pre-split PRNG stream: the outcome is a pure function of
-    [(seed, coflows)] at every [--jobs] level. *)
+    certificate of {!Certificate}.  A wall-clock budget reaches the
+    solves as the calling domain's ambient {!Dcn_engine.Deadline}.  Each
+    admission decision draws from its own pre-split PRNG stream: the
+    outcome is a pure function of [(seed, coflows)] at every [--jobs]
+    level. *)
 
 type variant = Baseline | Energy_aware
 
@@ -56,15 +58,13 @@ type t = {
 val run :
   ?seed:int ->
   ?pool:Dcn_engine.Pool.t ->
-  ?deadline:Dcn_engine.Deadline.t ->
   variant:variant ->
   graph:Dcn_topology.Graph.t ->
   power:Dcn_power.Model.t ->
   Coflow.t list ->
   t
 (** Run the sigma-order walk.  [seed] (default 0) feeds the randomised
-    solver's streams; [pool] defaults to the sequential pool; [deadline]
-    (default {!Dcn_engine.Deadline.never}) bounds each solve.
+    solver's streams; [pool] defaults to the sequential pool.
     @raise Invalid_argument if two coflows share a member flow id. *)
 
 val to_json : t -> Dcn_engine.Json.t

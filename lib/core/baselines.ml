@@ -66,22 +66,3 @@ let ecmp_routing ?(fanout = 16) ~rng inst =
 let ecmp_mcf ?fanout ~rng inst =
   let routing = ecmp_routing ?fanout ~rng inst in
   Most_critical_first.solve_routed ~algorithm:"ecmp+mcf" inst ~routing
-
-(* Solver_api faces for the registry. *)
-
-module Sp_mcf = struct
-  let name = "sp+mcf"
-
-  let solve ~instance ~workspace:(_ : Solver_api.workspace) ~deadline
-      ?previous:(_ : Solution.t option) () =
-    Solver_api.under_deadline deadline @@ fun () -> sp_mcf instance
-end
-
-module Ecmp_mcf = struct
-  let name = "ecmp+mcf"
-
-  let solve ~instance ~workspace:(ws : Solver_api.workspace) ~deadline
-      ?previous:(_ : Solution.t option) () =
-    Solver_api.under_deadline deadline @@ fun () ->
-    ecmp_mcf ~rng:ws.Solver_api.rng instance
-end

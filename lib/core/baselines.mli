@@ -3,7 +3,9 @@
     SP+MCF — "Shortest-Path routing plus Most-Critical-First" — is the
     paper's stand-in for how data centers route today: fix hop-count
     shortest paths, then schedule optimally on them.  Its energy is "the
-    lower bound of the energy consumption by SP routing". *)
+    lower bound of the energy consumption by SP routing".  Both
+    baselines are plain functions of the instance ({!sp_mcf},
+    {!ecmp_mcf}); they have no loop that polls a deadline. *)
 
 val shortest_path_routing : Instance.t -> int -> Dcn_topology.Graph.link list
 (** Deterministic hop-count shortest path per flow id (one Dijkstra per
@@ -27,11 +29,3 @@ val ecmp_routing :
 
 val ecmp_mcf : ?fanout:int -> rng:Dcn_util.Prng.t -> Instance.t -> Solution.t
 (** ECMP routing followed by Most-Critical-First. *)
-
-module Sp_mcf : Solver_api.S
-(** {!sp_mcf} as a {!Solver_api.S}; deterministic, ignores the
-    workspace and [previous]. *)
-
-module Ecmp_mcf : Solver_api.S
-(** {!ecmp_mcf} as a {!Solver_api.S}; draws path choices from
-    [workspace.rng]. *)

@@ -95,10 +95,3 @@ let search ?(max_hops = 8) ?(max_combinations = 50_000) inst =
       best = best_res;
       combinations = !explored;
     }
-
-let name = "exact"
-
-let solve ?max_hops ?max_combinations ~instance ~workspace:(_ : Solver_api.workspace)
-    ~deadline ?previous:(_ : Solution.t option) () =
-  Solver_api.under_deadline deadline @@ fun () ->
-  (search ?max_hops ?max_combinations instance).best

@@ -5,7 +5,11 @@
     virtual-circuit model is the minimum of Most-Critical-First over all
     routing combinations.  Exponential, of course — Theorem 2 says no
     better is possible — but fine as ground truth for approximation
-    tests on gadget-sized instances. *)
+    tests on gadget-sized instances.
+
+    The entry point is {!search}; its solution is [(search inst).best].
+    A wall-clock budget reaches it as the calling domain's ambient
+    {!Dcn_engine.Deadline}. *)
 
 type result = {
   energy : float;
@@ -20,19 +24,3 @@ val search : ?max_hops:int -> ?max_combinations:int -> Instance.t -> result
     polling the ambient deadline once per combination.
     @raise Invalid_argument if a flow has no path within [max_hops] or
     the product of path counts exceeds the budget. *)
-
-val name : string
-(** ["exact"] *)
-
-val solve :
-  ?max_hops:int ->
-  ?max_combinations:int ->
-  instance:Instance.t ->
-  workspace:Solver_api.workspace ->
-  deadline:Dcn_engine.Deadline.t ->
-  ?previous:Solution.t ->
-  unit ->
-  Solution.t
-(** The {!Solver_api.S}-shaped entry: [{(search ...).best}] under
-    [deadline].  [workspace] and [previous] are ignored (the
-    enumeration has nothing to warm-start from). *)

@@ -7,9 +7,7 @@ module Schedule = Dcn_sched.Schedule
 
 let name = "greedy-ear"
 
-let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
-    ?previous:(_ : Solution.t option) () =
-  Solver_api.under_deadline deadline @@ fun () ->
+let solve inst =
   Dcn_engine.Trace.span "greedy_ear.solve"
     ~fields:[ ("flows", Dcn_engine.Json.Int (Instance.num_flows inst)) ]
   @@ fun () ->

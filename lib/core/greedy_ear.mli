@@ -15,21 +15,15 @@
     relaxation: both spread load energy-aware, but the greedy commits
     per flow with no global view and no randomisation.
 
-    Implements {!Solver_api.S} directly. *)
+    Callers call {!solve} directly; it polls the calling domain's
+    ambient {!Dcn_engine.Deadline} once per routed flow. *)
 
 val name : string
 (** ["greedy-ear"] *)
 
-val solve :
-  instance:Instance.t ->
-  workspace:Solver_api.workspace ->
-  deadline:Dcn_engine.Deadline.t ->
-  ?previous:Solution.t ->
-  unit ->
-  Solution.t
-(** Deterministic (ties broken by Dijkstra's fixed order); [workspace]
-    and [previous] are ignored.  [meta] is {!Solution.Routed} with
-    every flow accepted; [feasible] reports whether the greedy's loads
-    happen to respect link capacity (it is not capacity-aware).  Polls
-    [deadline] once per routed flow.
+val solve : Instance.t -> Solution.t
+(** Deterministic (ties broken by Dijkstra's fixed order).  [meta] is
+    {!Solution.Routed} with every flow accepted; [feasible] reports
+    whether the greedy's loads happen to respect link capacity (it is
+    not capacity-aware).
     @raise Invalid_argument if some flow's endpoints are disconnected. *)

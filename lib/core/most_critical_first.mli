@@ -44,9 +44,9 @@ val solve_routed :
   routing:(int -> Dcn_topology.Graph.link list) ->
   Solution.t
 (** The routing-specific core: schedule optimally {e given} a routing.
-    Complete solvers built on it ({!Baselines.Sp_mcf},
-    {!Baselines.Ecmp_mcf}, {!Exact}) implement {!Solver_api.S} by
-    choosing the routing first.
+    Complete solvers built on it ({!Baselines.sp_mcf},
+    {!Baselines.ecmp_mcf}, {!Exact.search}) choose the routing first
+    and call it.
 
     [routing id] is the path of the flow with that id.  The result's
     [energy] is Eq. (5),

@@ -5,11 +5,7 @@ module Timeline = Dcn_flow.Timeline
 module Model = Dcn_power.Model
 module Schedule = Dcn_sched.Schedule
 
-let name = "online"
-
-let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
-    ?previous:(_ : Solution.t option) () =
-  Solver_api.under_deadline deadline @@ fun () ->
+let solve inst =
   Dcn_engine.Trace.span "online.solve"
     ~fields:[ ("flows", Dcn_engine.Json.Int (Instance.num_flows inst)) ]
   @@ fun () ->
@@ -75,7 +71,7 @@ let solve ~instance:inst ~workspace:(_ : Solver_api.workspace) ~deadline
   Selfcheck.schedule ~label:"online" ~partial:true inst schedule;
   let rejected = List.sort compare !rejected in
   {
-    Solution.algorithm = name;
+    Solution.algorithm = "online";
     energy = Schedule.energy schedule;
     (* Capacity holds by construction; feasibility means nothing was
        turned away. *)

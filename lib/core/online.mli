@@ -12,21 +12,13 @@
     deadlines are met (Theorem 4 reasoning) and the capacity constraint
     holds by construction.
 
-    Implements {!Solver_api.S} directly. *)
+    Callers call {!solve} directly; it polls the calling domain's
+    ambient {!Dcn_engine.Deadline} once per arrival. *)
 
-val name : string
-(** ["online"] *)
-
-val solve :
-  instance:Instance.t ->
-  workspace:Solver_api.workspace ->
-  deadline:Dcn_engine.Deadline.t ->
-  ?previous:Solution.t ->
-  unit ->
-  Solution.t
-(** Deterministic; [workspace] and [previous] are ignored.  The
-    schedule, [per_flow_rates] and [Routed.paths] cover accepted flows
-    only; [Solution.rejected] lists the declined ids and [feasible]
-    means nothing was rejected (capacity always holds by construction).
-    Polls [deadline] once per arrival.  With infinite capacity nothing
-    is rejected and the result coincides with {!Greedy_ear}. *)
+val solve : Instance.t -> Solution.t
+(** Deterministic, labelled ["online"].  The schedule,
+    [per_flow_rates] and [Routed.paths] cover accepted flows only;
+    [Solution.rejected] lists the declined ids and [feasible] means
+    nothing was rejected (capacity always holds by construction).  With
+    infinite capacity nothing is rejected and the result coincides with
+    {!Greedy_ear}. *)

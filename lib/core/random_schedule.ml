@@ -48,26 +48,18 @@ type attempt = {
 
 let name = "random-schedule"
 
-let solve ?(config = default_config) ?relaxation ~instance:inst
-    ~workspace:(ws : Solver_api.workspace) ~deadline ?previous () =
+let solve ?(config = default_config) ?relaxation ?(pool = Pool.sequential)
+    ?(kernel = Dcn_mcf.Kernel.Workspace.default) ~rng inst =
   if config.attempts < 1 then
     invalid_arg
       (Printf.sprintf "Random_schedule.solve: attempts must be >= 1 (got %d)"
          config.attempts);
-  Solver_api.under_deadline deadline @@ fun () ->
-  let pool = ws.Solver_api.pool and rng = ws.Solver_api.rng in
   let relax =
     match relaxation with
     | Some r -> r
     | None ->
-      (* A previous solution of a nearby instance, if any, warm-starts
-         the relaxation: every interval is re-solved (the full-horizon
-         window marks them all dirty), seeded from the previous
-         fractional paths of every flow both instances share. *)
       fst
-        (Relaxation.resolve ~pool ~fw_config:config.fw_config
-           ~workspace:ws.Solver_api.kernel
-           ?previous:(Option.bind previous Solution.relaxation)
+        (Relaxation.resolve ~pool ~fw_config:config.fw_config ~workspace:kernel
            ~window:(Instance.horizon inst) inst)
   in
   Dcn_obs.Stage.time "core.rounding" @@ fun () ->
@@ -180,7 +172,7 @@ let solve ?(config = default_config) ?relaxation ~instance:inst
         ];
   let sol =
     {
-      Solution.algorithm = "random-schedule";
+      Solution.algorithm = name;
       energy = chosen_attempt.a_energy;
       feasible = chosen_attempt.a_feasible;
       schedule = chosen_attempt.a_schedule;
@@ -211,11 +203,3 @@ let refine inst (t : Solution.t) =
     Most_critical_first.solve_routed ~algorithm:"rs+refine" inst ~routing
   | Solution.Mcf _ | Solution.Routed _ ->
     invalid_arg "Random_schedule.refine: expected a Random-Schedule solution"
-
-(* The Solver_api face: default config, no pre-solved relaxation. *)
-module Api = struct
-  let name = name
-
-  let solve ~instance ~workspace ~deadline ?previous () =
-    solve ~instance ~workspace ~deadline ?previous ()
-end

@@ -20,7 +20,10 @@
     paper notes, the draw can be repeated.  [solve] redraws up to
     [attempts] times, returning the first feasible draw (or the
     least-overloaded draw if none is feasible within the budget) and
-    reporting what happened. *)
+    reporting what happened.
+
+    Callers call {!solve} directly.  A wall-clock budget reaches it only
+    as the calling domain's ambient {!Dcn_engine.Deadline}. *)
 
 type config = {
   attempts : int;  (** rounding redraws, default 20; must be >= 1 *)
@@ -51,38 +54,33 @@ val name : string
 val solve :
   ?config:config ->
   ?relaxation:Relaxation.t ->
-  instance:Instance.t ->
-  workspace:Solver_api.workspace ->
-  deadline:Dcn_engine.Deadline.t ->
-  ?previous:Solution.t ->
-  unit ->
+  ?pool:Dcn_engine.Pool.t ->
+  ?kernel:Dcn_mcf.Kernel.Workspace.t ->
+  rng:Dcn_util.Prng.t ->
+  Instance.t ->
   Solution.t
 (** Returns a {!Solution.t} whose [meta] is {!Solution.Rounding}: the
     chosen paths, redraws consumed and the fractional relaxation (for LB
     reuse).  [per_flow_rates] are the interval densities [D_i].
 
     [relaxation] short-circuits step 1 when the caller already solved it
-    (e.g. to share it with {!Lower_bound}).  Otherwise, a [previous]
-    solution carrying a relaxation (an earlier Random-Schedule run on a
-    nearby instance) warm-starts step 1 through
-    {!Relaxation.resolve} over the full horizon: every interval is
-    re-solved, seeded from the previous fractional paths of the flows
-    both instances share.
+    (e.g. to share it with {!Lower_bound}); otherwise step 1 solves
+    every interval cold through {!Relaxation.resolve}.  (Warm starts
+    from an earlier relaxation go through {!Relaxation.resolve}
+    [?previous] directly, as the serving session does.)
 
-    [workspace.pool] parallelises both the per-interval relaxation
-    programs and the rounding redraws; [workspace.kernel] supplies the
-    flat Frank–Wolfe arenas, reused across calls.  Redraws get one
-    pre-split PRNG stream each (off [workspace.rng]) and are evaluated
-    in index-ordered batches, keeping the paper's first-feasible
-    semantics (the lowest-index feasible draw wins), so the solution is
-    bit-identical for every pool size — including the sequential
-    default.  [deadline] is polled between attempt batches and inside
-    Frank–Wolfe.
+    [pool] (default sequential) parallelises both the per-interval
+    relaxation programs and the rounding redraws; [kernel] (default
+    {!Dcn_mcf.Kernel.Workspace.default}) supplies the flat Frank–Wolfe
+    arenas, reused across calls.  Redraws get one pre-split PRNG stream
+    each (off [rng]) and are evaluated in index-ordered batches,
+    keeping the paper's first-feasible semantics (the lowest-index
+    feasible draw wins), so the solution is bit-identical for every
+    pool size.  The ambient {!Dcn_engine.Deadline} is polled between
+    attempt batches and inside Frank–Wolfe; a blown budget raises
+    {!Dcn_engine.Deadline.Expired}.
 
     @raise Invalid_argument if [config.attempts < 1]. *)
-
-module Api : Solver_api.S
-(** [solve] with default [config] and no pre-solved relaxation. *)
 
 val refine : Instance.t -> Solution.t -> Solution.t
 (** Ablation (not in the paper): keep Random-Schedule's routing but

@@ -1,8 +1,9 @@
 (** The unified result of every solver in this library.
 
-    Every {!Solver_api.S} implementation — the baselines, the
-    Most-Critical-First pipeline, {!Random_schedule}, {!Greedy_ear},
-    {!Online} and {!Exact} — returns a {!t}: callers read [energy],
+    Every solver — the baselines ({!Baselines.sp_mcf},
+    {!Baselines.ecmp_mcf}), the Most-Critical-First pipeline,
+    {!Random_schedule.solve}, {!Greedy_ear.solve}, {!Online.solve} and
+    {!Exact.search}'s [best] — returns a {!t}: callers read [energy],
     [feasible], [schedule] and [per_flow_rates] uniformly instead of
     reaching into algorithm-specific records.  Algorithm-specific detail
     (MCF's critical groups, Random-Schedule's chosen paths and

@@ -55,9 +55,7 @@ let power_down ?(seed = 7) ?(n = 40) ?(alpha = 2.) ?pool ~sigmas () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let sp = Dcn_core.Baselines.sp_mcf inst in
       let rs_sched = rs.Solution.schedule in
@@ -106,9 +104,7 @@ let capacity_stress ?(seed = 11) ?(n = 40) ?(alpha = 2.) ?pool ~caps () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 50; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       {
         cap;
@@ -146,9 +142,7 @@ let refinement ?(seeds = [ 21; 22; 23 ]) ?(alpha = 2.) ?pool ~ns () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let refined = Dcn_core.Random_schedule.refine inst rs in
       let lb =
@@ -209,9 +203,7 @@ let failures ?(seed = 91) ?(n = 20) ?(alpha = 2.) ?pool ~counts () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng:rng' ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng:rng' inst
       in
       let lb =
         (Dcn_core.Lower_bound.of_relaxation (Option.get (Solution.relaxation rs)))
@@ -255,11 +247,7 @@ let admission ?(seed = 81) ?(alpha = 2.) ?(cap = 6.) ?pool ~loads () =
       let rng = Prng.create seed in
       let flows = Workload.trace ~load ~rng ~graph ~horizon:(0., 60.) () in
       let inst = Dcn_core.Instance.make ~graph ~power ~flows in
-      let online =
-        Dcn_core.Online.solve ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ())
-          ~deadline:Dcn_engine.Deadline.never ()
-      in
+      let online = Dcn_core.Online.solve inst in
       {
         load;
         offered = List.length flows;
@@ -293,9 +281,7 @@ let rate_levels ?(seed = 61) ?(n = 20) ?(alpha = 2.) ?pool ~counts () =
   let rs =
     Dcn_core.Random_schedule.solve
       ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-      ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ?pool ~rng ())
-      ~deadline:Dcn_engine.Deadline.never ()
+      ?pool ~rng inst
   in
   let sched = rs.Solution.schedule in
   let top = 2. *. Schedule.max_link_rate sched in
@@ -349,9 +335,7 @@ let splitting ?(seed = 51) ?(n = 20) ?(alpha = 2.) ?pool ~parts () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let distinct =
         List.length
@@ -393,9 +377,7 @@ let lb_tightness ?(seeds = [ 41; 42; 43 ]) ?(alpha = 2.) ?pool ~ns () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let paper =
         (Dcn_core.Lower_bound.of_relaxation (Option.get (Solution.relaxation rs)))
@@ -445,9 +427,7 @@ let routing_comparison ?(seeds = [ 31; 32; 33 ]) ?(alpha = 2.) ?pool ~ns () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let lb =
         (Dcn_core.Lower_bound.of_relaxation (Option.get (Solution.relaxation rs)))
@@ -455,11 +435,7 @@ let routing_comparison ?(seeds = [ 31; 32; 33 ]) ?(alpha = 2.) ?pool ~ns () =
       in
       let sp = Dcn_core.Baselines.sp_mcf inst in
       let ecmp = Dcn_core.Baselines.ecmp_mcf ~rng inst in
-      let ear =
-        Dcn_core.Greedy_ear.solve ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ())
-          ~deadline:Dcn_engine.Deadline.never ()
-      in
+      let ear = Dcn_core.Greedy_ear.solve inst in
       ( sp.Solution.energy /. lb,
         ecmp.Solution.energy /. lb,
         ear.Dcn_core.Solution.energy /. lb,

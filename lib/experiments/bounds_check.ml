@@ -20,9 +20,7 @@ let run ?(alpha = 2.) ?(seed = 5) ~ns () =
       let rs =
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config = Fig2.experiment_fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let lb =
         (Dcn_core.Lower_bound.of_relaxation

@@ -68,11 +68,7 @@ let run_one params ~graph ~n ~seed =
   let rs_config =
     { Dcn_core.Random_schedule.attempts = rs_attempts; fw_config = experiment_fw_config }
   in
-  let rs =
-    Dcn_core.Random_schedule.solve ~config:rs_config ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-      ~deadline:Dcn_engine.Deadline.never ()
-  in
+  let rs = Dcn_core.Random_schedule.solve ~config:rs_config ~rng inst in
   let relax = Option.get (Dcn_core.Solution.relaxation rs) in
   let lb = Dcn_core.Lower_bound.of_relaxation relax in
   let sp = Dcn_core.Baselines.sp_mcf inst in

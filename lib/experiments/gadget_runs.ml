@@ -28,9 +28,7 @@ let three_partition ?(seed = 3) ?(m = 2) ?(b = 20) ?(alpha = 2.) () =
   let rs =
     Dcn_core.Random_schedule.solve
       ~config:{ Dcn_core.Random_schedule.attempts = 50; fw_config = Fig2.experiment_fw_config }
-      ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-      ~deadline:Dcn_engine.Deadline.never ()
+      ~rng inst
   in
   {
     m = tp.Gadgets.m;

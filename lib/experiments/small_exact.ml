@@ -37,9 +37,7 @@ let run ?(alpha = 2.) ?(n_flows = 4) ?(links = 3) ~seeds () =
         Dcn_core.Random_schedule.solve
           ~config:
             { Dcn_core.Random_schedule.attempts = 20; fw_config = Fig2.experiment_fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let rs_energy = rs.Dcn_core.Solution.energy in
       { seed; n_flows; exact; rs = rs_energy; ratio = rs_energy /. exact })

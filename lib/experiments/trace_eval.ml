@@ -23,9 +23,7 @@ let run ?(alpha = 2.) ?(seed = 77) ?(horizon = 60.) ~loads () =
         Dcn_core.Random_schedule.solve
           ~config:
             { Dcn_core.Random_schedule.attempts = 20; fw_config = Fig2.experiment_fw_config }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let lb =
         (Dcn_core.Lower_bound.of_relaxation
@@ -34,11 +32,7 @@ let run ?(alpha = 2.) ?(seed = 77) ?(horizon = 60.) ~loads () =
       in
       let sp = Dcn_core.Baselines.sp_mcf inst in
       let ecmp = Dcn_core.Baselines.ecmp_mcf ~rng inst in
-      let ear =
-        Dcn_core.Greedy_ear.solve ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ())
-          ~deadline:Dcn_engine.Deadline.never ()
-      in
+      let ear = Dcn_core.Greedy_ear.solve inst in
       let sim = Dcn_sim.Fluid.run rs.Dcn_core.Solution.schedule in
       {
         load;

@@ -89,7 +89,9 @@ val acquire : Workspace.t -> graph:Dcn_topology.Graph.t -> nc:int -> arena
     physically the mirrored one, and the active sets emptied (every
     commodity's list, the path pool and the link store).  Emits a
     [ws.reuse] trace counter when served entirely from existing
-    buffers, [ws.grow] otherwise.  The path stores also double on
+    buffers, [ws.grow] otherwise.  Arenas are per domain, so on a pool
+    of several domains the split between the two depends on which
+    domain runs each task; only their sum is deterministic.  The path stores also double on
     demand inside the helpers below; like [acquire]'s growth, that
     stops once the arena is warm. *)
 

@@ -265,9 +265,7 @@ let repair ~policy ~rng ~committed ~event inst =
                 Random_schedule.attempts = Random_schedule.redraw_budget;
                 fw_config = Dcn_mcf.Frank_wolfe.resolve_config;
               }
-            ~instance:residual
-            ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.split rng) ())
-            ~deadline:Deadline.never ()
+            ~rng:(Prng.split rng) residual
         with
         | sol when sol.Solution.feasible -> Ok (residual, sol)
         | _ -> Error "no feasible draw within the redraw budget"

@@ -8,7 +8,6 @@ module Solution = Dcn_core.Solution
 module Random_schedule = Dcn_core.Random_schedule
 module Greedy_ear = Dcn_core.Greedy_ear
 module Exact = Dcn_core.Exact
-module Solver_api = Dcn_core.Solver_api
 
 type status = Answered | Timed_out | Skipped | Failed of string
 
@@ -129,9 +128,7 @@ let solve ?budget_ms ~rng inst =
                    Random_schedule.attempts = Random_schedule.redraw_budget;
                    fw_config = Dcn_mcf.Frank_wolfe.resolve_config;
                  }
-               ~instance:inst
-               ~workspace:(Solver_api.workspace ~rng:(Prng.split rng) ())
-               ~deadline ()))
+               ~rng:(Prng.split rng) inst))
     in
     let rs_answer =
       match v with
@@ -156,13 +153,9 @@ let solve ?budget_ms ~rng inst =
          keeps its historical meaning here (deadlines met; the greedy
          is not capacity-aware, its own flag lives in the solution). *)
       let g =
-        (* Escape the ambient budget entirely (solvers take the tighter
-           of their argument and the ambient deadline, and the fallback
-           must answer even when the enclosing budget has expired). *)
-        Deadline.with_deadline Deadline.never (fun () ->
-            Greedy_ear.solve ~instance:inst
-              ~workspace:(Solver_api.workspace ())
-              ~deadline:Deadline.never ())
+        (* Escape the ambient budget entirely: the fallback must answer
+           even when the enclosing budget has expired. *)
+        Deadline.with_deadline Deadline.never (fun () -> Greedy_ear.solve inst)
       in
       record { stage = "greedy-ear"; status = Answered };
       answered ~algorithm:"greedy-ear" ~solution:(Some g)

@@ -51,9 +51,7 @@ let test_certify_clean_solutions () =
   let rs =
     Dcn_core.Random_schedule.solve
       ~config:{ Dcn_core.Random_schedule.attempts = 5; fw_config = quick_fw }
-      ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.create 7) ())
-      ~deadline:Dcn_engine.Deadline.never ()
+      ~rng:(Prng.create 7) inst
   in
   Alcotest.(check (list string)) "rs certifies" [] (kinds (Certify.solution inst rs))
 

@@ -34,19 +34,9 @@ let quick_fw =
 
 let rs_config = { Random_schedule.attempts = 20; fw_config = quick_fw }
 
-(* Shorthands for the labelled Solver_api entry points used throughout. *)
-let never = Dcn_engine.Deadline.never
-let ws ?pool ?rng () = Solver_api.workspace ?pool ?rng ()
-
+(* Random-Schedule with the quick Frank–Wolfe of these tests. *)
 let rs_solve ?(config = rs_config) ?relaxation ~rng inst =
-  Random_schedule.solve ~config ?relaxation ~instance:inst
-    ~workspace:(ws ~rng ()) ~deadline:never ()
-
-let ear_solve inst =
-  Greedy_ear.solve ~instance:inst ~workspace:(ws ()) ~deadline:never ()
-
-let online_solve inst =
-  Online.solve ~instance:inst ~workspace:(ws ()) ~deadline:never ()
+  Random_schedule.solve ~config ?relaxation ~rng inst
 
 (* ------------------------------------------------------------------ *)
 (* Instance                                                           *)
@@ -613,7 +603,7 @@ let prop_exact_below_heuristics =
 let test_ear_line_energy () =
   (* Forced routes on Example 1: interval-density scheduling gives the
      same 92 as Random-Schedule there. *)
-  let ear = ear_solve (example1 ()) in
+  let ear = Greedy_ear.solve (example1 ()) in
   check_float "energy" 92. ear.Solution.energy
 
 let test_ear_spreads_speed_scaling () =
@@ -622,7 +612,7 @@ let test_ear_spreads_speed_scaling () =
   let graph = Builders.parallel ~links:2 in
   let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:4. ~release:0. ~deadline:2. in
   let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ mk 0; mk 1 ] in
-  let ear = ear_solve inst in
+  let ear = Greedy_ear.solve inst in
   let p0 = List.assoc 0 (Solution.paths ear) and p1 = List.assoc 1 (Solution.paths ear) in
   Alcotest.(check bool) "different links" true (p0 <> p1);
   (* Each link at rate 2 for 2s: energy 2 * 4 * 2 = 16. *)
@@ -635,7 +625,7 @@ let test_ear_consolidates_power_down () =
   let power = Model.make ~sigma:100. ~mu:1. ~alpha:2. () in
   let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:4. ~release:0. ~deadline:2. in
   let inst = Instance.make ~graph ~power ~flows:[ mk 0; mk 1 ] in
-  let ear = ear_solve inst in
+  let ear = Greedy_ear.solve inst in
   let p0 = List.assoc 0 (Solution.paths ear) and p1 = List.assoc 1 (Solution.paths ear) in
   Alcotest.(check bool) "same link" true (p0 = p1);
   Alcotest.(check int) "one active direction" 1
@@ -643,7 +633,7 @@ let test_ear_consolidates_power_down () =
 
 let test_ear_deadlines () =
   let inst, _ = small_instance 59 in
-  let ear = ear_solve inst in
+  let ear = Greedy_ear.solve inst in
   Alcotest.(check int) "no deadline violations" 0
     (List.length (violations ~capacity:false inst ear))
 
@@ -652,7 +642,7 @@ let prop_ear_above_lb =
     QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
     (fun seed ->
       let inst, _ = small_instance seed in
-      let ear = ear_solve inst in
+      let ear = Greedy_ear.solve inst in
       let lb = Lower_bound.compute ~fw_config:quick_fw inst in
       ear.Solution.energy >= lb.Lower_bound.value -. 1e-6)
 
@@ -662,11 +652,11 @@ let prop_ear_above_lb =
 
 let test_online_no_cap_accepts_all () =
   let inst, _ = small_instance 73 in
-  let online = online_solve inst in
+  let online = Online.solve inst in
   Alcotest.(check int) "no rejections" 0 (List.length (Solution.rejected online));
   check_float "acceptance 1" 1. (Solution.acceptance_rate online);
   (* Coincides with Greedy-EAR when nothing is rejected. *)
-  let ear = ear_solve inst in
+  let ear = Greedy_ear.solve inst in
   check_float "same energy as EAR" ear.Solution.energy online.Solution.energy
 
 let test_online_tight_cap_rejects () =
@@ -676,7 +666,7 @@ let test_online_tight_cap_rejects () =
   let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1. () in
   let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:2. ~release:0. ~deadline:2. in
   let inst = Instance.make ~graph ~power ~flows:[ mk 0; mk 1 ] in
-  let online = online_solve inst in
+  let online = Online.solve inst in
   Alcotest.(check (list int)) "first accepted" [ 0 ] (Solution.accepted online);
   Alcotest.(check (list int)) "second rejected" [ 1 ] (Solution.rejected online);
   check_float "half accepted" 0.5 (Solution.acceptance_rate online)
@@ -687,7 +677,7 @@ let test_online_reroutes_to_fit () =
   let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1. () in
   let mk id = Flow.make ~id ~src:0 ~dst:1 ~volume:2. ~release:0. ~deadline:2. in
   let inst = Instance.make ~graph ~power ~flows:[ mk 0; mk 1 ] in
-  let online = online_solve inst in
+  let online = Online.solve inst in
   Alcotest.(check int) "all accepted" 2 (List.length (Solution.accepted online))
 
 let prop_online_accepted_feasible =
@@ -700,7 +690,7 @@ let prop_online_accepted_feasible =
       let rng = Prng.create seed in
       let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:20 () in
       let inst = Instance.make ~graph ~power ~flows in
-      let online = online_solve inst in
+      let online = Online.solve inst in
       violations ~partial:true inst online = [])
 
 (* ------------------------------------------------------------------ *)
@@ -861,8 +851,8 @@ let test_greedy_ear_deterministic () =
   let rng = Prng.create 37 in
   let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:12 () in
   let inst = Instance.make ~graph ~power:Model.quadratic ~flows in
-  let e1 = (ear_solve inst).Solution.energy in
-  let e2 = (ear_solve inst).Solution.energy in
+  let e1 = (Greedy_ear.solve inst).Solution.energy in
+  let e2 = (Greedy_ear.solve inst).Solution.energy in
   Alcotest.(check (float 1e-9)) "deterministic" e1 e2
 
 let test_online_deterministic () =
@@ -871,7 +861,7 @@ let test_online_deterministic () =
   let rng = Prng.create 41 in
   let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:15 () in
   let inst = Instance.make ~graph ~power ~flows in
-  let r1 = online_solve inst and r2 = online_solve inst in
+  let r1 = Online.solve inst and r2 = Online.solve inst in
   Alcotest.(check (list int)) "same accepted" (Solution.accepted r1)
     (Solution.accepted r2)
 
@@ -949,7 +939,7 @@ let test_rs_link_rates_are_density_sums () =
   let f2 = Flow.make ~id:1 ~src:0 ~dst:1 ~volume:6. ~release:1. ~deadline:3. in
   let inst = Instance.make ~graph ~power:Model.quadratic ~flows:[ f1; f2 ] in
   let rng = Prng.create 1 in
-  let rs = Random_schedule.solve ~instance:inst ~workspace:(ws ~rng ()) ~deadline:never () in
+  let rs = Random_schedule.solve ~rng inst in
   let profile = List.assoc 0 (Array.to_list (Schedule.profiles rs.Solution.schedule)) in
   check_float "outside overlap" 1. (Dcn_sched.Profile.rate_at profile 0.5);
   check_float "during overlap D1+D2" 4. (Dcn_sched.Profile.rate_at profile 2.);
@@ -981,11 +971,11 @@ let test_sparse_ids_mcf () =
 let test_sparse_ids_rs_and_friends () =
   let inst = sparse_example1 () in
   let rng = Prng.create 42 in
-  let rs = Random_schedule.solve ~instance:inst ~workspace:(ws ~rng ()) ~deadline:never () in
+  let rs = Random_schedule.solve ~rng inst in
   check_float "RS energy" 92. rs.Solution.energy;
-  check_float "EAR energy" 92. (ear_solve inst).Solution.energy;
+  check_float "EAR energy" 92. (Greedy_ear.solve inst).Solution.energy;
   Alcotest.(check (list int)) "online accepts both" [ 7; 1000 ]
-    (Solution.accepted (online_solve inst));
+    (Solution.accepted (Online.solve inst));
   let back = Serialize.instance_of_string (Serialize.instance_to_string inst) in
   Alcotest.(check int) "serialize keeps ids" 1000 (Option.get (Instance.find_flow_opt back 1000)).Flow.id
 

@@ -1,6 +1,7 @@
 (* Dcn_engine: the domain pool and its determinism contract. *)
 
 module Pool = Dcn_engine.Pool
+module Deadline = Dcn_engine.Deadline
 module Prng = Dcn_util.Prng
 
 exception Boom of int
@@ -103,9 +104,7 @@ let test_random_schedule_jobs_invariant () =
         let inst = Dcn_core.Instance.make ~graph ~power ~flows in
         Dcn_core.Random_schedule.solve
           ~config:{ Dcn_core.Random_schedule.attempts = 20; fw_config = quick_fw }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~pool ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ())
+          ~pool ~rng inst)
   in
   let base = solve 1 in
   List.iter
@@ -169,9 +168,46 @@ let test_rs_rejects_bad_attempts () =
       ignore
         (Dcn_core.Random_schedule.solve
            ~config:{ Dcn_core.Random_schedule.attempts = 0; fw_config = quick_fw }
-           ~instance:inst
-           ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.create 1) ())
-           ~deadline:Dcn_engine.Deadline.never ()))
+           ~rng:(Prng.create 1) inst))
+
+(* ------------------------------------------------------------------ *)
+(* Budgets reach solvers as the ambient deadline                      *)
+(* ------------------------------------------------------------------ *)
+
+let budget_instance () =
+  let graph = Dcn_topology.Builders.fat_tree 4 in
+  let rng = Prng.create 3 in
+  let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:6 () in
+  Dcn_core.Instance.make ~graph ~power:Dcn_power.Model.quadratic ~flows
+
+let test_expired_budget_stops_rs () =
+  (* A 0 ms budget has passed before the first poll: the relaxation's
+     pool tasks (re-installed per task on a wider pool) and the
+     rounding loop must both refuse to run. *)
+  let inst = budget_instance () in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          match
+            Deadline.with_budget ~ms:0. (fun () ->
+                Dcn_core.Random_schedule.solve ~pool ~rng:(Prng.create 1) inst)
+          with
+          | _ -> Alcotest.failf "jobs=%d: solved past an expired budget" jobs
+          | exception Deadline.Expired -> ()))
+    [ 1; 4 ]
+
+let test_never_escapes_expired_budget () =
+  (* The watchdog's last stage: re-installing [never] inside a blown
+     budget lets the fallback solver answer. *)
+  let inst = budget_instance () in
+  let sol =
+    Deadline.with_budget ~ms:0. (fun () ->
+        Deadline.with_deadline Deadline.never (fun () ->
+            Dcn_core.Greedy_ear.solve inst))
+  in
+  Alcotest.(check int) "every flow routed"
+    (Dcn_core.Instance.num_flows inst)
+    (List.length (Dcn_core.Solution.paths sol))
 
 let suite =
   [
@@ -196,5 +232,12 @@ let suite =
         Alcotest.test_case "fuzz oracle invariant under jobs" `Slow
           test_fuzz_jobs_invariant;
         Alcotest.test_case "attempts < 1 rejected" `Quick test_rs_rejects_bad_attempts;
+      ] );
+    ( "engine-deadline",
+      [
+        Alcotest.test_case "expired budget stops random-schedule" `Quick
+          test_expired_budget_stops_rs;
+        Alcotest.test_case "never escapes an expired budget" `Quick
+          test_never_escapes_expired_budget;
       ] );
   ]

@@ -51,9 +51,7 @@ let prop_schedule_roundtrip =
       let rs =
         Random_schedule.solve
           ~config:{ Random_schedule.attempts = 3; fw_config = quick_fw }
-          ~instance:inst
-          ~workspace:(Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let text = Serialize.schedule_to_string rs.Solution.schedule in
       let back = Serialize.schedule_of_string inst text in
@@ -82,7 +80,7 @@ let prop_online_partitions =
       let rng = Prng.create seed in
       let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:15 () in
       let inst = Instance.make ~graph ~power ~flows in
-      let online = Online.solve ~instance:inst ~workspace:(Solver_api.workspace ()) ~deadline:Dcn_engine.Deadline.never () in
+      let online = Online.solve inst in
       let all = List.sort compare (List.map (fun (f : Flow.t) -> f.id) flows) in
       List.sort compare (Solution.accepted online @ Solution.rejected online) = all)
 
@@ -114,7 +112,7 @@ let prop_sim_checker_capacity_agree =
       let rng = Prng.create seed in
       let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:10 () in
       let inst = Instance.make ~graph ~power ~flows in
-      let rs = Random_schedule.solve ~config:{ Random_schedule.attempts = 3; fw_config = quick_fw } ~instance:inst ~workspace:(Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+      let rs = Random_schedule.solve ~config:{ Random_schedule.attempts = 3; fw_config = quick_fw } ~rng inst in
       let s = rs.Solution.schedule in
       let sim = Dcn_sim.Fluid.run s in
       sim.Dcn_sim.Fluid.capacity_respected
@@ -132,7 +130,7 @@ let prop_ear_not_catastrophic_vs_sp =
   QCheck.Test.make ~name:"greedy-ear: within 2x of SP+MCF on small instances" ~count:10
     seed_gen (fun seed ->
       let inst, _ = small_instance ~n:10 seed in
-      let ear = (Greedy_ear.solve ~instance:inst ~workspace:(Solver_api.workspace ()) ~deadline:Dcn_engine.Deadline.never ()).Solution.energy in
+      let ear = (Greedy_ear.solve inst).Solution.energy in
       let sp = (Baselines.sp_mcf inst).Solution.energy in
       ear <= 2. *. sp)
 

@@ -27,7 +27,7 @@ let test_example1_numbers () =
     (((8. +. (6. *. sqrt 2.)) ** 2.) /. 3.)
     (Baselines.sp_mcf inst).Solution.energy;
   let rng = Prng.create 42 in
-  let rs = Random_schedule.solve ~instance:inst ~workspace:(Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+  let rs = Random_schedule.solve ~rng inst in
   close ~tol:1e-6 "RS interval-density energy" 92. rs.Solution.energy
 
 let test_gadget_numbers () =

@@ -141,9 +141,7 @@ let test_repair_never_raises () =
     (fun (s : Fault.scenario) ->
       let committed =
         Dcn_core.Selfcheck.without (fun () ->
-            (Dcn_core.Greedy_ear.solve ~instance:s.Fault.instance
-               ~workspace:(Dcn_core.Solver_api.workspace ())
-               ~deadline:Dcn_engine.Deadline.never ())
+            (Dcn_core.Greedy_ear.solve s.Fault.instance)
               .Dcn_core.Solution.schedule)
       in
       List.iter

@@ -412,7 +412,7 @@ let test_energy_split_consistency () =
   let rng = Dcn_util.Prng.create 19 in
   let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:10 () in
   let inst = Dcn_core.Instance.make ~graph ~power ~flows in
-  let rs = Dcn_core.Random_schedule.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+  let rs = Dcn_core.Random_schedule.solve ~rng inst in
   let s = rs.Dcn_core.Solution.schedule in
   Alcotest.(check (float 1e-6)) "idle + dynamic = total"
     (Schedule.idle_energy s +. Schedule.dynamic_energy s)
@@ -452,7 +452,7 @@ let prop_quantize_exact_ladder_no_overhead =
       let rng = Dcn_util.Prng.create seed in
       let flows = Dcn_flow.Workload.paper_random ~rng ~graph ~n:6 () in
       let inst = Dcn_core.Instance.make ~graph ~power:Model.quadratic ~flows in
-      let rs = Dcn_core.Random_schedule.solve ~instance:inst ~workspace:(Dcn_core.Solver_api.workspace ~rng ()) ~deadline:Dcn_engine.Deadline.never () in
+      let rs = Dcn_core.Random_schedule.solve ~rng inst in
       let sched = rs.Dcn_core.Solution.schedule in
       (* Collect every distinct positive segment rate as a level. *)
       let rates = ref [] in

@@ -130,9 +130,7 @@ let prop_sim_rs_theorem4 =
               fw_config =
                 { Dcn_mcf.Frank_wolfe.default_config with max_iters = 40 };
             }
-          ~instance:inst
-          ~workspace:(Dcn_core.Solver_api.workspace ~rng ())
-          ~deadline:Dcn_engine.Deadline.never ()
+          ~rng inst
       in
       let r = Fluid.run rs.Dcn_core.Solution.schedule in
       r.Fluid.all_deadlines_met

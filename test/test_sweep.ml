@@ -89,9 +89,7 @@ let solved_schedules (case : Dcn_check.Gen.case) =
   let rs =
     Dcn_core.Random_schedule.solve
       ~config:{ Dcn_core.Random_schedule.attempts = 5; fw_config = quick_fw }
-      ~instance:inst
-      ~workspace:(Dcn_core.Solver_api.workspace ~rng:(Prng.create case.solver_seed) ())
-      ~deadline:Dcn_engine.Deadline.never ()
+      ~rng:(Prng.create case.solver_seed) inst
   in
   let mcf = Dcn_core.Baselines.sp_mcf inst in
   [ ("random-schedule", rs.Dcn_core.Solution.schedule); ("mcf", mcf.schedule) ]

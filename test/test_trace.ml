@@ -158,9 +158,7 @@ let test_jobs_invariance_under_tracing () =
         let run () =
           (* Workload PRNG state is consumed above; the solver gets its
              own fresh stream so runs are comparable. *)
-          (Dcn_core.Random_schedule.solve ~config ~instance:inst
-             ~workspace:(Dcn_core.Solver_api.workspace ~pool ~rng:(rng ()) ())
-             ~deadline:Dcn_engine.Deadline.never ())
+          (Dcn_core.Random_schedule.solve ~config ~pool ~rng:(rng ()) inst)
             .Dcn_core.Solution.energy
         in
         if traced then (
