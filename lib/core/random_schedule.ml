@@ -48,8 +48,8 @@ type attempt = {
 
 let name = "random-schedule"
 
-let solve ?(config = default_config) ?relaxation ?(pool = Pool.sequential)
-    ?(kernel = Dcn_mcf.Kernel.Workspace.default) ~rng inst =
+let solve ?(config = default_config) ?relaxation ?(pool = Pool.sequential) ~rng
+    inst =
   if config.attempts < 1 then
     invalid_arg
       (Printf.sprintf "Random_schedule.solve: attempts must be >= 1 (got %d)"
@@ -59,7 +59,7 @@ let solve ?(config = default_config) ?relaxation ?(pool = Pool.sequential)
     | Some r -> r
     | None ->
       fst
-        (Relaxation.resolve ~pool ~fw_config:config.fw_config ~workspace:kernel
+        (Relaxation.resolve ~pool ~fw_config:config.fw_config
            ~window:(Instance.horizon inst) inst)
   in
   Dcn_obs.Stage.time "core.rounding" @@ fun () ->

@@ -55,7 +55,6 @@ val solve :
   ?config:config ->
   ?relaxation:Relaxation.t ->
   ?pool:Dcn_engine.Pool.t ->
-  ?kernel:Dcn_mcf.Kernel.Workspace.t ->
   rng:Dcn_util.Prng.t ->
   Instance.t ->
   Solution.t
@@ -70,9 +69,7 @@ val solve :
     [?previous] directly, as the serving session does.)
 
     [pool] (default sequential) parallelises both the per-interval
-    relaxation programs and the rounding redraws; [kernel] (default
-    {!Dcn_mcf.Kernel.Workspace.default}) supplies the flat Frank–Wolfe
-    arenas, reused across calls.  Redraws get one pre-split PRNG stream
+    relaxation programs and the rounding redraws.  Redraws get one pre-split PRNG stream
     each (off [rng]) and are evaluated in index-ordered batches,
     keeping the paper's first-feasible semantics (the lowest-index
     feasible draw wins), so the solution is bit-identical for every

@@ -181,9 +181,8 @@ let budget_instance () =
   Dcn_core.Instance.make ~graph ~power:Dcn_power.Model.quadratic ~flows
 
 let test_expired_budget_stops_rs () =
-  (* A 0 ms budget has passed before the first poll: the relaxation's
-     pool tasks (re-installed per task on a wider pool) and the
-     rounding loop must both refuse to run. *)
+  (* A 0 ms budget has passed before the first poll: on either pool
+     the solve surfaces [Expired] to the caller instead of answering. *)
   let inst = budget_instance () in
   List.iter
     (fun jobs ->
@@ -196,18 +195,31 @@ let test_expired_budget_stops_rs () =
           | exception Deadline.Expired -> ()))
     [ 1; 4 ]
 
-let test_never_escapes_expired_budget () =
-  (* The watchdog's last stage: re-installing [never] inside a blown
-     budget lets the fallback solver answer. *)
-  let inst = budget_instance () in
-  let sol =
-    Deadline.with_budget ~ms:0. (fun () ->
-        Deadline.with_deadline Deadline.never (fun () ->
-            Dcn_core.Greedy_ear.solve inst))
-  in
-  Alcotest.(check int) "every flow routed"
-    (Dcn_core.Instance.num_flows inst)
-    (List.length (Dcn_core.Solution.paths sol))
+let test_map_reinstalls_ambient () =
+  (* Ambient deadlines are domain-local: a task that a worker domain
+     runs sees the caller's deadline only because [Pool.map] installs
+     it around the task.  Each task sleeps so that, even on one CPU,
+     the caller cannot drain the queue alone. *)
+  Pool.with_pool ~jobs:4 (fun pool ->
+      Deadline.with_budget ~ms:600_000. (fun () ->
+          let d = Option.get (Deadline.ambient ()) in
+          let caller = (Domain.self () :> int) in
+          let seen =
+            Pool.map pool
+              (fun _ ->
+                Unix.sleepf 0.02;
+                ((Domain.self () :> int), Deadline.ambient ()))
+              (Array.make 8 ())
+          in
+          Alcotest.(check bool) "some task ran on a worker" true
+            (Array.exists (fun (dom, _) -> dom <> caller) seen);
+          Array.iteri
+            (fun i (dom, amb) ->
+              match amb with
+              | Some d' when d' == d -> ()
+              | Some _ -> Alcotest.failf "task %d (domain %d): another deadline" i dom
+              | None -> Alcotest.failf "task %d (domain %d): no deadline" i dom)
+            seen))
 
 let suite =
   [
@@ -237,7 +249,7 @@ let suite =
       [
         Alcotest.test_case "expired budget stops random-schedule" `Quick
           test_expired_budget_stops_rs;
-        Alcotest.test_case "never escapes an expired budget" `Quick
-          test_never_escapes_expired_budget;
+        Alcotest.test_case "map re-installs the ambient deadline" `Quick
+          test_map_reinstalls_ambient;
       ] );
   ]

@@ -198,7 +198,11 @@ let test_watchdog_honours_ambient_deadline () =
     Deadline.with_budget ~ms:0. (fun () ->
         Watchdog.solve ~rng:(Prng.create 1) inst)
   in
-  Alcotest.(check string) "greedy answers" "greedy-ear" answer.Watchdog.algorithm
+  Alcotest.(check string) "greedy answers" "greedy-ear" answer.Watchdog.algorithm;
+  Alcotest.(check (list string))
+    "exact and random-schedule expired"
+    [ "exact"; "random-schedule" ]
+    (Watchdog.timed_out answer)
 
 (* ----------------------------- campaign ---------------------------- *)
 
