@@ -85,7 +85,7 @@ let report name json =
 (* Atomic, like bin/observe.ml: the gate must never read a truncated
    report. *)
 let write_file path text =
-  Dcn_util.Atomic_file.write ~path text;
+  Dcn_util.Atomic_file.write ~path [ text ];
   Printf.eprintf "wrote %s\n%!" path
 
 (* ------------------------- regression gate ------------------------ *)

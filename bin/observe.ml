@@ -48,7 +48,7 @@ let report_t =
 (* Atomic, so an interrupted run never leaves a truncated JSON for
    `dcn trace` or the bench gate to choke on. *)
 let write_file path text =
-  Dcn_util.Atomic_file.write ~path text;
+  Dcn_util.Atomic_file.write ~path [ text ];
   Printf.eprintf "wrote %s\n%!" path
 
 (* Counter totals, one object keyed by counter name. *)

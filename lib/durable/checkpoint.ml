@@ -18,16 +18,14 @@ let version = 1
 let header ~seq ~crc =
   Printf.sprintf {|{"version":%d,"seq":%d,"crc":"%s","state":|} version seq crc
 
-(* The state is serialised once; its bytes are both the checksummed
-   body and the envelope's last field. *)
-let write ~dir ~seq state =
-  let body = Json.to_string state in
-  let envelope =
-    String.concat "" [ header ~seq ~crc:(Crc.to_hex (Crc.string body)); body; "}" ]
-  in
-  Dcn_util.Atomic_file.write ~fsync:true ~path:(path ~dir) envelope;
+(* The state's bytes are both the checksummed body and the envelope's
+   last field; header, body and closing brace go to the file in turn. *)
+let write ~dir ~seq body =
+  let header = header ~seq ~crc:(Crc.to_hex (Crc.string body)) in
+  Dcn_util.Atomic_file.write ~fsync:true ~path:(path ~dir) [ header; body; "}" ];
   Dcn_obs.Registry.set obs_seq (float_of_int seq);
-  Dcn_obs.Registry.set obs_bytes (float_of_int (String.length envelope))
+  Dcn_obs.Registry.set obs_bytes
+    (float_of_int (String.length header + String.length body + 1))
 
 type loaded =
   | Absent

@@ -92,10 +92,10 @@ let run ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
   let ref_snap = Array.make (n + 1) "" in
   let ref_out = Array.make (n + 1) "" in
   let reference = Session.create ?pool ~graph ~power ~policy ~seed () in
-  ref_snap.(0) <- Json.to_string (Session.snapshot reference);
+  ref_snap.(0) <- Session.snapshot reference;
   for i = 1 to n do
     ref_out.(i) <- outcome_line (Session.apply reference events.(i - 1));
-    ref_snap.(i) <- Json.to_string (Session.snapshot reference)
+    ref_snap.(i) <- Session.snapshot reference
   done;
 
   (* Every stream is split up front, in a fixed order, so adding one
@@ -225,7 +225,7 @@ let run ?pool ?(window = 5) ?(checkpoint_every = 10) ~dir ~graph ~power
                let tear_detected = recovery.Store.tear <> None in
                let state_match =
                  Store.seq store = kill
-                 && Json.to_string (Session.snapshot (Store.session store))
+                 && Session.snapshot (Store.session store)
                     = ref_snap.(kill)
                in
                let certified = recertify ~graph ~power (Store.session store) in

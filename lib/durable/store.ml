@@ -1,4 +1,5 @@
 module Json = Dcn_engine.Json
+module Trace = Dcn_engine.Trace
 module Session = Dcn_serve.Session
 module Event = Dcn_serve.Event
 
@@ -91,9 +92,20 @@ let open_ ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
        (or one ending exactly at the checkpoint) is the normal
        post-checkpoint state.  What cannot be repaired: a segment whose
        first record is past what the checkpoint covers (the rotated-away
-       history is gone and this checkpoint cannot stand in for it), or a
-       segment that ends before the checkpoint (synced bytes lost). *)
-    if first_seq > checkpoint_seq + 1 then
+       history is gone and this checkpoint cannot stand in for it), a
+       segment that ends before the checkpoint (synced bytes lost), or a
+       checkpoint that cannot be used (corrupt, or state of an older
+       format) next to a segment that does not begin at seq 1: a
+       checkpoint file exists only once the log has been rotated, so
+       only a log reaching back to seq 1 can stand in for it — not the
+       empty segment a clean shutdown leaves. *)
+    if checkpoint_invalid <> None && first_seq <> 1 then
+      Error
+        (Printf.sprintf
+           "store %s cannot be recovered: its checkpoint is unusable (%s) \
+            and the WAL segment does not reach back to seq 1"
+           dir (Option.get checkpoint_invalid))
+    else if first_seq > checkpoint_seq + 1 then
       Error
         (Printf.sprintf
            "store %s is inconsistent: the WAL segment begins at seq %d but \
@@ -154,8 +166,13 @@ let open_ ?pool ~dir ~checkpoint_every ~graph ~power ~policy ~seed () =
 let session t = t.session
 let seq t = t.seq
 
+(* A span's fields are fixed when it opens, and the size is known only
+   once the state is encoded, so the bytes ride on an event inside it. *)
 let checkpoint_now t =
-  Checkpoint.write ~dir:t.dir ~seq:t.seq (Session.snapshot t.session);
+  Trace.span ~fields:[ ("seq", Json.Int t.seq) ] "store.checkpoint" @@ fun () ->
+  let body = Session.snapshot t.session in
+  Trace.event ~fields:[ ("bytes", Json.Int (String.length body)) ] "store.checkpoint.bytes";
+  Checkpoint.write ~dir:t.dir ~seq:t.seq body;
   (* Every logged record is now redundant with the checkpoint: rotate
      so the WAL stays bounded by the checkpoint interval.  A crash
      between the two leaves records <= checkpoint_seq, which recovery

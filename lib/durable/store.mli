@@ -30,7 +30,11 @@
     history cannot be replayed and the checkpoint cannot stand in for
     it — e.g. a deleted or corrupted checkpoint next to a rotated
     log), and a non-empty segment ending {e before} the checkpoint
-    (synced log bytes lost). *)
+    (synced log bytes lost).  Nor can a checkpoint that is corrupt or
+    does not restore (a state of an older format, say) next to a
+    segment that does not begin at seq 1, the empty segment a clean
+    shutdown leaves included: a fresh session there would silently
+    drop every committed event. *)
 
 type t
 

@@ -35,15 +35,19 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive behind [Printf]'s float conversions: for a finite
+   float, [Printf.sprintf "%.17g"] returns exactly its result, without
+   interpreting a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* %.17g may print an integral float without '.' or exponent; that is
    still a valid JSON number.  A [Float] built without {!float} is
    normalised to the string encoding rather than emitting invalid JSON. *)
 let float_literal buf x =
-  if Float.is_finite x then Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  if Float.is_finite x then Buffer.add_string buf (format_float "%.17g" x)
   else escape buf (if x = infinity then "inf" else if x = neg_infinity then "-inf" else "nan")
 
-let to_string ?(pretty = false) json =
-  let buf = Buffer.create 1024 in
+let emit ~pretty buf json =
   let indent n = Buffer.add_string buf (String.make (2 * n) ' ') in
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
@@ -90,7 +94,13 @@ let to_string ?(pretty = false) json =
       Buffer.add_char buf '}'
   in
   emit 0 json;
-  if pretty then Buffer.add_char buf '\n';
+  if pretty then Buffer.add_char buf '\n'
+
+let to_buffer buf json = emit ~pretty:false buf json
+
+let to_string ?(pretty = false) json =
+  let buf = Buffer.create 1024 in
+  emit ~pretty buf json;
   Buffer.contents buf
 
 (* ----------------------------- parser ----------------------------- *)

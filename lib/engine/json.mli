@@ -29,6 +29,15 @@ val float : float -> t
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents with two spaces. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the compact {!to_string} of a value. *)
+
+val float_literal : Buffer.t -> float -> unit
+(** Append what {!to_string} prints for [Float x]: [%.17g] for a finite
+    [x] (the same bytes as [Printf.sprintf "%.17g" x]), the quoted
+    string encoding otherwise.  For writers that stream a large
+    document into one buffer without building its tree. *)
+
 type parse_error = { offset : int;  (** byte offset of the failure *) message : string }
 
 val parse_error_to_string : parse_error -> string

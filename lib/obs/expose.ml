@@ -208,7 +208,7 @@ let validate_prometheus payload =
 
 (* --------------------------- file writing ------------------------- *)
 
-let write_atomic ~path content = Dcn_util.Atomic_file.write ~path content
+let write_atomic ~path content = Dcn_util.Atomic_file.write ~path [ content ]
 
 (* ---------------------------- live table -------------------------- *)
 

@@ -753,10 +753,10 @@ let report t =
 
 (* ------------------------- snapshot / restore ---------------------- *)
 
-(* The committed state as JSON, for durable-serving checkpoints.  Two
-   requirements shape the encoding:
+(* The committed state as one JSON document, for durable-serving
+   checkpoints.  Three requirements shape the encoding:
 
-   - {b Bit-exactness.}  [Json.float] emits %.17g, so every float
+   - {b Bit-exactness.}  Floats are written at %.17g, so every float
      round-trips exactly; the PRNG state is carried as a decimal int64
      string.  [restore] therefore resumes the exact stream: subsequent
      events produce byte-identical outcomes to the uninterrupted
@@ -770,40 +770,25 @@ let report t =
      not reproduce the warm-started fractional paths the next
      [resolve] reuses.
 
+   - {b Cost.}  The relaxation is most of the state: a few thousand
+     weighted paths over a few hundred distinct link lists.  It is
+     written straight into the output buffer, each distinct link list
+     once in a path table (in order of first use) and each interval as
+     one positional row that names its paths by table index:
+
+     {v
+       "relaxation":{"cost":C,"lb":L,"path_table":[[link,...],...],
+         "intervals":[[index,lo,hi,cost,lb,max_overload,
+                       [flow,path,weight,path,weight,...],...],...]}
+     v}
+
+     The small sections go through [Json.to_buffer] of their trees.
+
    A fingerprint of everything the session was created with guards
    [restore]: resuming under a different topology, power model, policy
    or solver configuration would silently diverge, so it is refused. *)
 
-let snapshot_version = 1
-
-let weighted_path_to_json (wp : Dcn_mcf.Decompose.weighted_path) =
-  Json.Obj
-    [
-      ("weight", Json.float wp.weight);
-      ("links", Json.List (List.map (fun l -> Json.Int l) wp.links));
-    ]
-
-let interval_to_json (s : Relaxation.interval_solution) =
-  let lo, hi = s.bounds in
-  Json.Obj
-    [
-      ("index", Json.Int s.index);
-      ("lo", Json.float lo);
-      ("hi", Json.float hi);
-      ("cost", Json.float s.cost);
-      ("lb", Json.float s.lb);
-      ("max_overload", Json.float s.max_overload);
-      ( "flow_paths",
-        Json.List
-          (List.map
-             (fun (id, wps) ->
-               Json.Obj
-                 [
-                   ("flow", Json.Int id);
-                   ("paths", Json.List (List.map weighted_path_to_json wps));
-                 ])
-             s.flow_paths) );
-    ]
+let snapshot_version = 2
 
 let fingerprint t =
   Json.Obj
@@ -821,92 +806,192 @@ let fingerprint t =
       ("fw_gap_tol", Json.float Fw.resolve_config.gap_tol);
     ]
 
+(* Ids and table indexes are small naturals; their digits go straight
+   into the buffer. *)
+let rec add_int b i =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+let add_float_field b x =
+  Buffer.add_char b ',';
+  Json.float_literal b x
+
+let add_relaxation b (r : Relaxation.t) =
+  let index = Hashtbl.create 1024 and table = ref [] in
+  Array.iter
+    (fun (s : Relaxation.interval_solution) ->
+      List.iter
+        (fun (_, wps) ->
+          List.iter
+            (fun (wp : Dcn_mcf.Decompose.weighted_path) ->
+              if not (Hashtbl.mem index wp.links) then begin
+                Hashtbl.add index wp.links (Hashtbl.length index);
+                table := wp.links :: !table
+              end)
+            wps)
+        s.flow_paths)
+    r.intervals;
+  Buffer.add_string b {|{"cost":|};
+  Json.float_literal b r.cost;
+  Buffer.add_string b {|,"lb":|};
+  Json.float_literal b r.lb;
+  Buffer.add_string b {|,"path_table":[|};
+  List.iteri
+    (fun k links ->
+      Buffer.add_string b (if k = 0 then "[" else ",[");
+      List.iteri
+        (fun i l ->
+          if i > 0 then Buffer.add_char b ',';
+          add_int b l)
+        links;
+      Buffer.add_char b ']')
+    (List.rev !table);
+  Buffer.add_string b {|],"intervals":[|};
+  Array.iteri
+    (fun k (s : Relaxation.interval_solution) ->
+      if k > 0 then Buffer.add_char b ',';
+      let lo, hi = s.bounds in
+      Buffer.add_char b '[';
+      add_int b s.index;
+      add_float_field b lo;
+      add_float_field b hi;
+      add_float_field b s.cost;
+      add_float_field b s.lb;
+      add_float_field b s.max_overload;
+      List.iter
+        (fun (flow, wps) ->
+          Buffer.add_string b ",[";
+          add_int b flow;
+          List.iter
+            (fun (wp : Dcn_mcf.Decompose.weighted_path) ->
+              Buffer.add_char b ',';
+              add_int b (Hashtbl.find index wp.links);
+              add_float_field b wp.weight)
+            wps;
+          Buffer.add_char b ']')
+        s.flow_paths;
+      Buffer.add_char b ']')
+    r.intervals;
+  Buffer.add_string b "]}"
+
 let snapshot t =
   let s = t.stats in
-  Json.Obj
-    [
-      ("version", Json.Int snapshot_version);
-      ("fingerprint", fingerprint t);
-      ("clock", Json.float t.clock);
-      ("rng", Json.Str (Int64.to_string (Prng.state t.rng)));
-      ( "flows",
-        Json.List
-          (List.map
-             (fun f -> Json.Obj (Event.flow_to_fields f))
-             (active_flows t)) );
-      ( "paths",
-        Json.List
-          (List.map
-             (fun (p : Schedule.plan) ->
-               Json.Obj
-                 [
-                   ("flow", Json.Int p.flow.id);
-                   ("links", Json.List (List.map (fun l -> Json.Int l) p.path));
-                 ])
-             (plans t)) );
-      ( "coflows",
-        Json.List
-          (List.map
-             (fun (cid, ms) ->
-               Json.Obj
-                 [
-                   ("coflow", Json.Int cid);
-                   ("members", Json.List (List.map (fun m -> Json.Int m) ms));
-                 ])
-             (active_coflows t)) );
-      ( "stats",
-        Json.Obj
-          [
-            ("events", Json.Int s.events);
-            ("committed", Json.Int s.committed);
-            ("degraded", Json.Int s.degraded);
-            ("rejected", Json.Int s.rejected);
-            ("admitted", Json.Int s.admitted);
-            ("cancelled", Json.Int s.cancelled);
-            ("retired", Json.Int s.retired);
-            ("dropped", Json.Int s.dropped);
-            ("resolved_intervals", Json.Int s.resolved_intervals);
-            ("reused_intervals", Json.Int s.reused_intervals);
-            ("certified_epochs", Json.Int s.certified_epochs);
-            ("uncertified_epochs", Json.Int s.uncertified_epochs);
-            ("coflows_admitted", Json.Int s.coflows_admitted);
-            ("coflows_rejected", Json.Int s.coflows_rejected);
-          ] );
-      ( "relaxation",
-        match t.relaxation with
-        | None -> Json.Null
-        | Some r ->
-          Json.Obj
-            [
-              ("cost", Json.float r.Relaxation.cost);
-              ("lb", Json.float r.Relaxation.lb);
-              ( "intervals",
-                Json.List
-                  (Array.to_list (Array.map interval_to_json r.intervals)) );
-            ] );
-    ]
+  let b = Buffer.create 65536 in
+  Json.to_buffer b
+    (Json.Obj
+       [
+         ("version", Json.Int snapshot_version);
+         ("fingerprint", fingerprint t);
+         ("clock", Json.float t.clock);
+         ("rng", Json.Str (Int64.to_string (Prng.state t.rng)));
+         ( "flows",
+           Json.List
+             (List.map
+                (fun f -> Json.Obj (Event.flow_to_fields f))
+                (active_flows t)) );
+         ( "paths",
+           Json.List
+             (List.map
+                (fun (p : Schedule.plan) ->
+                  Json.Obj
+                    [
+                      ("flow", Json.Int p.flow.id);
+                      ("links", Json.List (List.map (fun l -> Json.Int l) p.path));
+                    ])
+                (plans t)) );
+         ( "coflows",
+           Json.List
+             (List.map
+                (fun (cid, ms) ->
+                  Json.Obj
+                    [
+                      ("coflow", Json.Int cid);
+                      ("members", Json.List (List.map (fun m -> Json.Int m) ms));
+                    ])
+                (active_coflows t)) );
+         ( "stats",
+           Json.Obj
+             [
+               ("events", Json.Int s.events);
+               ("committed", Json.Int s.committed);
+               ("degraded", Json.Int s.degraded);
+               ("rejected", Json.Int s.rejected);
+               ("admitted", Json.Int s.admitted);
+               ("cancelled", Json.Int s.cancelled);
+               ("retired", Json.Int s.retired);
+               ("dropped", Json.Int s.dropped);
+               ("resolved_intervals", Json.Int s.resolved_intervals);
+               ("reused_intervals", Json.Int s.reused_intervals);
+               ("certified_epochs", Json.Int s.certified_epochs);
+               ("uncertified_epochs", Json.Int s.uncertified_epochs);
+               ("coflows_admitted", Json.Int s.coflows_admitted);
+               ("coflows_rejected", Json.Int s.coflows_rejected);
+             ] );
+       ]);
+  (* Reopen the object for the last field, written in place. *)
+  Buffer.truncate b (Buffer.length b - 1);
+  Buffer.add_string b {|,"relaxation":|};
+  (match t.relaxation with
+  | None -> Buffer.add_string b "null"
+  | Some r -> add_relaxation b r);
+  Buffer.add_char b '}';
+  Buffer.contents b
 
-let weighted_path_of_json j : Dcn_mcf.Decompose.weighted_path =
-  {
-    weight = Json.to_float (Json.get "weight" j);
-    links = List.map Json.to_int (Json.to_list (Json.get "links" j));
-  }
+(* Link ids index per-link arrays, unchecked in the re-solve kernel: a
+   checkpoint naming a link the graph lacks is refused here. *)
+let links_of_json ~num_links what j =
+  List.map
+    (fun l ->
+      let l = Json.to_int l in
+      if l < 0 || l >= num_links then
+        failwith (Printf.sprintf "%s names link %d of %d" what l num_links);
+      l)
+    (Json.to_list j)
 
-let interval_of_json j : Relaxation.interval_solution =
-  {
-    index = Json.to_int (Json.get "index" j);
-    bounds = (Json.to_float (Json.get "lo" j), Json.to_float (Json.get "hi" j));
-    cost = Json.to_float (Json.get "cost" j);
-    lb = Json.to_float (Json.get "lb" j);
-    max_overload = Json.to_float (Json.get "max_overload" j);
-    flow_paths =
-      List.map
-        (fun p ->
-          ( Json.to_int (Json.get "flow" p),
-            List.map weighted_path_of_json (Json.to_list (Json.get "paths" p))
-          ))
-        (Json.to_list (Json.get "flow_paths" j));
-  }
+let relaxation_intervals_of_json ~num_links rj =
+  let table =
+    Array.of_list
+      (List.map
+         (links_of_json ~num_links "the relaxation path table")
+         (Json.to_list (Json.get "path_table" rj)))
+  in
+  let path k =
+    let p = Json.to_int k in
+    if p < 0 || p >= Array.length table then
+      failwith
+        (Printf.sprintf "a relaxation interval names path %d of %d" p
+           (Array.length table));
+    table.(p)
+  in
+  let rec weighted = function
+    | [] -> []
+    | p :: w :: rest ->
+      { Dcn_mcf.Decompose.links = path p; weight = Json.to_float w }
+      :: weighted rest
+    | [ _ ] -> failwith "a relaxation path has no weight"
+  in
+  let flow_paths j =
+    match Json.to_list j with
+    | flow :: wps -> (Json.to_int flow, weighted wps)
+    | [] -> failwith "a relaxation flow row is empty"
+  in
+  List.map
+    (fun row ->
+      match Json.to_list row with
+      | index :: lo :: hi :: cost :: lb :: max_overload :: fps ->
+        {
+          Relaxation.index = Json.to_int index;
+          bounds = (Json.to_float lo, Json.to_float hi);
+          cost = Json.to_float cost;
+          lb = Json.to_float lb;
+          max_overload = Json.to_float max_overload;
+          flow_paths = List.map flow_paths fps;
+        }
+      | _ -> failwith "a relaxation interval row is short")
+    (Json.to_list (Json.get "intervals" rj))
 
 let check_fingerprint t j =
   let expected = fingerprint t in
@@ -942,11 +1027,12 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
              | Error m -> failwith m)
            (Json.to_list (Json.get "flows" json)))
     in
+    let num_links = Graph.num_links graph in
     let paths =
       List.map
         (fun p ->
           ( Json.to_int (Json.get "flow" p),
-            List.map Json.to_int (Json.to_list (Json.get "links" p)) ))
+            links_of_json ~num_links "a committed path" (Json.get "links" p) ))
         (Json.to_list (Json.get "paths" json))
     in
     let coflows =
@@ -1012,10 +1098,7 @@ let restore ?(pool = Pool.sequential) ~graph ~power ~policy json =
       match Instance.make_result ~graph ~power ~flows with
       | Error e -> failwith (Instance.error_to_string e)
       | Ok inst ->
-        let intervals =
-          Array.of_list
-            (List.map interval_of_json (Json.to_list (Json.get "intervals" rj)))
-        in
+        let intervals = Array.of_list (relaxation_intervals_of_json ~num_links rj) in
         let timeline = Instance.timeline inst in
         (* The next re-solve indexes the committed intervals by the
            timeline recomputed from the flows; floats round-trip

@@ -138,12 +138,16 @@ val report : t -> Dcn_engine.Json.t
 val ok : t -> bool
 (** Every committed epoch so far certified clean. *)
 
-val snapshot : t -> Dcn_engine.Json.t
-(** The committed state as JSON, for durable-serving checkpoints
-    ([Dcn_durable]): clock, PRNG state, flows, committed paths, coflow
-    membership, stats, and the per-interval fractional solutions of the
-    committed relaxation (verbatim — a cold re-solve would not
-    reproduce the warm starts).  Floats are emitted at full precision,
+val snapshot : t -> string
+(** The committed state as a compact JSON document, for durable-serving
+    checkpoints ([Dcn_durable]): clock, PRNG state, flows, committed
+    paths, coflow membership, stats, and the per-interval fractional
+    solutions of the committed relaxation (verbatim — a cold re-solve
+    would not reproduce the warm starts).  Written straight into one
+    buffer, without a JSON tree; the relaxation is a table of its
+    distinct link lists plus one positional row per interval that
+    names them by index (format version 2, laid out in DESIGN.md).
+    Floats are emitted at full precision,
     so {!restore} resumes the exact session: subsequent events yield
     byte-identical outcomes to the uninterrupted run.  Deterministic —
     wall-clock fields like {!uptime_ms} never enter the snapshot — and
@@ -157,7 +161,9 @@ val restore :
   policy:Dcn_resilience.Repair.policy ->
   Dcn_engine.Json.t ->
   (t, string) result
-(** Rebuild a session from a {!snapshot}.  The caller supplies the same
+(** Rebuild a session from a parsed {!snapshot} of format version 2;
+    any other version, the version-1 snapshots of older stores
+    included, is an [Error].  The caller supplies the same
     graph/power/policy the original session was created with;
     the snapshot's fingerprint is checked against them and a mismatch
     is an [Error] (resuming under different parameters would silently
@@ -165,6 +171,8 @@ val restore :
     committed schedule and breakpoint timeline are recomputed from the
     restored flows and paths — they are pure functions of them — and
     the snapshot is refused unless its paths match its flows one to
-    one, its coflow members are committed flows, and its relaxation has
-    exactly the recomputed timeline's intervals.  [uptime_ms] restarts
-    at the moment of restore. *)
+    one, every link id it names (committed paths and the relaxation's
+    path table) is a link of [graph], every path index in an interval
+    row is in the table, its coflow members are committed flows, and
+    its relaxation has exactly the recomputed timeline's intervals.
+    [uptime_ms] restarts at the moment of restore. *)

@@ -10,7 +10,7 @@ let fsync_dir dir =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let write ?(fsync = false) ~path content =
+let write ?(fsync = false) ~path parts =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "dcn-atomic" ".tmp" in
   let ok = ref false in
@@ -21,7 +21,7 @@ let write ?(fsync = false) ~path content =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          output_string oc content;
+          List.iter (output_string oc) parts;
           flush oc;
           if fsync then Unix.fsync (Unix.descr_of_out_channel oc));
       Sys.rename tmp path;

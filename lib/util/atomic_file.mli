@@ -9,8 +9,11 @@
     old bytes or the new bytes, never a torn mix.  This module is the
     single implementation all of them share. *)
 
-val write : ?fsync:bool -> path:string -> string -> unit
-(** [write ~path content] replaces [path] with [content] atomically.
+val write : ?fsync:bool -> path:string -> string list -> unit
+(** [write ~path parts] replaces [path] atomically with the
+    concatenation of [parts], written one after the other (so a caller
+    splicing a large body between a header and a trailer never copies
+    it into one string).
     The temporary file is created next to [path] (a cross-device rename
     would silently lose atomicity) and removed on any failure.
 

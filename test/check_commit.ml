@@ -8,9 +8,10 @@
    counts the minor-heap words of each per-epoch pass over the committed
    set, and of the incremental update a session makes instead of the
    full certification, energy and delta (the last epoch that changed
-   the schedule), and checks them against fixed budgets.  Minor words are a pure
-   function of the code and the event sequence, so unlike wall time the
-   budget is exact on every host.
+   the schedule), and of encoding one checkpoint's snapshot, and checks
+   them and the snapshot's size in bytes against fixed budgets.  Minor
+   words are a pure function of the code and the event sequence, so
+   unlike wall time the budget is exact on every host.
 
    Usage: check_commit.exe [--print]
    Exits 0 when every count is within its budget, 1 otherwise. *)
@@ -35,7 +36,11 @@ let warm = 100
    runs the first, third and fourth passes on every epoch: it updates
    its kept certificate (the incremental row, 15,221 of whose words are
    the full fluid replay it still runs), which took apply's mean from
-   145,059 to 91,728 words (E21). *)
+   145,059 to 91,728 words (E21).  A checkpoint encodes the whole
+   session: [Json.to_string] of the snapshot tree took 573,398 minor
+   words (656,230 counted with the major heap) for a 234,019-byte
+   body; the path-table encoding written straight into a buffer takes
+   54,330 for 122,449 bytes (E22).  Its size gets a budget in bytes. *)
 let budgets =
   [
     ("Certify.schedule", 59_600.);
@@ -45,6 +50,8 @@ let budgets =
     ("resolve, nothing dirty", 21_600.);
     ("incremental certify+energy+delta", 23_500.);
     ("apply, mean over events 101-600", 114_700.);
+    ("Session.snapshot", 68_000.);
+    ("Session.snapshot body", 153_000.);
   ]
 
 (* [f ()] and the minor words it allocated. *)
@@ -110,7 +117,9 @@ let () =
            let energy = Link_state.energy (Certify.links st) ~horizon:a.horizon in
            Certify.check ~reported_energy:energy st inst a))
   in
+  let words = List.map (fun (name, got) -> (name, got, "words")) in
   let counts =
+    words
     [
       ("Certify.schedule", measure (fun () -> Certify.schedule inst sched));
       ("Fluid.run", measure (fun () -> Dcn_sim.Fluid.run sched));
@@ -120,19 +129,21 @@ let () =
       ("resolve, nothing dirty", measure resolve);
       ("incremental certify+energy+delta", (ignore (incremental ()); incremental ()));
       ("apply, mean over events 101-600", !apply_words /. float_of_int (events - warm));
+      ("Session.snapshot", measure (fun () -> Session.snapshot session));
     ]
+    @ [ ("Session.snapshot body", float_of_int (String.length (Session.snapshot session)), "bytes") ]
   in
   Printf.printf "check_commit: steady-100 seed %d after %d events: %d committed flows, %d intervals\n"
     seed events (List.length flows)
     (Array.length relax.Relaxation.intervals);
   let failed = ref false in
   List.iter
-    (fun (name, got) ->
+    (fun (name, got, unit) ->
       let budget = List.assoc name budgets in
       let ok = got <= budget in
       if not ok then failed := true;
       if print || not ok then
-        Printf.printf "check_commit: %-34s %9.0f words (budget %.0f)%s\n" name got budget
+        Printf.printf "check_commit: %-34s %9.0f %s (budget %.0f)%s\n" name got unit budget
           (if ok then "" else "  OVER BUDGET"))
     counts;
   if !failed then exit 1

@@ -4,6 +4,7 @@
    campaign. *)
 
 module Json = Dcn_engine.Json
+module Trace = Dcn_engine.Trace
 module Pool = Dcn_engine.Pool
 module Builders = Dcn_topology.Builders
 module Model = Dcn_power.Model
@@ -95,12 +96,12 @@ let test_crc_vectors () =
   Alcotest.(check bool) "reject short" true (Crc.of_hex "abc" = None);
   Alcotest.(check bool) "reject non-hex" true (Crc.of_hex "xyzxyzxy" = None)
 
-(* A checkpoint is serialised once and its CRC taken over the written
-   bytes; the file must stay byte-identical to the fixture, written
-   after the first 8 coflow-mix events at cap 1.25 by the code that
-   serialised the state twice.  Restoring the fixture's state and
-   checkpointing the session again reproduces it; a flipped state byte
-   is caught by the load. *)
+(* A checkpoint's state is encoded once and its CRC taken over the
+   written bytes; the file must stay byte-identical to the fixture,
+   written after the first 8 coflow-mix events at cap 1.25 in state
+   format version 2.  Restoring the fixture's state and checkpointing
+   the session again reproduces it; a flipped state byte is caught by
+   the load. *)
 let test_checkpoint_fixture () =
   let fixture = read_file "corpus/checkpoint-coflow-mix-8.json" in
   let dir = temp_dir () in
@@ -137,9 +138,9 @@ let test_atomic_file () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "out.json" in
-  Dcn_util.Atomic_file.write ~path "first";
+  Dcn_util.Atomic_file.write ~path [ "first" ];
   Alcotest.(check string) "written" "first" (read_file path);
-  Dcn_util.Atomic_file.write ~fsync:true ~path "second";
+  Dcn_util.Atomic_file.write ~fsync:true ~path [ "sec"; "ond" ];
   Alcotest.(check string) "replaced" "second" (read_file path);
   (* No temp litter left behind. *)
   Alcotest.(check (list string)) "only the target" [ "out.json" ]
@@ -305,12 +306,10 @@ let test_snapshot_restore_round_trip () =
   let s = session () in
   List.iter (fun e -> ignore (Session.apply s e)) events;
   let snap = Session.snapshot s in
-  match Session.restore ~graph ~power ~policy snap with
+  match Session.restore ~graph ~power ~policy (Json.of_string snap) with
   | Error m -> Alcotest.failf "restore failed: %s" m
   | Ok s' ->
-    Alcotest.(check string) "snapshot fixed point"
-      (Json.to_string snap)
-      (Json.to_string (Session.snapshot s'));
+    Alcotest.(check string) "snapshot fixed point" snap (Session.snapshot s');
     Alcotest.(check string) "report identical"
       (Json.to_string (Session.report s))
       (Json.to_string (Session.report s'));
@@ -327,7 +326,7 @@ let test_snapshot_restore_round_trip () =
 let test_restore_rejects_mismatch () =
   let s = session () in
   List.iter (fun e -> ignore (Session.apply s e)) (Lazy.force events20);
-  let snap = Session.snapshot s in
+  let snap = Json.of_string (Session.snapshot s) in
   (match
      Session.restore ~graph:(Builders.line 4) ~power ~policy snap
    with
@@ -345,14 +344,21 @@ let test_restore_rejects_mismatch () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored under a different power model");
-  (* Committed paths, coflow membership or a relaxation that disagree
-     with the flow set describe a session no event sequence can reach. *)
   let with_field name v =
     Json.Obj
       (List.map
          (fun (k, x) -> if k = name then (k, v) else (k, x))
          (Json.to_obj snap))
   in
+  (* Stores written before the path-table format are refused, not
+     misread. *)
+  (match Session.restore ~graph ~power ~policy (with_field "version" (Json.Int 1)) with
+  | Error m -> Alcotest.(check string) "version 1 refused" "unsupported snapshot version 1" m
+  | Ok _ -> Alcotest.fail "restored a version-1 snapshot");
+  (* Committed paths, coflow membership or a relaxation that disagree
+     with the flow set describe a session no event sequence can reach;
+     a link id or path index out of range would index past the
+     re-solve's per-link arrays. *)
   let paths = Json.to_list (Json.get "paths" snap) in
   let a, b =
     match Session.active_flows s with
@@ -362,12 +368,46 @@ let test_restore_rejects_mismatch () =
   let path id = Json.Obj [ ("flow", Json.Int id); ("links", Json.List []) ] in
   let relaxation = Json.get "relaxation" snap in
   let intervals = Json.to_list (Json.get "intervals" relaxation) in
-  let with_intervals is =
+  let table = Json.to_list (Json.get "path_table" relaxation) in
+  let with_relaxation name v =
     with_field "relaxation"
       (Json.Obj
          (List.map
-            (fun (k, x) -> if k = "intervals" then (k, Json.List is) else (k, x))
+            (fun (k, x) -> if k = name then (k, v) else (k, x))
             (Json.to_obj relaxation)))
+  in
+  let with_intervals is = with_relaxation "intervals" (Json.List is) in
+  let num_links = Dcn_topology.Graph.num_links graph in
+  let with_table_link l =
+    with_relaxation "path_table" (Json.List (Json.List [ Json.Int l ] :: List.tl table))
+  in
+  let with_committed_link l =
+    match paths with
+    | p :: rest ->
+      with_field "paths"
+        (Json.List
+           (Json.Obj [ ("flow", Json.get "flow" p); ("links", Json.List [ Json.Int l ]) ]
+           :: rest))
+    | [] -> Alcotest.fail "no committed paths after 20 events"
+  in
+  (* The first interval row that routes a flow, its first path index
+     replaced by [k]. *)
+  let with_path_index k =
+    let replaced = ref false in
+    let row r =
+      match Json.to_list r with
+      | index :: lo :: hi :: cost :: lb :: mo :: Json.List (flow :: _ :: w :: more) :: fps
+        when not !replaced ->
+        replaced := true;
+        Json.List
+          (index :: lo :: hi :: cost :: lb :: mo
+          :: Json.List (flow :: Json.Int k :: w :: more)
+          :: fps)
+      | _ -> r
+    in
+    let is = List.map row intervals in
+    if not !replaced then Alcotest.fail "no interval routes a flow after 20 events";
+    with_intervals is
   in
   let coflows cs =
     with_field "coflows"
@@ -399,6 +439,34 @@ let test_restore_rejects_mismatch () =
         with_intervals (List.filteri (fun k _ -> k > 0) intervals) );
       ( "relaxation intervals out of order",
         with_intervals (List.rev intervals) );
+    ];
+  (* Refused by the range checks themselves, before any array is
+     indexed with the value. *)
+  List.iter
+    (fun (what, want, bad) ->
+      match Session.restore ~graph ~power ~policy bad with
+      | Error m -> Alcotest.(check string) what want m
+      | Ok _ -> Alcotest.failf "restored a snapshot with %s" what)
+    [
+      ( "a path-table link past the last link",
+        Printf.sprintf "the relaxation path table names link %d of %d" num_links num_links,
+        with_table_link num_links );
+      ( "a negative path-table link",
+        Printf.sprintf "the relaxation path table names link -1 of %d" num_links,
+        with_table_link (-1) );
+      ( "a committed link past the last link",
+        Printf.sprintf "a committed path names link %d of %d" num_links num_links,
+        with_committed_link num_links );
+      ( "a negative committed link",
+        Printf.sprintf "a committed path names link -1 of %d" num_links,
+        with_committed_link (-1) );
+      ( "a path index past the table",
+        Printf.sprintf "a relaxation interval names path %d of %d" (List.length table)
+          (List.length table),
+        with_path_index (List.length table) );
+      ( "a negative path index",
+        Printf.sprintf "a relaxation interval names path -1 of %d" (List.length table),
+        with_path_index (-1) );
     ]
 
 let test_uptime_monotone_nonnegative () =
@@ -440,9 +508,97 @@ let test_store_checkpoint_replay_equals_full_replay () =
     Alcotest.(check int) "checkpoint at close" 20 recovery.Store.checkpoint_seq;
     Alcotest.(check int) "no tail to replay" 0 recovery.Store.replayed;
     Alcotest.(check string) "state = uninterrupted replay"
-      (Json.to_string (Session.snapshot reference))
-      (Json.to_string (Session.snapshot (Store.session store)));
+      (Session.snapshot reference)
+      (Session.snapshot (Store.session store));
     Store.close store
+
+(* Each checkpoint is one [store.checkpoint] span carrying its seq; the
+   size of the state it wrote is on a [store.checkpoint.bytes] event
+   inside it. *)
+let test_store_checkpoint_spans () =
+  let events =
+    corpus_events "serve-100.events"
+    @ List.init 20 (fun i -> Event.Advance_clock { clock = 1000. +. float_of_int i })
+  in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  match Store.open_ ~dir ~checkpoint_every:50 ~graph ~power ~policy ~seed:42 () with
+  | Error m -> Alcotest.failf "store open failed: %s" m
+  | Ok (store, _) ->
+    let trace = Trace.create () in
+    Trace.with_trace trace (fun () ->
+        List.iter (fun e -> ignore (Store.apply store e)) events);
+    let file = read_file (Checkpoint.path ~dir) in
+    Store.close store;
+    let records = List.map (fun (r : Trace.record) -> r.entry) (Trace.records trace) in
+    let spans =
+      List.filter_map
+        (function
+          | Trace.Span_open { id; name = "store.checkpoint"; fields; _ } ->
+            Some (id, Json.to_int (List.assoc "seq" fields))
+          | _ -> None)
+        records
+    in
+    Alcotest.(check (list int)) "one span per checkpoint, with its seq" [ 50; 100 ]
+      (List.map snd spans);
+    let bytes =
+      List.filter_map
+        (function
+          | Trace.Event { span = Some id; name = "store.checkpoint.bytes"; fields } ->
+            Some (id, Json.to_int (List.assoc "bytes" fields))
+          | _ -> None)
+        records
+    in
+    Alcotest.(check (list int)) "bytes inside each span" (List.map fst spans)
+      (List.map fst bytes);
+    let key = {|"state":|} in
+    let rec find i = if String.sub file i (String.length key) = key then i else find (i + 1) in
+    Alcotest.(check int) "bytes of the seq-100 state"
+      (String.length file - find 0 - String.length key - 1)
+      (snd (List.nth bytes 1))
+
+(* A store closed cleanly holds an empty WAL segment, so nothing but its
+   checkpoint can rebuild its 20 events.  With the checkpoint's state in
+   version 1 (the format before the path table) or a flipped byte, the
+   store must not reopen as a fresh session. *)
+let test_store_refuses_unusable_checkpoint () =
+  List.iter
+    (fun (what, spoil) ->
+      let dir = store_dir_with (Lazy.force events20) in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      (match Checkpoint.load ~dir with
+      | Checkpoint.Loaded { seq; state } -> spoil ~dir ~seq state
+      | Checkpoint.Absent | Checkpoint.Invalid _ -> Alcotest.fail "no checkpoint at close");
+      match Store.open_ ~dir ~checkpoint_every:7 ~graph ~power ~policy ~seed:42 () with
+      | Ok _ -> Alcotest.failf "reopened a store with %s" what
+      | Error m ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length m && (String.sub m i n = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) (Printf.sprintf "%s named in %S" what m) true (has what))
+    [
+      ( "unsupported snapshot version 1",
+        fun ~dir ~seq state ->
+          Checkpoint.write ~dir ~seq
+            (Json.to_string
+               (Json.Obj
+                  (List.map
+                     (fun (k, v) -> if k = "version" then (k, Json.Int 1) else (k, v))
+                     (Json.to_obj state)))) );
+      ( "state checksum mismatch",
+        fun ~dir ~seq:_ _ ->
+          (* The first digit of the state's clock. *)
+          let file = Bytes.of_string (read_file (Checkpoint.path ~dir)) in
+          let key = {|"clock":|} in
+          let rec find i = if Bytes.sub_string file i (String.length key) = key then i else find (i + 1) in
+          let i = find 0 + String.length key in
+          Bytes.set file i (if Bytes.get file i = '1' then '2' else '1');
+          let oc = open_out_bin (Checkpoint.path ~dir) in
+          output_bytes oc file;
+          close_out oc );
+    ]
 
 let test_store_recovers_without_checkpoint () =
   (* A WAL reaching back to seq 1 with no checkpoint at all — the state
@@ -461,8 +617,8 @@ let test_store_recovers_without_checkpoint () =
     Alcotest.(check int) "no checkpoint" 0 recovery.Store.checkpoint_seq;
     Alcotest.(check int) "whole log replayed" 20 recovery.Store.replayed;
     Alcotest.(check string) "state = uninterrupted replay"
-      (Json.to_string (Session.snapshot reference))
-      (Json.to_string (Session.snapshot (Store.session store)));
+      (Session.snapshot reference)
+      (Session.snapshot (Store.session store));
     Store.close store
 
 let test_store_wal_rotation () =
@@ -560,7 +716,7 @@ let test_store_batch_checkpoints_after_batch () =
     with
     | Error m -> Alcotest.failf "recovery failed: %s" m
     | Ok (store, recovery) ->
-      let snap = Json.to_string (Session.snapshot (Store.session store)) in
+      let snap = Session.snapshot (Store.session store) in
       let seq = Store.seq store in
       Store.close store;
       (seq, recovery.Store.checkpoint_seq, snap)
@@ -598,7 +754,7 @@ let test_store_recovery_jobs_invariant () =
             Json.to_string (Session.outcome_to_json (Store.apply store e)))
           tail
       in
-      let snap = Json.to_string (Session.snapshot (Store.session store)) in
+      let snap = Session.snapshot (Store.session store) in
       Store.close store;
       (snap, outs)
   in
@@ -706,6 +862,9 @@ let suite =
           test_uptime_monotone_nonnegative;
         Alcotest.test_case "checkpoint+replay = full replay" `Quick
           test_store_checkpoint_replay_equals_full_replay;
+        Alcotest.test_case "checkpoint trace spans" `Quick test_store_checkpoint_spans;
+        Alcotest.test_case "unusable checkpoint refused" `Quick
+          test_store_refuses_unusable_checkpoint;
         Alcotest.test_case "recovery without checkpoint" `Quick
           test_store_recovers_without_checkpoint;
         Alcotest.test_case "wal rotation at checkpoints" `Quick

@@ -227,6 +227,39 @@ let test_json_non_finite () =
   Alcotest.(check (float 0.)) "to_float reads it back" infinity
     (Json.to_float (Json.of_string {|"inf"|}))
 
+(* [Json.float_literal] calls the C primitive behind [Printf]'s float
+   conversions directly; it must print exactly what [Printf] does, on
+   every bit pattern (subnormals, the extremes, signed zero, integral
+   values past 1e17 that print with an exponent). *)
+let prop_float_literal_is_printf =
+  let specials =
+    [ 0.; -0.; 1.; -1.; 0.1; max_float; -.max_float; min_float; -.min_float;
+      Float.succ 0.; Float.pred min_float; 1e17; -1e17; 1e22; 123456789012345678.;
+      Float.epsilon; infinity; neg_infinity; nan ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl specials);
+          (4, map Int64.float_of_bits ui64);
+          (2, float);
+          (* integral, of magnitude >= 2^57 > 1e17 (or infinite) *)
+          ( 2,
+            map
+              (fun (m, e) -> Float.ldexp (float_of_int m) e)
+              (pair (int_range 1 (1 lsl 40)) (int_range 57 1000)) );
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"float_literal = Printf %.17g"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x ->
+      let b = Buffer.create 32 in
+      Json.float_literal b x;
+      Buffer.contents b
+      = if Float.is_finite x then Printf.sprintf "%.17g" x
+        else Json.to_string (Json.float x))
+
 let test_json_rejects_garbage () =
   let rejects s =
     Alcotest.(check bool) (Printf.sprintf "rejects %S" s) true
@@ -273,6 +306,7 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "non-finite floats as strings" `Quick test_json_non_finite;
+        QCheck_alcotest.to_alcotest prop_float_literal_is_printf;
         Alcotest.test_case "rejects malformed input" `Quick test_json_rejects_garbage;
         Alcotest.test_case "trace JSON parses" `Quick test_trace_to_json_parses;
       ] );
