@@ -116,26 +116,25 @@ let[@inline] shifted x c delta =
    leaves the active set. *)
 let drop_tol = 1e-12
 
-(* The kernel's penalised cost pc and its derivative pc' at load [x]:
-   the expression trees of Model.envelope(_deriv) plus the penalty,
-   over the piecewise spec's hoisted constants.  Closed and inlined
-   (non-flambda OCaml inlines only closed functions), so the kernel's
-   loops neither call closures nor box floats. *)
-let[@inline] kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x =
-  let c =
-    if x = 0. then 0.
-    else if r = 0. then mu *. (x ** alpha)
-    else if x <= r then x *. slope
-    else sigma +. (mu *. (x ** alpha))
-  in
-  let o = overload ~cap x in
-  c +. (penalty *. o *. o)
+(* The kernel's cost and derivative at load [x]: the expression trees
+   of Model.envelope(_deriv), over the piecewise spec's hoisted
+   constants, with Model.dynamic's exact square at alpha = 2 ([sq]).
+   [kernel_pc]/[kernel_pc_deriv] add the capacity penalty.  Closed and
+   inlined (non-flambda OCaml inlines only closed functions), so the
+   kernel's loops neither call closures nor box floats. *)
+let[@inline] kernel_cost ~r ~slope ~sigma ~mu ~alpha ~sq x =
+  if x = 0. then 0.
+  else if r = 0. then if sq then mu *. (x *. x) else mu *. (x ** alpha)
+  else if x <= r then x *. slope
+  else sigma +. if sq then mu *. (x *. x) else mu *. (x ** alpha)
 
-let[@inline] kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x =
+let[@inline] kernel_pc ~r ~slope ~sigma ~mu ~alpha ~sq ~cap ~penalty x =
+  let o = overload ~cap x in
+  kernel_cost ~r ~slope ~sigma ~mu ~alpha ~sq x +. (penalty *. o *. o)
+
+let[@inline] kernel_pc_deriv ~r ~slope ~am ~alpha1 ~sq ~cap ~pen2 x =
   let d =
-    if r = 0. then am *. (x ** alpha1)
-    else if x <= r then slope
-    else am *. (x ** alpha1)
+    if r <> 0. && x <= r then slope else if sq then am *. x else am *. (x ** alpha1)
   in
   d +. (pen2 *. overload ~cap x)
 
@@ -172,10 +171,10 @@ let trace_iter obs iter gap objective step moved evals =
     Trace.counter "fw.ls_evals" (float_of_int evals)
   end
 
-(* The epilogue both engines share: the penalty-free cost through the
-   caller's closure, the worst overload, and the [fw.done] record. *)
-let finish (problem : problem) ~flows ~loads ~gap ~iterations =
-  let cost = Array.fold_left (fun acc x -> acc +. problem.cost x) 0. loads in
+(* The epilogue both engines share: the worst overload and the
+   [fw.done] record around the penalty-free [cost], which each engine
+   sums over the links in index order. *)
+let finish (problem : problem) ~cost ~flows ~loads ~gap ~iterations =
   let max_overload =
     if problem.capacity = infinity then neg_infinity
     else
@@ -472,7 +471,8 @@ let reference_impl ~config ~warm_start problem =
       flows
     end
   in
-  finish problem ~flows ~loads ~gap:!final_gap ~iterations:!iterations
+  let cost = Array.fold_left (fun acc x -> acc +. problem.cost x) 0. loads in
+  finish problem ~cost ~flows ~loads ~gap:!final_gap ~iterations:!iterations
 
 (* ------------------------------------------------------------------ *)
 (* Kernel path: the same float operations in the same order, on the
@@ -512,6 +512,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   let sigma = pw.sigma and mu = pw.mu and alpha = pw.alpha in
   let am = alpha *. mu in
   let alpha1 = alpha -. 1. in
+  let sq = alpha = 2. in
   let pen2 = 2. *. penalty in
   (* Commodity vectors. *)
   let com_src = a.Kernel.com_src
@@ -549,6 +550,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   let loads = a.Kernel.loads
   and aon_loads = a.Kernel.aon_loads
   and weights = a.Kernel.weights
+  and costs = a.Kernel.costs
   and path_off = a.Kernel.path_off
   and path_len = a.Kernel.path_len in
   (* Add the path in incidence slots [off, off + len) to commodity [i]'s
@@ -563,6 +565,17 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
     let w = a.Kernel.pool_weight in
     Ba.Array1.unsafe_set w p (Ba.Array1.unsafe_get w p +. acc.(2))
   in
+  (* Mark the destinations of the source whose run of commodities in
+     evaluation order starts at [s], so its Dijkstra stops once they
+     are final. *)
+  let mark_run s =
+    let src = Ba.Array1.unsafe_get com_src (Ba.Array1.unsafe_get order s) in
+    let j = ref s in
+    while !j < nc && Ba.Array1.unsafe_get com_src (Ba.Array1.unsafe_get order !j) = src do
+      Kernel.mark_target a (Ba.Array1.unsafe_get com_dst (Ba.Array1.unsafe_get order !j));
+      incr j
+    done
+  in
   (* Initial point (see the reference): warm-start paths rescaled to the
      demand and merged where given, the hop-count shortest path
      otherwise, with reachability validated per commodity. *)
@@ -570,6 +583,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
   let s = ref 0 in
   while !s < nc do
     let src = Ba.Array1.unsafe_get com_src (Ba.Array1.unsafe_get order !s) in
+    mark_run !s;
     Kernel.dijkstra a ~src ~use_weights:false ~tie:0.;
     while
       !s < nc
@@ -667,7 +681,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
       let se = Ba.Array1.unsafe_get aon_loads e in
       let x = (one_t *. xe) +. (theta *. se) in
       acc.(0) <-
-        acc.(0) +. ((se -. xe) *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+        acc.(0) +. ((se -. xe) *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~sq ~cap ~pen2 x)
     done;
     io.(1) <- acc.(0)
   in
@@ -679,7 +693,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
       let e = Ba.Array1.unsafe_get support j in
       let c = Ba.Array1.unsafe_get sup_coef j in
       let x = shifted (Ba.Array1.unsafe_get loads e) c delta in
-      acc.(0) <- acc.(0) +. (c *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+      acc.(0) <- acc.(0) +. (c *. kernel_pc_deriv ~r ~slope ~am ~alpha1 ~sq ~cap ~pen2 x)
     done;
     io.(1) <- acc.(0)
   in
@@ -689,11 +703,10 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
     ns := 0;
     acc.(1) <- 0.;
     for e = 0 to m - 1 do
-      let x = Ba.Array1.unsafe_get loads e in
-      if x <> Ba.Array1.unsafe_get aon_loads e then begin
+      if Ba.Array1.unsafe_get loads e <> Ba.Array1.unsafe_get aon_loads e then begin
         Ba.Array1.unsafe_set support !ns e;
         incr ns;
-        acc.(1) <- acc.(1) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+        acc.(1) <- acc.(1) +. Ba.Array1.unsafe_get costs e
       end
     done;
     exact_step_in io joint_deriv;
@@ -708,7 +721,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           (one_t *. Ba.Array1.unsafe_get loads e)
           +. (theta *. Ba.Array1.unsafe_get aon_loads e)
         in
-        acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+        acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~sq ~cap ~penalty x
       done;
       if not (acc.(0) < acc.(1)) then io.(0) <- 0.
     end;
@@ -764,10 +777,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
         (* The objective over the support at the current loads. *)
         acc.(1) <- 0.;
         for j = 0 to !ns - 1 do
-          acc.(1) <-
-            acc.(1)
-            +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty
-                 (Ba.Array1.unsafe_get loads (Ba.Array1.unsafe_get support j))
+          acc.(1) <- acc.(1) +. Ba.Array1.unsafe_get costs (Ba.Array1.unsafe_get support j)
         done;
         acc.(2) <- Ba.Array1.unsafe_get a.Kernel.pool_weight v;
         exact_step_in io pairwise_deriv;
@@ -779,7 +789,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
             let e = Ba.Array1.unsafe_get support j in
             let c = Ba.Array1.unsafe_get sup_coef j in
             let x = shifted (Ba.Array1.unsafe_get loads e) c delta in
-            acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty x
+            acc.(0) <- acc.(0) +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~sq ~cap ~penalty x
           done;
           if not (acc.(0) < acc.(1)) then io.(0) <- 0.
         end;
@@ -792,7 +802,9 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
             in
             Ba.Array1.unsafe_set loads e x;
             Ba.Array1.unsafe_set weights e
-              (kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2 x)
+              (kernel_pc_deriv ~r ~slope ~am ~alpha1 ~sq ~cap ~pen2 x);
+            Ba.Array1.unsafe_set costs e
+              (kernel_pc ~r ~slope ~sigma ~mu ~alpha ~sq ~cap ~penalty x)
           done;
           Ba.Array1.unsafe_set a.Kernel.pool_weight v (acc.(2) -. delta);
           acc.(2) <- delta;
@@ -816,16 +828,25 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           zero budget expires before any work). *)
        if iter mod deadline_poll_period = 1 then Dcn_engine.Deadline.check ();
        iterations := iter;
-       (* Marginal costs at the current loads. *)
+       (* Marginal costs and costs at the current loads.  A pairwise
+          sweep refreshes both on the links it moves, so after the
+          first iteration they are current and only the maximum is
+          taken; a joint step moves every link. *)
        acc.(0) <- 0.;
-       for e = 0 to m - 1 do
-         let w =
-           kernel_pc_deriv ~r ~slope ~am ~alpha1 ~cap ~pen2
-             (Ba.Array1.unsafe_get loads e)
-         in
-         Ba.Array1.unsafe_set weights e w;
-         if w > acc.(0) then acc.(0) <- w
-       done;
+       if joint || iter = 1 then
+         for e = 0 to m - 1 do
+           let x = Ba.Array1.unsafe_get loads e in
+           let w = kernel_pc_deriv ~r ~slope ~am ~alpha1 ~sq ~cap ~pen2 x in
+           Ba.Array1.unsafe_set weights e w;
+           Ba.Array1.unsafe_set costs e
+             (kernel_pc ~r ~slope ~sigma ~mu ~alpha ~sq ~cap ~penalty x);
+           if w > acc.(0) then acc.(0) <- w
+         done
+       else
+         for e = 0 to m - 1 do
+           let w = Ba.Array1.unsafe_get weights e in
+           if w > acc.(0) then acc.(0) <- w
+         done;
        let tie = 1e-9 *. Float.max 1. acc.(0) in
        zero aon_loads m;
        (* All-or-nothing step: one Dijkstra per source, paths recorded
@@ -836,6 +857,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
          let src =
            Ba.Array1.unsafe_get com_src (Ba.Array1.unsafe_get order !s)
          in
+         mark_run !s;
          Kernel.dijkstra a ~src ~use_weights:true ~tie;
          while
            !s < nc
@@ -869,10 +891,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
        (* Objective at the current loads. *)
        acc.(0) <- 0.;
        for e = 0 to m - 1 do
-         acc.(0) <-
-           acc.(0)
-           +. kernel_pc ~r ~slope ~sigma ~mu ~alpha ~cap ~penalty
-                (Ba.Array1.unsafe_get loads e)
+         acc.(0) <- acc.(0) +. Ba.Array1.unsafe_get costs e
        done;
        let obj_now = acc.(0) in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
@@ -901,7 +920,14 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           row aon_loads 0
         end)
   in
-  finish problem ~flows ~loads:(row loads 0) ~gap:!final_gap ~iterations:!iterations
+  (* The penalty-free cost, as the reference sums [problem.cost]. *)
+  acc.(0) <- 0.;
+  for e = 0 to m - 1 do
+    acc.(0) <-
+      acc.(0) +. kernel_cost ~r ~slope ~sigma ~mu ~alpha ~sq (Ba.Array1.unsafe_get loads e)
+  done;
+  finish problem ~cost:acc.(0) ~flows ~loads:(row loads 0) ~gap:!final_gap
+    ~iterations:!iterations
 
 (* The entry both engines share.  Both address a commodity's flow row
    by its [index] and its demand by its array position, so the two

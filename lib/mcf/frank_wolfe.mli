@@ -55,6 +55,14 @@ type engine =
       (** Flat-[Bigarray] kernels ({!Kernel}): arena-reused workspaces,
           cost arithmetic inlined, tens of minor-heap words per warm
           iteration (the [@check-kernel] alias bounds it at 128).
+          Each link's pc and pc' are kept at its current load
+          ([Kernel.arena]'s [costs] and [weights]): a pairwise sweep
+          refreshes them on the links it moves, so after the first
+          iteration the tie bias, the objective and the descent guard
+          read them instead of evaluating the cost again, while a
+          joint step, which moves every link, re-evaluates all [m]
+          each iteration.  A cached value is exactly what the
+          reference computes at that load, in the same link order.
           Requires a [piecewise] cost spec; falls back to [Reference]
           without one. *)
   | Reference
@@ -94,7 +102,11 @@ type piecewise = {
     [cost]/[cost_deriv] closures (a closure call boxes its float
     argument and result — death by allocation in the hot loop).  Must
     describe the same function as the problem's closures; [Relaxation]
-    builds it from [Dcn_power.Model]. *)
+    builds it from [Dcn_power.Model], and the kernel evaluates it with
+    the model's expression trees, including its rule for [alpha = 2]:
+    [mu *. (x *. x)] and [alpha *. mu *. x], where other exponents go
+    through [**].  The penalty-free [cost] of the kernel's solution is
+    summed from the same closed form. *)
 
 val exact_step : (float -> float) -> float
 (** [exact_step deriv] minimises a convex function on [[0, 1]] given

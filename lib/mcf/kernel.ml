@@ -16,10 +16,13 @@
    Bit-identicality contract: every arithmetic consumer in
    {!Frank_wolfe} replays the reference solver's float operations in the
    same order on these buffers, and {!dijkstra} reproduces the boxed
-   [Paths.shortest_tree] exactly — both pop the same (dist, node)
-   multiset in the same lexicographic order, relax out-links in array
-   order, and update predecessors under the same strict [nd < dist]
-   test, so the resulting trees are heap-implementation-independent.
+   [Paths.shortest_tree] exactly on every node it settles — both settle
+   nodes in the same lexicographic (dist, node) order, relax out-links
+   in array order, and update predecessors under the same strict
+   [nd < dist] test, so the resulting trees are
+   heap-implementation-independent.  Settling a leaf without queueing
+   it, and stopping once the marked destinations are settled, change
+   neither order nor any settled entry (see {!dijkstra}).
 
    Concurrency: a {!Workspace.t} is a handle over per-domain arenas
    (keyed by [Domain.self ()]), so one workspace threads safely through
@@ -48,18 +51,26 @@ type arena = {
   mutable adj_link : ibuf;  (* m: link id per adjacency slot *)
   mutable adj_dst : ibuf;  (* m: head node per adjacency slot *)
   mutable lsrc : ibuf;  (* m: tail node per link id (path walk-back) *)
+  mutable leaf : ibuf;  (* n, 0/1: the node's only in-link and only
+                           out-link join it to one other node *)
   (* Dijkstra scratch, per node. *)
   mutable dist : fbuf;
   mutable pred : ibuf;  (* incoming link id, -1 at roots *)
   mutable settled : ibuf;  (* 0/1 *)
+  mutable target : ibuf;  (* 0/1, marked by [mark_target]; all 0
+                             between calls *)
+  mutable targets : int;  (* marked nodes not yet settled *)
   (* Lazy-deletion binary min-heap of (dist, node), lexicographic. *)
   mutable heap_key : fbuf;
   mutable heap_node : ibuf;
   mutable heap_len : int;
-  (* Per-link accumulators. *)
+  mutable pops : int;  (* heap pops, ever *)
+  (* Per-link accumulators.  [weights] and [costs] are pc' and pc at
+     [loads] where {!Frank_wolfe} keeps them current. *)
   mutable loads : fbuf;
   mutable aon_loads : fbuf;
   mutable weights : fbuf;
+  mutable costs : fbuf;
   (* Per-commodity vectors. *)
   mutable com_src : ibuf;
   mutable com_dst : ibuf;
@@ -112,15 +123,20 @@ let create_arena () =
     adj_link = ibuf 1;
     adj_dst = ibuf 1;
     lsrc = ibuf 1;
+    leaf = ibuf 1;
     dist = fbuf 1;
     pred = ibuf 1;
     settled = ibuf 1;
+    target = ibuf 1;
+    targets = 0;
     heap_key = fbuf 1;
     heap_node = ibuf 1;
     heap_len = 0;
+    pops = 0;
     loads = fbuf 1;
     aon_loads = fbuf 1;
     weights = fbuf 1;
+    costs = fbuf 1;
     com_src = ibuf 1;
     com_dst = ibuf 1;
     demand = fbuf 1;
@@ -154,6 +170,12 @@ module Workspace = struct
      arenas grow to the largest problem each domain has seen and are
      reused for the rest of the process. *)
   let default = create ()
+
+  let heap_pops ws =
+    Mutex.lock ws.lock;
+    let pops = List.fold_left (fun acc (_, a) -> acc + a.pops) 0 ws.arenas in
+    Mutex.unlock ws.lock;
+    pops
 end
 
 (* Capacity growth is geometric, keeping the contents, so a serving
@@ -178,25 +200,54 @@ let grown_f (buf : fbuf) needed =
     bigger
   end
 
-let mirror_graph a g =
+(* A node is a leaf when its only in-link and its only out-link join it
+   to the same other node (a host on its edge switch): Dijkstra reaches
+   it only from that node, and it relaxes nothing but the link back.
+   Parallel links, or a one-way pair of links to two different nodes,
+   make it no leaf.  [pred] is scratch here: in-degree, then the tail
+   of the last in-link seen. *)
+let find_leaves a =
+  for v = 0 to a.n - 1 do
+    Ba.Array1.unsafe_set a.leaf v 0
+  done;
+  for v = 0 to a.n - 1 do
+    for s = Ba.Array1.unsafe_get a.row_ptr v to Ba.Array1.unsafe_get a.row_ptr (v + 1) - 1 do
+      let w = Ba.Array1.unsafe_get a.adj_dst s in
+      Ba.Array1.unsafe_set a.leaf w (Ba.Array1.unsafe_get a.leaf w + 1);
+      Ba.Array1.unsafe_set a.pred w v
+    done
+  done;
+  for w = 0 to a.n - 1 do
+    let lo = Ba.Array1.unsafe_get a.row_ptr w in
+    let one_out = Ba.Array1.unsafe_get a.row_ptr (w + 1) - lo = 1 in
+    let u = Ba.Array1.unsafe_get a.pred w in
+    Ba.Array1.unsafe_set a.leaf w
+      (if
+         Ba.Array1.unsafe_get a.leaf w = 1 && one_out && Ba.Array1.unsafe_get a.adj_dst lo = u
+       then 1
+       else 0)
+  done
+
+let mirror a g ~keep =
   let n = Graph.num_nodes g in
-  let m = Graph.num_links g in
   let slot = ref 0 in
   for v = 0 to n - 1 do
     Ba.Array1.unsafe_set a.row_ptr v !slot;
     Array.iter
       (fun l ->
-        Ba.Array1.unsafe_set a.adj_link !slot l;
-        Ba.Array1.unsafe_set a.adj_dst !slot (Graph.link_dst g l);
         Ba.Array1.unsafe_set a.lsrc l v;
-        incr slot)
+        if keep l then begin
+          Ba.Array1.unsafe_set a.adj_link !slot l;
+          Ba.Array1.unsafe_set a.adj_dst !slot (Graph.link_dst g l);
+          incr slot
+        end)
       (Graph.out_links g v)
   done;
   Ba.Array1.unsafe_set a.row_ptr n !slot;
-  assert (!slot = m);
-  a.graph <- Some g;
+  a.graph <- None;
   a.n <- n;
-  a.m <- m
+  a.m <- Graph.num_links g;
+  find_leaves a
 
 let acquire ws ~graph ~nc =
   let id = (Domain.self () :> int) in
@@ -230,14 +281,17 @@ let acquire ws ~graph ~nc =
   a.adj_link <- gi a.adj_link (max 1 m);
   a.adj_dst <- gi a.adj_dst (max 1 m);
   a.lsrc <- gi a.lsrc (max 1 m);
+  a.leaf <- gi a.leaf n;
   a.dist <- gf a.dist n;
   a.pred <- gi a.pred n;
   a.settled <- gi a.settled n;
+  a.target <- gi a.target n;
   a.heap_key <- gf a.heap_key (n + m + 1);
   a.heap_node <- gi a.heap_node (n + m + 1);
   a.loads <- gf a.loads (max 1 m);
   a.aon_loads <- gf a.aon_loads (max 1 m);
   a.weights <- gf a.weights (max 1 m);
+  a.costs <- gf a.costs (max 1 m);
   a.com_src <- gi a.com_src (max 1 nc);
   a.com_dst <- gi a.com_dst (max 1 nc);
   a.demand <- gf a.demand (max 1 nc);
@@ -259,7 +313,15 @@ let acquire ws ~graph ~nc =
   a.sup_coef <- gf a.sup_coef (max 1 m);
   a.coef <- gi a.coef (max 1 m);
   let same_graph = match a.graph with Some g -> g == graph | None -> false in
-  if not same_graph then mirror_graph a graph;
+  if not same_graph then begin
+    mirror a graph ~keep:(fun _ -> true);
+    a.graph <- Some graph
+  end;
+  (* A grown [target] holds garbage past its old end. *)
+  for v = 0 to n - 1 do
+    Ba.Array1.unsafe_set a.target v 0
+  done;
+  a.targets <- 0;
   a.nc <- nc;
   for i = 0 to nc - 1 do
     Ba.Array1.unsafe_set a.act_head i (-1)
@@ -273,61 +335,87 @@ let acquire ws ~graph ~nc =
     Trace.counter (if !grew || not same_graph then "ws.grow" else "ws.reuse") 1.;
   a
 
-(* Binary-heap helpers.  Keys are read from the buffers (never passed as
-   float arguments, which would box on every call). *)
-
-let heap_swap a i j =
-  let ki = Ba.Array1.unsafe_get a.heap_key i in
-  let ni = Ba.Array1.unsafe_get a.heap_node i in
-  Ba.Array1.unsafe_set a.heap_key i (Ba.Array1.unsafe_get a.heap_key j);
-  Ba.Array1.unsafe_set a.heap_node i (Ba.Array1.unsafe_get a.heap_node j);
-  Ba.Array1.unsafe_set a.heap_key j ki;
-  Ba.Array1.unsafe_set a.heap_node j ni
-
-let heap_less a i j =
-  let ki = Ba.Array1.unsafe_get a.heap_key i in
-  let kj = Ba.Array1.unsafe_get a.heap_key j in
-  ki < kj
-  || (ki = kj
-     && Ba.Array1.unsafe_get a.heap_node i < Ba.Array1.unsafe_get a.heap_node j)
+(* Binary min-heap of (dist, node), lexicographic, with lazy deletion.
+   Sifts move a hole instead of swapping, and keys are read from the
+   buffers (never passed as float arguments, which would box on every
+   call). *)
 
 (* Push node [v] keyed by its current tentative distance (the snapshot
    the reference pushes as the tuple's first component). *)
 let heap_push a v =
-  let i = a.heap_len in
-  Ba.Array1.unsafe_set a.heap_key i (Ba.Array1.unsafe_get a.dist v);
-  Ba.Array1.unsafe_set a.heap_node i v;
-  a.heap_len <- i + 1;
-  let j = ref i in
-  while !j > 0 && heap_less a !j ((!j - 1) / 2) do
-    heap_swap a !j ((!j - 1) / 2);
-    j := (!j - 1) / 2
-  done
+  let keys = a.heap_key and nodes = a.heap_node in
+  let k = Ba.Array1.unsafe_get a.dist v in
+  let i = ref a.heap_len in
+  a.heap_len <- !i + 1;
+  let go = ref true in
+  while !go && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let kp = Ba.Array1.unsafe_get keys p in
+    if k < kp || (k = kp && v < Ba.Array1.unsafe_get nodes p) then begin
+      Ba.Array1.unsafe_set keys !i kp;
+      Ba.Array1.unsafe_set nodes !i (Ba.Array1.unsafe_get nodes p);
+      i := p
+    end
+    else go := false
+  done;
+  Ba.Array1.unsafe_set keys !i k;
+  Ba.Array1.unsafe_set nodes !i v
 
 (* Pop the minimum node, or -1 on empty.  The popped key is not needed:
    on a node's first (settling) pop it equals [dist.(v)]. *)
 let heap_pop a =
   if a.heap_len = 0 then -1
   else begin
-    let v = Ba.Array1.unsafe_get a.heap_node 0 in
-    let last = a.heap_len - 1 in
-    heap_swap a 0 last;
-    a.heap_len <- last;
+    a.pops <- a.pops + 1;
+    let keys = a.heap_key and nodes = a.heap_node in
+    let top = Ba.Array1.unsafe_get nodes 0 in
+    let len = a.heap_len - 1 in
+    a.heap_len <- len;
+    let k = Ba.Array1.unsafe_get keys len in
+    let v = Ba.Array1.unsafe_get nodes len in
     let i = ref 0 in
-    let continue = ref true in
-    while !continue do
+    let go = ref true in
+    while !go do
       let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let s = ref !i in
-      if l < last && heap_less a l !s then s := l;
-      if r < last && heap_less a r !s then s := r;
-      if !s <> !i then begin
-        heap_swap a !i !s;
-        i := !s
+      if l >= len then go := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < len then begin
+            let kl = Ba.Array1.unsafe_get keys l and kr = Ba.Array1.unsafe_get keys r in
+            if kr < kl || (kr = kl && Ba.Array1.unsafe_get nodes r < Ba.Array1.unsafe_get nodes l)
+            then r
+            else l
+          end
+          else l
+        in
+        let kc = Ba.Array1.unsafe_get keys c in
+        let vc = Ba.Array1.unsafe_get nodes c in
+        if kc < k || (kc = k && vc < v) then begin
+          Ba.Array1.unsafe_set keys !i kc;
+          Ba.Array1.unsafe_set nodes !i vc;
+          i := c
+        end
+        else go := false
       end
-      else continue := false
     done;
-    v
+    Ba.Array1.unsafe_set keys !i k;
+    Ba.Array1.unsafe_set nodes !i v;
+    top
+  end
+
+let mark_target a v =
+  if Ba.Array1.unsafe_get a.target v = 0 then begin
+    Ba.Array1.unsafe_set a.target v 1;
+    a.targets <- a.targets + 1
+  end
+
+(* Settle [v]: its [dist]/[pred] are final; count it off the targets. *)
+let settle a v =
+  Ba.Array1.unsafe_set a.settled v 1;
+  if Ba.Array1.unsafe_get a.target v = 1 then begin
+    Ba.Array1.unsafe_set a.target v 0;
+    a.targets <- a.targets - 1
   end
 
 (* Shortest-path tree from [src] into [dist]/[pred].
@@ -336,42 +424,59 @@ let heap_pop a =
    step); otherwise hop count 1.0 (the init/reachability step) — the
    same two weightings the reference feeds [Paths.shortest_tree].
    Replays the reference exactly: lazy deletion with a settled array,
-   out-links relaxed in adjacency order, strict [nd < dist.(w)]. *)
+   out-links relaxed in adjacency order, strict [nd < dist.(w)].  Two
+   shortcuts leave every settled node's [dist]/[pred] as the reference
+   has them.  A leaf reached from the node being settled is settled at
+   once instead of queued: nothing else reaches it, and its one
+   out-link leads back to a settled node, while the other nodes pop in
+   the same (dist, node) order whether or not it was queued.  And with
+   targets marked, the loop stops once the last one is settled. *)
 let dijkstra a ~src ~use_weights ~tie =
   let n = a.n in
+  let dist = a.dist and pred = a.pred and settled = a.settled in
+  let row_ptr = a.row_ptr and adj_dst = a.adj_dst and adj_link = a.adj_link in
+  let weights = a.weights and leaf = a.leaf in
   for v = 0 to n - 1 do
-    Ba.Array1.unsafe_set a.dist v infinity;
-    Ba.Array1.unsafe_set a.pred v (-1);
-    Ba.Array1.unsafe_set a.settled v 0
+    Ba.Array1.unsafe_set dist v infinity;
+    Ba.Array1.unsafe_set pred v (-1);
+    Ba.Array1.unsafe_set settled v 0
   done;
+  let early = a.targets > 0 in
   a.heap_len <- 0;
-  Ba.Array1.unsafe_set a.dist src 0.;
+  Ba.Array1.unsafe_set dist src 0.;
   heap_push a src;
   let v = ref (heap_pop a) in
   while !v >= 0 do
-    if Ba.Array1.unsafe_get a.settled !v = 0 then begin
-      Ba.Array1.unsafe_set a.settled !v 1;
-      let d = Ba.Array1.unsafe_get a.dist !v in
-      let lo = Ba.Array1.unsafe_get a.row_ptr !v in
-      let hi = Ba.Array1.unsafe_get a.row_ptr (!v + 1) in
+    if Ba.Array1.unsafe_get settled !v = 0 then begin
+      settle a !v;
+      let d = Ba.Array1.unsafe_get dist !v in
+      let lo = Ba.Array1.unsafe_get row_ptr !v in
+      let hi = Ba.Array1.unsafe_get row_ptr (!v + 1) in
       for s = lo to hi - 1 do
-        let w = Ba.Array1.unsafe_get a.adj_dst s in
-        if Ba.Array1.unsafe_get a.settled w = 0 then begin
-          let l = Ba.Array1.unsafe_get a.adj_link s in
+        let w = Ba.Array1.unsafe_get adj_dst s in
+        if Ba.Array1.unsafe_get settled w = 0 then begin
+          let l = Ba.Array1.unsafe_get adj_link s in
           let c =
-            if use_weights then Ba.Array1.unsafe_get a.weights l +. tie else 1.
+            if use_weights then Ba.Array1.unsafe_get weights l +. tie else 1.
           in
           let nd = d +. c in
-          if nd < Ba.Array1.unsafe_get a.dist w then begin
-            Ba.Array1.unsafe_set a.dist w nd;
-            Ba.Array1.unsafe_set a.pred w l;
-            heap_push a w
+          if nd < Ba.Array1.unsafe_get dist w then begin
+            Ba.Array1.unsafe_set dist w nd;
+            Ba.Array1.unsafe_set pred w l;
+            if Ba.Array1.unsafe_get leaf w = 1 then settle a w else heap_push a w
           end
         end
       done
     end;
-    v := heap_pop a
-  done
+    v := if early && a.targets = 0 then -1 else heap_pop a
+  done;
+  (* Targets left unsettled are unreachable; clear their marks. *)
+  if a.targets > 0 then begin
+    for u = 0 to n - 1 do
+      Ba.Array1.unsafe_set a.target u 0
+    done;
+    a.targets <- 0
+  end
 
 let reachable a ~dst = Ba.Array1.unsafe_get a.dist dst < infinity
 

@@ -14,9 +14,9 @@
 
     Determinism: {!dijkstra} reproduces [Paths.shortest_tree] exactly
     (same lexicographic [(dist, node)] pop order, same adjacency-order
-    relaxation, same strict improvement test), so kernel and reference
-    solvers agree bit-for-bit — {!Dcn_check.Oracle} asserts this
-    differentially. *)
+    relaxation, same strict improvement test) on every node it settles,
+    so kernel and reference solvers agree bit-for-bit —
+    {!Dcn_check.Oracle} asserts this differentially. *)
 
 type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -30,15 +30,25 @@ type arena = {
   mutable adj_link : ibuf;  (** link id per adjacency slot *)
   mutable adj_dst : ibuf;  (** head node per adjacency slot *)
   mutable lsrc : ibuf;  (** tail node per link id *)
+  mutable leaf : ibuf;  (** per node, 1 if its only in-link and its only
+                            out-link join it to the same other node (a
+                            host on its edge switch), else 0 *)
   mutable dist : fbuf;
   mutable pred : ibuf;  (** incoming link id, [-1] at roots *)
   mutable settled : ibuf;
+  mutable target : ibuf;  (** per node, 1 if marked by {!mark_target}
+                              and not yet settled *)
+  mutable targets : int;  (** how many nodes [target] marks *)
   mutable heap_key : fbuf;
   mutable heap_node : ibuf;
   mutable heap_len : int;
+  mutable pops : int;  (** {!dijkstra} heap pops over the arena's life *)
   mutable loads : fbuf;
   mutable aon_loads : fbuf;
-  mutable weights : fbuf;
+  mutable weights : fbuf;  (** per link; {!Frank_wolfe} keeps pc' at
+                               [loads] here *)
+  mutable costs : fbuf;  (** per link; {!Frank_wolfe} keeps pc at [loads]
+                             here *)
   mutable com_src : ibuf;
   mutable com_dst : ibuf;
   mutable demand : fbuf;
@@ -81,6 +91,10 @@ module Workspace : sig
 
   val default : t
   (** Process-wide fallback used when the caller threads no workspace. *)
+
+  val heap_pops : t -> int
+  (** The {!dijkstra} heap pops of every arena of the workspace so far:
+      a count of the work, exact on every host. *)
 end
 
 val acquire : Workspace.t -> graph:Dcn_topology.Graph.t -> nc:int -> arena
@@ -95,12 +109,38 @@ val acquire : Workspace.t -> graph:Dcn_topology.Graph.t -> nc:int -> arena
     demand inside the helpers below; like [acquire]'s growth, that
     stops once the arena is warm. *)
 
+val mirror : arena -> Dcn_topology.Graph.t -> keep:(int -> bool) -> unit
+(** Rebuild the CSR mirror (and the [leaf] marks) from the graph's
+    links that [keep] accepts, in [Graph.out_links] order.  {!acquire}
+    mirrors every link; a subset models one-way links, which
+    {!Dcn_topology.Graph} cannot build, and the next {!acquire}
+    re-mirrors the whole graph. *)
+
+val mark_target : arena -> int -> unit
+(** Mark a node for the next {!dijkstra} to stop at (idempotent). *)
+
 val dijkstra : arena -> src:int -> use_weights:bool -> tie:float -> unit
 (** Shortest-path tree from [src] into [dist]/[pred].  Edge cost is
-    [weights.(l) +. tie] when [use_weights], else hop count [1.]. *)
+    [weights.(l) +. tie] when [use_weights], else hop count [1.].
+
+    Every node it settles gets the [dist] and [pred] that
+    [Paths.shortest_tree] computes with the same weights, bit for bit:
+    nodes settle in the same lexicographic [(dist, node)] order.  A
+    [leaf] node is settled when first relaxed, without a heap push
+    (parallel links or a one-way link make a node no leaf).  With no
+    node marked, it runs until the heap is empty, so every entry is
+    final and an unreachable node keeps [infinity] and [-1].  With
+    nodes marked by {!mark_target}, it stops once every marked node
+    is settled: then [dist]/[pred] are final on the settled nodes,
+    which include every marked node and each node on a marked node's
+    [pred] chain, and an unsettled node's entries are tentative (an
+    upper bound, or [infinity] and [-1]).  A marked node is
+    unreachable exactly when its [dist] is [infinity] afterwards.
+    The marks are cleared on return.  [pops] counts its heap pops. *)
 
 val reachable : arena -> dst:int -> bool
-(** Whether the last {!dijkstra} reached [dst]. *)
+(** Whether the last {!dijkstra} reached [dst]; meaningful for [dst]
+    settled or marked (see {!dijkstra}). *)
 
 val store_tree_path : arena -> slot:int -> dst:int -> int
 (** Write the last {!dijkstra}'s path to [dst] into the path-incidence

@@ -22,15 +22,20 @@ let paper_default ~alpha =
    negative rates are rejected here. *)
 let check_rate _m x = if x < 0. then invalid_arg "Model: negative rate"
 
+(* At alpha = 2 (the serving model) the power law is squared exactly,
+   [x *. x] instead of libm's [pow], which the kernel's inlined closed
+   form copies (see [Frank_wolfe.kernel_cost]); every other exponent keeps
+   [**]. *)
 let dynamic m x =
   check_rate m x;
-  m.mu *. (x ** m.alpha)
+  if m.alpha = 2. then m.mu *. (x *. x) else m.mu *. (x ** m.alpha)
 
 let total m x = if x = 0. then 0. else m.sigma +. dynamic m x
 
 let dynamic_deriv m x =
   check_rate m x;
-  m.alpha *. m.mu *. (x ** (m.alpha -. 1.))
+  if m.alpha = 2. then m.alpha *. m.mu *. x
+  else m.alpha *. m.mu *. (x ** (m.alpha -. 1.))
 
 let power_rate m x =
   if x <= 0. then invalid_arg "Model.power_rate: rate must be > 0";

@@ -48,10 +48,14 @@ val total : t -> float -> float
 
 val dynamic : t -> float -> float
 (** [g(x) = mu * x^alpha] — the speed-scaling part only (used by DCFS
-    where the active link set is fixed, Section III-A). *)
+    where the active link set is fixed, Section III-A).  At [alpha = 2]
+    it is [mu *. (x *. x)], exactly; any other [alpha] goes through
+    [**]. *)
 
 val dynamic_deriv : t -> float -> float
-(** [g'(x) = alpha * mu * x^(alpha-1)]. *)
+(** [g'(x) = alpha * mu * x^(alpha-1)]: [alpha *. mu *. x] at
+    [alpha = 2], through [**] otherwise.  {!envelope}, {!envelope_deriv},
+    {!total} and {!power_rate} share both rules. *)
 
 val power_rate : t -> float -> float
 (** [f(x)/x], energy per unit of traffic (Definition 3).

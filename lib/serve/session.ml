@@ -140,6 +140,8 @@ type t = {
   stats : stats;
 }
 
+let workspace t = t.workspace
+
 let empty_certificate graph power = Certify.state ~links:(Graph.num_links graph) power
 
 let create ?(pool = Pool.sequential) ~graph ~power ~policy ~seed () =

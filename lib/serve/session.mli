@@ -69,6 +69,11 @@ val create :
   t
 (** A fresh session at clock 0 with no committed flows. *)
 
+val workspace : t -> Dcn_mcf.Kernel.Workspace.t
+(** The Frank–Wolfe arenas every epoch's re-solve reuses; their work
+    counters ({!Dcn_mcf.Kernel.Workspace.heap_pops}) count the
+    session's share. *)
+
 type detail = {
   delta : Dcn_sched.Schedule_delta.t;
       (** what this epoch changed in the committed schedule *)

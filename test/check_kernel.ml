@@ -10,7 +10,12 @@
       path that is already active (its weight merges) and two warm
       paths with identical links; kernel and reference solutions must be
       bit-identical.  (The drop step, t = 1, is test_mcf's "drop step
-      empties a link".)
+      empties a link".)  Then two fixed re-solves, warm started from a
+      cold solve, so their pairwise sweeps run through the kernel's
+      per-link cost caches: the serving model (sigma 0, alpha 2) with a
+      capacity that a 2:1 oversubscribed leaf-spine's uplinks exceed,
+      so the penalty term is live on links the steps move, and an
+      alpha-3 model with idle power on fat-tree k=4.
    3. Allocation: after a warm-up solve, a kernel-engine FW iteration
       must allocate at most 128 minor-heap words, both for the joint
       steps of a solve without warm start and for the pairwise sweeps
@@ -155,6 +160,44 @@ let pairwise_cases () =
     cases;
   Printf.printf "check_kernel: pairwise cases ok (%d cases)\n%!" (List.length cases)
 
+(* 30 paper-random flows solved cold, then a 31st arrives and the
+   intervals its span overlaps are re-solved from the cold solution's
+   paths; both engines, bit-identical at each stage. *)
+let warm_resolve_cases () =
+  let module B = Dcn_topology.Builders in
+  let cases =
+    [
+      ( "serving model, cap 1.5",
+        B.leaf_spine ~spines:2 ~leaves:4 ~hosts_per_leaf:4,
+        Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1.5 (),
+        true );
+      ("alpha 3, sigma 2", B.fat_tree 4, Model.make ~sigma:2. ~mu:1. ~alpha:3. (), false);
+    ]
+  in
+  List.iter
+    (fun (label, graph, power, overloaded) ->
+      let flows =
+        Dcn_flow.Workload.paper_random ~rng:(Dcn_util.Prng.create 7) ~graph ~n:31 ()
+      in
+      let arrival = List.nth flows 30 in
+      let before = List.filteri (fun i _ -> i < 30) flows in
+      let inst0 = Dcn_core.Instance.make ~graph ~power ~flows:before in
+      let inst1 = Dcn_core.Instance.make ~graph ~power ~flows in
+      let k0 = Relaxation.solve ~fw_config inst0 in
+      let r0 = Relaxation.solve ~fw_config:reference_config inst0 in
+      check_relaxation (label ^ ", cold") k0 r0;
+      let window = (arrival.Dcn_flow.Flow.release, arrival.Dcn_flow.Flow.deadline) in
+      let k1, stats = Relaxation.resolve ~fw_config ~previous:k0 ~window inst1 in
+      let r1, _ = Relaxation.resolve ~fw_config:reference_config ~previous:r0 ~window inst1 in
+      check_relaxation (label ^ ", warm") k1 r1;
+      if stats.Relaxation.resolved = 0 then failf "%s: no interval re-solved" label;
+      let over =
+        Array.exists (fun (i : Relaxation.interval_solution) -> i.max_overload > 0.) k1.intervals
+      in
+      if overloaded && not over then failf "%s: no interval exceeds the capacity" label)
+    cases;
+  Printf.printf "check_kernel: warm re-solve cases ok (%d cases)\n%!" (List.length cases)
+
 (* A single-interval F-MCF at fat-tree k=4 with one commodity per host
    pair sample: big enough that a boxed iteration allocates megabytes,
    small enough to run in milliseconds. *)
@@ -285,6 +328,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   differential ();
   pairwise_cases ();
+  warm_resolve_cases ();
   allocation ();
   registry_disabled_alloc ();
   Option.iter write_trace !trace_out;

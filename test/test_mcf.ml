@@ -304,6 +304,110 @@ let prop_decompose_recomposes =
                paths)
         commodities)
 
+(* --- Kernel.dijkstra ------------------------------------------------- *)
+
+(* Switches 0 and 1 on a cable, hosts 2 and 3 on one each, and two
+   one-way links that [Graph] cannot build, made by mirroring a cable in
+   one direction only: host 4 is cabled to both switches but keeps only
+   0 -> 4 and 4 -> 1 (one in-link, one out-link, two neighbours), and
+   host 5 hangs off switch 1 with a second link 0 -> 5 into it. *)
+let one_way_graph () =
+  let b = Graph.Builder.create () in
+  let s0 = Graph.Builder.add_node b (Graph.Switch { tier = 0 }) in
+  let s1 = Graph.Builder.add_node b (Graph.Switch { tier = 0 }) in
+  let h () = Graph.Builder.add_node b Graph.Host in
+  let h2 = h () and h3 = h () and h4 = h () and h5 = h () in
+  ignore (Graph.Builder.add_cable b s0 s1);
+  ignore (Graph.Builder.add_cable b s0 h2);
+  ignore (Graph.Builder.add_cable b s1 h3);
+  let _, h4_s0 = Graph.Builder.add_cable b s0 h4 in
+  let s1_h4, _ = Graph.Builder.add_cable b s1 h4 in
+  ignore (Graph.Builder.add_cable b s1 h5);
+  let _, h5_s0 = Graph.Builder.add_cable b s0 h5 in
+  (Graph.Builder.finish b, [ h4_s0; s1_h4; h5_s0 ], [ h4; h5 ])
+
+(* (label, graph, links left out of the mirror, nodes that must not be
+   leaves). *)
+let dijkstra_graphs =
+  let all_nodes g = List.init (Graph.num_nodes g) Fun.id in
+  let parallel = Builders.parallel ~links:3 in
+  let one_way, banned, not_leaves = one_way_graph () in
+  [
+    ("line", Builders.line 5, [], []);
+    ("star", Builders.star ~leaves:5, [], []);
+    ("parallel", parallel, [], all_nodes parallel);
+    ("leaf-spine", Builders.leaf_spine ~spines:2 ~leaves:3 ~hosts_per_leaf:2, [], []);
+    ("fat-tree 4", Builders.fat_tree 4, [], []);
+    ("bcube", Builders.bcube ~n:3 ~level:1, [], []);
+    ("dcell", Builders.dcell ~n:2 ~level:1, [], []);
+    ("random fabric", Builders.random_fabric ~switches:6 ~degree:3 ~hosts:8 ~seed:3, [], []);
+    ("one-way", one_way, banned, not_leaves);
+  ]
+
+let dijkstra_ws = Kernel.Workspace.create ()
+
+(* The leaf definition, on the links that stay: one in-link and one
+   out-link, joining the node to one other node. *)
+let expected_leaf g ~kept v =
+  let ins = List.filter kept (Array.to_list (Graph.in_links g v)) in
+  let outs = List.filter kept (Array.to_list (Graph.out_links g v)) in
+  match (ins, outs) with
+  | [ i ], [ o ] -> Graph.link_src g i = Graph.link_dst g o && Graph.link_dst g o <> v
+  | _ -> false
+
+let prop_dijkstra_matches_paths =
+  QCheck.Test.make ~name:"kernel: dijkstra = Paths.shortest_tree, full and early exit"
+    ~count:300
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let rng = Dcn_util.Prng.create seed in
+      let label, g, banned, not_leaves = Dcn_util.Prng.pick rng (Array.of_list dijkstra_graphs) in
+      let kept l = not (List.mem l banned) in
+      let n = Graph.num_nodes g and m = Graph.num_links g in
+      let a = Kernel.acquire dijkstra_ws ~graph:g ~nc:1 in
+      if banned <> [] then Kernel.mirror a g ~keep:kept;
+      let fail fmt = Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "%s: %s" label msg) fmt in
+      for v = 0 to n - 1 do
+        if (a.Kernel.leaf.{v} = 1) <> expected_leaf g ~kept v then fail "leaf mark of node %d" v;
+        if List.mem v not_leaves && a.Kernel.leaf.{v} = 1 then fail "node %d marked a leaf" v
+      done;
+      (* Weights from a four-value set, so equal distances (ties) are
+         common; hop counts on one run in four. *)
+      let use_weights = Dcn_util.Prng.int rng 4 > 0 in
+      for l = 0 to m - 1 do
+        a.Kernel.weights.{l} <- 0.5 *. float_of_int (Dcn_util.Prng.int rng 4)
+      done;
+      let tie = if Dcn_util.Prng.int rng 2 = 0 then 0. else 1e-9 in
+      let weight l = if use_weights then a.Kernel.weights.{l} +. tie else 1. in
+      let src = Dcn_util.Prng.int rng n in
+      let tree =
+        Dcn_topology.Paths.shortest_tree ~weight ~banned_links:(fun l -> not (kept l)) g ~src
+      in
+      let same v =
+        Int64.equal (Int64.bits_of_float a.Kernel.dist.{v}) (Int64.bits_of_float tree.dist.(v))
+        && a.Kernel.pred.{v} = tree.pred.(v)
+      in
+      Kernel.dijkstra a ~src ~use_weights ~tie;
+      for v = 0 to n - 1 do
+        if not (same v) then fail "full run from %d: node %d differs" src v
+      done;
+      (* Early exit: every marked node's pred chain, back to the root. *)
+      let marked = List.init (1 + Dcn_util.Prng.int rng 3) (fun _ -> Dcn_util.Prng.int rng n) in
+      List.iter (Kernel.mark_target a) marked;
+      Kernel.dijkstra a ~src ~use_weights ~tie;
+      List.iter
+        (fun dst ->
+          let rec chain v =
+            if not (same v) then fail "early exit from %d to %d: node %d differs" src dst v;
+            if a.Kernel.pred.{v} >= 0 then chain (Graph.link_src g a.Kernel.pred.{v})
+          in
+          chain dst)
+        marked;
+      for v = 0 to n - 1 do
+        if a.Kernel.target.{v} <> 0 then fail "mark of node %d left set" v
+      done;
+      true)
+
 (* --- exact line search ---------------------------------------------- *)
 
 module Trace = Dcn_engine.Trace
@@ -643,6 +747,7 @@ let suite =
         Alcotest.test_case "empty flow" `Quick test_decompose_empty;
         qt prop_decompose_recomposes;
       ] );
+    ("mcf/kernel", [ qt prop_dijkstra_matches_paths ]);
   ]
 
 let more_misc =

@@ -140,6 +140,60 @@ let test_discrete_invalid () =
   invalid (fun () -> Discrete.make Model.quadratic ~levels:[ 2.; 2. ]);
   invalid (fun () -> Discrete.power (Discrete.make Model.quadratic ~levels:[ 1. ]) 2.)
 
+(* At alpha = 2 the model squares exactly, [x *. x] rather than
+   libm's [pow] (the Frank-Wolfe kernel inlines the same rule, so both
+   engines evaluate the same floats); other exponents keep [**].  The
+   first two rates are ones where glibc's [pow x 2.] and [x *. x]
+   differ in the last bit. *)
+let test_square_rule () =
+  let bits_eq what want got =
+    if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)) then
+      Alcotest.failf "%s: got %h, want %h" what got want
+  in
+  let rng = Dcn_util.Prng.create 11 in
+  let rates =
+    [ 0x1.eec979b5edbd5p-5; 0x1.abc2b1377a4b9p+19; 0.; 1.; 0.7; 3.; 1e-300 ]
+    @ List.init 200 (fun _ -> Dcn_util.Prng.float rng 20.)
+  in
+  List.iter
+    (fun (sigma, mu) ->
+      let m = Model.make ~sigma ~mu ~alpha:2. () in
+      let r = Model.r_hat m in
+      let slope = if r > 0. then (sigma +. (mu *. (r *. r))) /. r else 0. in
+      List.iter
+        (fun x ->
+          let sq = mu *. (x *. x) and d = 2. *. mu *. x in
+          bits_eq "dynamic" sq (Model.dynamic m x);
+          bits_eq "dynamic_deriv" d (Model.dynamic_deriv m x);
+          let env, env' =
+            if x = 0. then (0., if r > 0. then slope else d)
+            else if r = 0. then (sq, d)
+            else if x <= r then (x *. slope, slope)
+            else (sigma +. sq, d)
+          in
+          bits_eq "envelope" env (Model.envelope m x);
+          bits_eq "envelope_deriv" env' (Model.envelope_deriv m x))
+        rates)
+    [ (0., 1.); (0., 1.5); (4., 1.); (9., 0.75) ];
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun sigma ->
+          let m = Model.make ~sigma ~mu:1.5 ~alpha () in
+          let r = Model.r_hat m in
+          List.iter
+            (fun x ->
+              let g = 1.5 *. (x ** alpha) and g' = alpha *. 1.5 *. (x ** (alpha -. 1.)) in
+              bits_eq "dynamic" g (Model.dynamic m x);
+              bits_eq "dynamic_deriv" g' (Model.dynamic_deriv m x);
+              if x > r then begin
+                bits_eq "envelope" (if r = 0. then g else sigma +. g) (Model.envelope m x);
+                bits_eq "envelope_deriv" g' (Model.envelope_deriv m x)
+              end)
+            rates)
+        [ 0.; 4. ])
+    [ 3.; 4. ]
+
 let prop_envelope_below =
   QCheck.Test.make ~name:"power: envelope is a pointwise lower bound" ~count:500
     QCheck.(
@@ -168,6 +222,7 @@ let suite =
         Alcotest.test_case "envelope convex" `Quick test_envelope_convexity;
         Alcotest.test_case "paper default" `Quick test_paper_default;
         Alcotest.test_case "energy" `Quick test_energy;
+        Alcotest.test_case "square rule" `Quick test_square_rule;
         qt prop_envelope_below;
       ] );
     ( "power/discrete",
