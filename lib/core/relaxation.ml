@@ -13,7 +13,16 @@
    every other interval's solution is reused verbatim.  All per-interval
    quantities (cost, lb) are per unit time, so an interval split by a
    new breakpoint outside the window reuses the old solution on both
-   halves unchanged. *)
+   halves unchanged.
+
+   A flow the previous relaxation does not route in an interval (a new
+   arrival) is carried instead: it starts from the paths it got in the
+   latest interval solved earlier in the same call, so only its first
+   re-solved interval starts it cold on its hop-count path.  That makes
+   each interval's start depend on the ones solved before it, so a warm
+   re-solve runs its intervals in ascending index order on the caller's
+   domain, and its result is the same for every pool size; cold solves,
+   whose intervals are independent, still fan out over the pool. *)
 
 module Graph = Dcn_topology.Graph
 module Flow = Dcn_flow.Flow
@@ -43,7 +52,7 @@ type t = {
 
 type reuse_stats = { resolved : int; reused : int }
 
-let trace_interval (s : interval_solution) ~active ~iterations =
+let trace_interval (s : interval_solution) ~active ~carried ~iterations =
   if Trace.on () then
     let lo, hi = s.bounds in
     Trace.event "relaxation.interval"
@@ -56,6 +65,7 @@ let trace_interval (s : interval_solution) ~active ~iterations =
           ("cost", Json.float s.cost);
           ("lb", Json.float s.lb);
           ("max_overload", Json.float s.max_overload);
+          ("carried", Json.Int carried);
           ("fw_iterations", Json.Int iterations);
         ]
 
@@ -71,10 +81,11 @@ let piecewise_of power =
     alpha = power.Model.alpha;
   }
 
-(* One interval's F-MCF program over its [active] flows.  [warm]
-   supplies a previous fractional routing per flow (an empty list means
-   cold-start that flow). *)
-let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm k =
+(* One interval's F-MCF program over its [active] flows.  [warm.(i)]
+   is a fractional routing to start the [i]th flow from (an empty list
+   means cold-start it); [carried] of them came from an earlier
+   interval, for the trace. *)
+let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm ~carried k =
   let bounds = Timeline.bounds tl k in
   match active with
   | [] ->
@@ -88,7 +99,7 @@ let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm k =
         flow_paths = [];
       }
     in
-    trace_interval s ~active:0 ~iterations:0;
+    trace_interval s ~active:0 ~carried:0 ~iterations:0;
     s
   | _ ->
     let commodities =
@@ -98,8 +109,7 @@ let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm k =
             ~demand:(Flow.density f))
         active
     in
-    let active_arr = Array.of_list active in
-    let warm_start i = warm active_arr.(i) in
+    let warm_start i = warm.(i) in
     let problem =
       {
         Fw.graph = g;
@@ -132,7 +142,8 @@ let solve_interval ~g ~power ~tl ~active ~fw_config ~workspace ~warm k =
         flow_paths;
       }
     in
-    trace_interval s ~active:(List.length active) ~iterations:sol.Fw.iterations;
+    trace_interval s ~active:(List.length active) ~carried
+      ~iterations:sol.Fw.iterations;
     s
 
 (* Live-telemetry counters (one-branch no-ops unless the registry is
@@ -187,7 +198,9 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
     | _ -> false
   in
   let active = Timeline.active_by_interval tl flows in
-  let solve_one k =
+  (* [carry], in a warm re-solve: flow id -> the paths it got in the
+     latest interval solved so far. *)
+  let solve_one carry k =
     let lo, hi = Timeline.bounds tl k in
     let mid = 0.5 *. (lo +. hi) in
     let prev = previous_at mid in
@@ -212,17 +225,34 @@ let resolve ?(pool = Dcn_engine.Pool.sequential) ?(fw_config = Fw.default_config
     match reusable with
     | Some p -> ({ p with index = k; bounds = (lo, hi) }, true)
     | None ->
+      let carried = ref 0 in
       let warm (f : Flow.t) =
-        match prev with
-        | None -> []
-        | Some p -> Option.value ~default:[] (List.assoc_opt f.id p.flow_paths)
+        match Option.bind prev (fun p -> List.assoc_opt f.id p.flow_paths) with
+        | Some (_ :: _ as paths) -> paths
+        | _ -> (
+          match Option.bind carry (fun c -> Hashtbl.find_opt c f.id) with
+          | Some paths ->
+            incr carried;
+            paths
+          | None -> [])
       in
-      ( solve_interval ~g ~power ~tl ~active:active.(k) ~fw_config ~workspace ~warm k,
-        false )
+      let warm = Array.of_list (List.map warm active.(k)) in
+      let s =
+        solve_interval ~g ~power ~tl ~active:active.(k) ~fw_config ~workspace ~warm
+          ~carried:!carried k
+      in
+      Option.iter
+        (fun c -> List.iter (fun (id, paths) -> Hashtbl.replace c id paths) s.flow_paths)
+        carry;
+      (s, false)
   in
+  let n = Timeline.num_intervals tl in
   let results =
-    Dcn_engine.Pool.map pool solve_one
-      (Array.init (Timeline.num_intervals tl) Fun.id)
+    match previous with
+    | None -> Dcn_engine.Pool.map pool (solve_one None) (Array.init n Fun.id)
+    | Some _ ->
+      (* [Array.init] applies its function in index order. *)
+      Array.init n (solve_one (Some (Hashtbl.create 16)))
   in
   let intervals = Array.map fst results in
   let reused =

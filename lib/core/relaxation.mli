@@ -50,12 +50,14 @@ val resolve :
     the [previous] relaxation of the pre-change instance.  Without
     [previous], every interval is solved cold.
 
-    [pool] fans the independent per-interval F-MCF programs across
-    worker domains (default: sequential).  The result is bit-identical
-    for every pool size and either FW engine.  [workspace] supplies the
-    kernel engine's arenas, reused across the intervals (and safely
-    across the pool's domains); without one the process-wide default
-    workspace is used.
+    Without [previous], [pool] fans the independent per-interval F-MCF
+    programs across worker domains (default: sequential).  With it, the
+    re-solved intervals run in ascending index order on the caller's
+    domain, because each may start from the one before (below).  The
+    result is bit-identical for every pool size and either FW engine.
+    [workspace] supplies the kernel engine's arenas, reused across the
+    intervals (and safely across the pool's domains); without one the
+    process-wide default workspace is used.
 
     Intervals of the {e new} timeline that do not overlap [window]
     reuse the previous solution of the interval covering their midpoint
@@ -66,7 +68,14 @@ val resolve :
     narrow a window), the interval is re-solved rather than reused, so
     [resolve] never returns a stale solution.  Overlapping intervals
     are re-solved with {!Dcn_mcf.Frank_wolfe}'s warm start seeded from
-    the previous fractional paths of every flow both instances share. *)
+    the previous fractional paths of every flow both instances share.
+    A flow without paths in the previous interval covering the new
+    interval's midpoint (an arrival) is carried: it starts from the
+    paths it got in the latest interval re-solved before this one in
+    the same call, so only the first re-solved interval holding it
+    starts it cold on its hop-count path.  Each interval's start then
+    depends only on the intervals below it, computed in index order
+    whatever the pool, which keeps the result jobs-invariant. *)
 
 val solve :
   ?pool:Dcn_engine.Pool.t ->

@@ -25,7 +25,10 @@
       leaves the set (a drop step).  The vanilla step only ever scales
       old paths down, so from a warm start it zigzags between them;
       pairwise steps converge linearly instead.  A commodity without a
-      warm start in such a solve starts on its hop-count path.
+      warm start in such a solve starts on its hop-count path; in a
+      serving re-solve that is a new flow in the first interval
+      re-solved for it, since [Relaxation.resolve] carries it into
+      later intervals from the paths this solve finds.
 
     Both line searches are {!exact_step}: it root-finds the derivative
     of the cost along the step, in [0, 1].  From the hop-count start

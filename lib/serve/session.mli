@@ -54,8 +54,9 @@
     Determinism: a session is a pure function of
     [(seed, policy, event sequence)] — path draws come from a
     pre-split PRNG stream per admission round, and the incremental
-    re-solve is index-ordered over the pool — so reports are
-    byte-identical at every [--jobs] level. *)
+    re-solve runs its intervals in index order on the caller's domain
+    (the pool serves only the cold solve of a drained session) — so
+    reports are byte-identical at every [--jobs] level. *)
 
 type t
 

@@ -455,6 +455,127 @@ let test_rs_reuses_relaxation () =
      change the outcome. *)
   check_float "same result" (fresh ()) (solve ())
 
+(* Warm re-solves.  [grown_instance] is ten paper-random flows and the
+   instance with [k] (1-3) flows added at once: the first spans three
+   intervals of the old timeline, the rest share one window, as a
+   coflow's members do.  Returns both instances and the change's
+   window. *)
+let grown_instance ~graph ~seed ~k =
+  let module Timeline = Dcn_flow.Timeline in
+  let power = Model.make ~sigma:0. ~mu:1. ~alpha:2. ~cap:1.5 () in
+  let old = Dcn_flow.Workload.paper_random ~rng:(Prng.create seed) ~graph ~n:10 () in
+  let inst0 = Instance.make ~graph ~power ~flows:old in
+  let tl = Instance.timeline inst0 in
+  let a = seed mod (Timeline.num_intervals tl - 2) in
+  let lo, _ = Timeline.bounds tl a and _, hi = Timeline.bounds tl (a + 2) in
+  let fresh =
+    Dcn_flow.Workload.paper_random ~rng:(Prng.create (seed + 1)) ~graph ~n:k ()
+  in
+  let group = List.nth fresh (k - 1) in
+  let added =
+    List.mapi
+      (fun i (f : Flow.t) ->
+        let release, deadline =
+          if i = 0 then (lo, hi) else (group.Flow.release, group.Flow.deadline)
+        in
+        Flow.make ~id:(100 + i) ~src:f.src ~dst:f.dst ~volume:f.volume ~release
+          ~deadline)
+      fresh
+  in
+  let window =
+    List.fold_left
+      (fun (l, h) (f : Flow.t) -> (Float.min l f.release, Float.max h f.deadline))
+      (Float.infinity, Float.neg_infinity)
+      added
+  in
+  (inst0, Instance.make ~graph ~power ~flows:(old @ added), window)
+
+let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_interval (a : Relaxation.interval_solution) (b : Relaxation.interval_solution) =
+  let same_path (p : Dcn_mcf.Decompose.weighted_path) (q : Dcn_mcf.Decompose.weighted_path) =
+    p.links = q.links && feq p.weight q.weight
+  in
+  let same_flow (i, ps) (j, qs) =
+    i = j && List.length ps = List.length qs && List.for_all2 same_path ps qs
+  in
+  a.index = b.index
+  && feq (fst a.bounds) (fst b.bounds)
+  && feq (snd a.bounds) (snd b.bounds)
+  && feq a.cost b.cost && feq a.lb b.lb
+  && feq a.max_overload b.max_overload
+  && List.length a.flow_paths = List.length b.flow_paths
+  && List.for_all2 same_flow a.flow_paths b.flow_paths
+
+(* A new flow starts from the paths it got in the interval re-solved
+   before, so a warm re-solve's intervals depend on each other; the
+   result is still bit-identical at every pool size. *)
+let prop_resolve_jobs_invariant =
+  QCheck.Test.make ~name:"relaxation: warm re-solve is jobs-invariant" ~count:6
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let graph =
+        if seed mod 2 = 0 then Builders.fat_tree 4
+        else Builders.leaf_spine ~spines:2 ~leaves:4 ~hosts_per_leaf:4
+      in
+      let inst0, inst1, window = grown_instance ~graph ~seed ~k:(1 + (seed mod 3)) in
+      let fw_config = Dcn_mcf.Frank_wolfe.resolve_config in
+      let previous = Relaxation.solve ~fw_config inst0 in
+      let resolve pool =
+        fst (Relaxation.resolve ~pool ~fw_config ~previous ~window inst1)
+      in
+      let seq = resolve Dcn_engine.Pool.sequential in
+      let par = Dcn_engine.Pool.with_pool ~jobs:3 resolve in
+      feq seq.cost par.cost && feq seq.lb par.lb
+      && Array.length seq.intervals = Array.length par.intervals
+      && Array.for_all2 same_interval seq.intervals par.intervals)
+
+(* In a warm re-solve, the lowest re-solved interval holding a new flow
+   starts it cold (every other commodity has a warm start), and every
+   later one starts it from the interval before: its trace reports it
+   as carried. *)
+let test_relaxation_carries_new_flow () =
+  let module Trace = Dcn_engine.Trace in
+  let module Json = Dcn_engine.Json in
+  let inst0, inst1, window = grown_instance ~graph:(Builders.fat_tree 4) ~seed:7 ~k:1 in
+  let fw_config = Dcn_mcf.Frank_wolfe.resolve_config in
+  let previous = Relaxation.solve ~fw_config inst0 in
+  let t = Trace.create () in
+  let relax, _ =
+    Trace.with_trace t (fun () -> Relaxation.resolve ~fw_config ~previous ~window inst1)
+  in
+  let int_field name fields = Json.to_int (List.assoc name fields) in
+  (* (index, active, carried, warm-started commodities) per re-solved
+     interval, in the order they were solved. *)
+  let solved, _ =
+    List.fold_left
+      (fun (acc, warm) (r : Trace.record) ->
+        match r.entry with
+        | Trace.Event { name = "fw.warm_start"; fields; _ } ->
+          (acc, int_field "commodities" fields)
+        | Trace.Event { name = "relaxation.interval"; fields; _ } ->
+          let i = int_field "index" fields in
+          ((i, int_field "active" fields, int_field "carried" fields, warm) :: acc, 0)
+        | _ -> (acc, warm))
+      ([], 0) (Trace.records t)
+  in
+  let solved = List.rev solved in
+  Alcotest.(check (list int)) "solved in index order"
+    (List.sort compare (List.map (fun (i, _, _, _) -> i) solved))
+    (List.map (fun (i, _, _, _) -> i) solved);
+  let holds i = List.mem_assoc 100 relax.Relaxation.intervals.(i).Relaxation.flow_paths in
+  let with_new = List.filter (fun (i, _, _, _) -> holds i) solved in
+  Alcotest.(check bool) "the new flow is re-solved in three intervals or more" true
+    (List.length with_new >= 3);
+  List.iteri
+    (fun n (i, active, carried, warm) ->
+      let label what = Printf.sprintf "interval %d: %s" i what in
+      Alcotest.(check int) (label "carried") (if n = 0 then 0 else 1) carried;
+      Alcotest.(check int) (label "warm-started commodities")
+        (if n = 0 then active - 1 else active)
+        warm)
+    with_new
+
 let test_joint_relaxation_single_flow () =
   (* One flow alone: both relaxations coincide with the constant-density
      optimum |P| * w * D^(alpha-1). *)
@@ -1044,6 +1165,9 @@ let suite =
           test_joint_relaxation_below_paper_lb;
         Alcotest.test_case "joint below MCF (Example 1)" `Quick
           test_joint_relaxation_below_mcf_example1;
+        Alcotest.test_case "trace: a new flow is carried" `Quick
+          test_relaxation_carries_new_flow;
+        qt prop_resolve_jobs_invariant;
       ] );
     ( "core/baselines_exact",
       [

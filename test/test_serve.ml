@@ -556,14 +556,14 @@ let test_golden_digests () =
     ];
   check ~graph:(Builders.fat_tree 4) ~cap:2. "coflow-mix.events"
     [
-      (Repair.Drop_latest_deadline, "e6d503a91a94446bac19fd965a5df94f");
-      (Repair.Drop_largest_residual, "ea671e201a44278ef5052ee47320d9e9");
-      (Repair.Reject_new, "04fa06f6857136fdddce65f6ed09e104");
+      (Repair.Drop_latest_deadline, "e1e622cdd20048303feb81f8b19e57bf");
+      (Repair.Drop_largest_residual, "99781ce95c1ede9096d78ef6a2aa3e0b");
+      (Repair.Reject_new, "8bc584fd417b8f6734094d468abdb5d9");
     ];
   check ~graph:(Builders.fat_tree 4) ~cap:1.25 "coflow-mix.events"
     [
-      (Repair.Drop_latest_deadline, "dfc5439839aaa2c5094c8fe6600d34f6");
-      (Repair.Reject_new, "68d45abd1670b082e82b4b5ca24bb1d5");
+      (Repair.Drop_latest_deadline, "abe76f4de86f11b427cbaa044a7ecd0b");
+      (Repair.Reject_new, "130e3c6e11b72ede1a30fb1716042a7e");
     ]
 
 (* Warm interval re-solves converge instead of running into the
